@@ -66,7 +66,7 @@ def _jsonable(value):
 def _finish(report: Dict[str, object], args, started: float,
             human_lines: List[str]) -> int:
     report["schema"] = SCHEMA_VERSION
-    report["elapsed_seconds"] = round(time.time() - started, 3)
+    report["elapsed_seconds"] = round(time.perf_counter() - started, 3)
     if args.json:
         print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
     else:
@@ -81,7 +81,7 @@ def _finish(report: Dict[str, object], args, started: float,
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(parser: argparse.ArgumentParser, args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     families = [args.family] if args.family else [1, 2, 3, 4, 5, 6]
     if args.n is not None and args.n > args.cap:
         parser.error(f"--n {args.n} exceeds the cap {args.cap}")
@@ -130,7 +130,7 @@ def _cmd_verify(parser: argparse.ArgumentParser, args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_commutators(parser: argparse.ArgumentParser, args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     if args.all and args.family:
         parser.error("--all and --family are mutually exclusive")
     families = [args.family] if args.family else [1, 2, 3, 4, 5, 6]
@@ -244,8 +244,7 @@ def _rabi_lines(report: Dict[str, object]) -> List[str]:
         lines.append(f"  eigenstate at 2w/w0 = {fn['ratio']:.6f}:")
         lines.append(f"    psi2 = {fn['gauge']} * sum_n c_n K_n({fn['kernel_argument']})")
         for n, coeff in enumerate(fn["coefficients"]):
-            exact = coeff.get("value", "(numeric)")
-            lines.append(f"      c_{n} = {exact} = {coeff['float']:.6f}")
+            lines.append(f"      c_{n} = {coeff['value']} = {coeff['float']:.6f}")
         psi1 = fn["psi1"]
         lines.append(
             f"    psi1 = {psi1['prefactor_float']:.6f} * [({psi1['f_coefficient']}) F"
@@ -254,7 +253,7 @@ def _rabi_lines(report: Dict[str, object]) -> List[str]:
 
 
 def _cmd_rabi(parser: argparse.ArgumentParser, args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     block = _rabi_block(args.n, args.type, args.cutoff, args.eigenfunctions)
     report = {
         "command": "rabi",
@@ -270,7 +269,7 @@ def _cmd_rabi(parser: argparse.ArgumentParser, args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_table1(parser: argparse.ArgumentParser, args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     blocks = []
     lines = []
     all_ok = True

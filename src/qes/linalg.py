@@ -439,8 +439,8 @@ class FieldExtension:
     """Arithmetic in base_field[t]/(m(t)) for a monic squarefree modulus m.
 
     Elements are ExtElem wrappers around coefficient tuples. Inversion uses
-    the extended Euclidean algorithm and fails only if the modulus is
-    reducible over the base, which callers treat as a fallback signal.
+    the extended Euclidean algorithm and raises ZeroDivisionError when the
+    element is a zero divisor, which needs a modulus reducible over the base.
     """
 
     def __init__(self, modulus: Sequence[object], embed: Callable = Fraction,

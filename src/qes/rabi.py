@@ -21,6 +21,7 @@ uses w = 1 units, so E stands for E/w and w0 for w0/w throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,8 +35,8 @@ from .families import (BasisElement, FamilySpec, apply_op, family_operators,
                        matrix_rep, substitute_pair, substituted_context)
 from .laurent import LaurentPoly
 from .linalg import (FieldExtension, charpoly, isolate_real_roots, mat_scale,
-                     mat_vec, minimal_factors, nullspace, poly_eval, poly_gcd,
-                     poly_trim, refine_root, squarefree_part)
+                     minimal_factors, poly_eval, poly_gcd, poly_trim,
+                     refine_root, squarefree_part)
 from .scalars import SQRT2, SQRT3, SQRT6, QuadScalar, embed_to_float, format_scalar
 
 
@@ -242,8 +243,8 @@ class FrequencyRoot:
     multiplicity: int
     certificate: Dict[str, object]
     null_vector_floats: List[float]
-    null_vector_exact: Optional[List[object]] = None   # ExtElem entries
-    extension: Optional[FieldExtension] = None
+    null_vector_exact: List[object]   # ExtElem entries, last entry 1
+    extension: FieldExtension
 
     def omega0(self) -> float:
         """w0 in w = 1 units."""
@@ -294,9 +295,11 @@ def solve_frequencies(config: RabiConfig) -> SpectralResult:
     The characteristic polynomial is computed over the rationals; real
     roots are isolated with Sturm sequences, refined to 12+ digits, and
     each positive root is returned with an exactly-verified minimal factor,
-    its algebraic multiplicity, a singularity certificate, and a null
-    vector of M0 + lambda*I (exact over the extension field when the factor
-    is irreducible there, floating-point otherwise).
+    its algebraic multiplicity, and the null vector of M0 + lambda*I,
+    exact over Q[lambda]/(minimal factor).  M0 is unreduced tridiagonal,
+    so that vector comes from the three-term recurrence without any
+    division in the extension and needs no irreducibility of the factor;
+    re-multiplying it through every row is the singularity certificate.
     """
     m0 = subspace_matrix(config)
     size = config.dimension
@@ -317,34 +320,20 @@ def solve_frequencies(config: RabiConfig) -> SpectralResult:
         lam_float = float(lam_mid)
         minimal = _matching_factor(factors, leftover, lo, hi)
         multiplicity = _factor_multiplicity(lam_poly, minimal)
-        exact_null, ext = _extension_nullspace(m0, minimal, lam_mid)
-        if exact_null is not None:
-            certificate: Dict[str, object] = {
-                "kind": "extension-nullspace",
-                "rank": size - len(exact_null),
-                "dimension": size,
-                "nullity": len(exact_null),
-            }
-            vector = exact_null[0]
-            floats = [entry.to_float() for entry in vector]
-        else:
-            certificate = {
-                "kind": "sign-change-interval",
-                "interval": (str(lo), str(hi)),
-                "sign_lo": _sign(poly_eval(squarefree, lo)),
-                "sign_hi": _sign(poly_eval(squarefree, hi)),
-                "dimension": size,
-            }
-            vector = None
-            floats = _float_null_vector(m0, lam_float)
+        vector, ext = _extension_nullspace(m0, minimal, lam_mid)
         roots.append(FrequencyRoot(
             ratio=math.sqrt(3.0 / lam_float),
             lambda_float=lam_float,
             lambda_interval=(lo, hi),
             minimal_poly=minimal,
             multiplicity=multiplicity,
-            certificate=certificate,
-            null_vector_floats=floats,
+            certificate={
+                "kind": "extension-nullspace",
+                "rank": size - 1,
+                "dimension": size,
+                "nullity": 1,
+            },
+            null_vector_floats=[entry.to_float() for entry in vector],
             null_vector_exact=vector,
             extension=ext,
         ))
@@ -383,41 +372,38 @@ def _factor_multiplicity(poly: Sequence[Fraction], factor: Sequence[Fraction]) -
 
 
 def _extension_nullspace(m0, minimal: List[Fraction], approx: Fraction):
-    """Exact nullspace of M0 + lambda*I over Q[lambda]/(minimal), if possible.
+    """Null vector of M0 + lambda*I over Q[lambda]/(minimal), and the field.
 
-    Returns (list of null vectors, extension) or (None, None) when the
-    verified factor is reducible over the rationals, which shows up as a
-    failed inversion during elimination.
+    M0 must be unreduced tridiagonal (no entry off the three diagonals, no
+    zero off-diagonal entry), so the null space has dimension 1 at every
+    eigenvalue.  With v_N = 1, rows N..1 give v_{N-1}..v_0 by the
+    three-term recurrence, dividing only by rational subdiagonal entries;
+    re-multiplying every row certifies that lambda is an eigenvalue.
     """
-    try:
-        ext = FieldExtension(minimal, embed=Fraction, approx=approx, name="lam")
-        lam = ext.generator()
-        size = len(m0)
-        shifted = [
-            [ext.scalar(m0[i][j]) + (lam if i == j else ext.zero())
-             for j in range(size)]
-            for i in range(size)
-        ]
-        vectors = nullspace(shifted)
-        if not vectors:
-            return None, None
-        for vector in vectors:
-            image = mat_vec(shifted, vector)
-            if any(not entry.is_zero() for entry in image):
-                raise RabiError("extension null vector fails re-multiplication")
-        return vectors, ext
-    except ZeroDivisionError:
-        return None, None
+    size = len(m0)
+    for i, row in enumerate(m0):
+        for j, entry in enumerate(row):
+            offset = abs(i - j)
+            if (offset > 1 and entry != 0) or (offset == 1 and entry == 0):
+                raise RabiError(
+                    f"M0 is not unreduced tridiagonal: entry ({i}, {j}) is {entry}")
+    ext = FieldExtension(minimal, embed=Fraction, approx=approx, name="lam")
+    lam = ext.generator()
+    vector = [ext.zero()] * (size - 1) + [ext.one()]
 
+    def image(k: int):
+        # Row k of (M0 + lambda*I) v: at most three products.
+        total = (lam + m0[k][k]) * vector[k]
+        for j in (k - 1, k + 1):
+            if 0 <= j < size:
+                total = total + m0[k][j] * vector[j]
+        return total
 
-def _float_null_vector(m0, lam_float: float) -> List[float]:
-    matrix = np.array([[float(entry) for entry in row] for row in m0])
-    shifted = matrix + lam_float * np.eye(len(m0))
-    _, _, vh = np.linalg.svd(shifted)
-    vector = vh[-1]
-    # Normalize the largest entry to 1 for stable reporting.
-    pivot = max(range(len(vector)), key=lambda i: abs(vector[i]))
-    return list(vector / vector[pivot])
+    for k in range(size - 1, 0, -1):
+        vector[k - 1] = image(k) * (Fraction(-1) / m0[k][k - 1])
+    if any(not image(k).is_zero() for k in range(size)):
+        raise RabiError("extension null vector fails re-multiplication")
+    return vector, ext
 
 
 def _deduplicate(roots: List[FrequencyRoot]) -> List[FrequencyRoot]:
@@ -510,11 +496,14 @@ def assemble_eigenfunctions(result: SpectralResult) -> List[Dict[str, object]]:
     equals the reported frequency ratio and is attached as a float).  For
     N=2 the coefficient ratios are additionally tested, exactly, against
     the quoted closed-form surds; the verdict is reported, not enforced.
+    Conjugate roots share their minimal factor and hence the symbolic
+    null vector, so psi_1 is computed once per factor.
     """
     config = result.config
     operator = build_L(config)
     gauge = config.gauge
     descriptions: List[Dict[str, object]] = []
+    psi1_by_factor: Dict[Tuple[Fraction, ...], Tuple[str, str]] = {}
     for root in result.roots:
         entry: Dict[str, object] = {
             "ratio": root.ratio,
@@ -525,13 +514,6 @@ def assemble_eigenfunctions(result: SpectralResult) -> List[Dict[str, object]]:
                 (str(config.alpha + n), str(config.s)) for n in range(config.dimension)
             ],
         }
-        if root.null_vector_exact is None:
-            entry["coefficients"] = [
-                {"float": value} for value in root.null_vector_floats
-            ]
-            entry["exact"] = False
-            descriptions.append(entry)
-            continue
         entry["exact"] = True
         entry["coefficients"] = [
             {"value": repr(element), "float": element.to_float()}
@@ -540,12 +522,18 @@ def assemble_eigenfunctions(result: SpectralResult) -> List[Dict[str, object]]:
         if config.n_max == 2:
             entry["closed_form_ratio_check"] = _closed_form_ratio_check(
                 root, config)
-        chi = _apply_recovery_operator(root, config, operator)
+        factor = tuple(root.minimal_poly)
+        if factor not in psi1_by_factor:
+            chi = _apply_recovery_operator(root, config, operator)
+            # The pair lives in the z coordinate after the pullback.
+            psi1_by_factor[factor] = tuple(
+                repr(part).replace("x^", "z^").replace("*x", "*z")
+                for part in (chi.r, chi.s))
+        f_coefficient, fprime_coefficient = psi1_by_factor[factor]
         entry["psi1"] = {
             "prefactor_float": root.ratio,
-            # The pair lives in the z coordinate after the pullback.
-            "f_coefficient": repr(chi.r).replace("x^", "z^").replace("*x", "*z"),
-            "fprime_coefficient": repr(chi.s).replace("x^", "z^").replace("*x", "*z"),
+            "f_coefficient": f_coefficient,
+            "fprime_coefficient": fprime_coefficient,
         }
         descriptions.append(entry)
     return descriptions
@@ -558,15 +546,10 @@ def _describe_gauge(gauge: GaugeFactor) -> str:
 
 def _closed_form_ratio_check(root: FrequencyRoot, config: RabiConfig) -> Dict[str, object]:
     ext = root.extension
-    vector = root.null_vector_exact
-    last = vector[-1]
     targets = CLOSED_FORM_RATIOS[config.sol_type]
     checks = []
-    try:
-        normalized = [entry / last for entry in vector]
-    except ZeroDivisionError:
-        return {"status": "last coefficient vanishes; ratios undefined"}
-    for index, (target, ratio_elem) in enumerate(zip(targets, normalized)):
+    # The null vector has last entry 1, so its entries are the ratios.
+    for index, (target, ratio_elem) in enumerate(zip(targets, root.null_vector_exact)):
         rational, coeff, radicand = target
         target_float = float(rational) + float(coeff) * math.sqrt(radicand)
         checks.append({
@@ -647,14 +630,24 @@ def fock_truncation_check(config: RabiConfig, root: float, cutoff: int = 300) ->
     """
     if cutoff < 100:
         raise RabiError("cutoff must be at least 100")
-    omega0 = 2.0 / float(root)
     target = embed_to_float(config.energy_ratio)
-    two_g = embed_to_float(TWO_G)
-    best = math.inf
-    for parity in (0, 1):
-        eigenvalues = np.linalg.eigvalsh(fock_matrix(omega0, two_g, cutoff, parity))
-        best = min(best, float(np.min(np.abs(eigenvalues - target))))
-    return best
+    spectra = _fock_spectra(2.0 / float(root), embed_to_float(TWO_G), cutoff)
+    return min(float(np.min(np.abs(eigenvalues - target))) for eigenvalues in spectra)
+
+
+@functools.lru_cache(maxsize=64)
+def _fock_spectra(omega0: float, two_g: float, cutoff: int) -> Tuple[np.ndarray, ...]:
+    """Both parity spectra at one frequency, shared by every gap taken there.
+
+    Types I and II lock at the same frequencies, so a table run asks for
+    the same spectrum more than once.  The arrays are read-only because
+    every caller receives the same objects.
+    """
+    spectra = tuple(np.linalg.eigvalsh(fock_matrix(omega0, two_g, cutoff, parity))
+                    for parity in (0, 1))
+    for eigenvalues in spectra:
+        eigenvalues.flags.writeable = False
+    return spectra
 
 
 def truncation_convergence(config: RabiConfig, root: float,

@@ -154,6 +154,9 @@ class QuadScalar:
                 and self.c == other.c and self.d == other.d)
 
     def __hash__(self):
+        # A rational value equals its Fraction and int forms, so hash alike.
+        if self.is_rational():
+            return hash(self.a)
         return hash((self.a, self.b, self.c, self.d))
 
     def __float__(self) -> float:

@@ -58,6 +58,14 @@ def test_laurent_carries_surd_coefficients():
     assert p * p == LaurentPoly({4: QuadScalar(2)})
 
 
+def test_equal_laurent_polys_with_mixed_coefficient_types_hash_equal():
+    mixed = LaurentPoly({0: QuadScalar(3), -1: Fraction(1, 2), 2: 5})
+    plain = LaurentPoly({0: 3, -1: QuadScalar(Fraction(1, 2)), 2: Fraction(5)})
+    assert mixed == plain
+    assert hash(mixed) == hash(plain)
+    assert len({mixed, plain}) == 1
+
+
 # -- operator layer ---------------------------------------------------------
 
 @given(diff_ops(), diff_ops(), laurent_polys(min_exp=0))

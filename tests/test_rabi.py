@@ -7,11 +7,12 @@ from qes.diffop import DiffOp, GaugeFactor
 from qes.laurent import LaurentPoly
 from qes.linalg import FieldExtension, mat_vec, nullspace, poly_eval
 from qes.rabi import (COS_2T, ETA, SIN_2T, TWO_G, XI, RabiConfig, RabiError,
-                      assemble_eigenfunctions, assemble_operator,
-                      bargmann_growth, build_L, closed_form_report,
-                      fock_truncation_check, frequency_table_report,
-                      gauge_identity_residual, ladder_combination,
-                      solve_frequencies, subspace_matrix,
+                      _apply_recovery_operator, _extension_nullspace,
+                      _fock_spectra, assemble_eigenfunctions,
+                      assemble_operator, bargmann_growth, build_L,
+                      closed_form_report, fock_truncation_check,
+                      frequency_table_report, gauge_identity_residual,
+                      ladder_combination, solve_frequencies, subspace_matrix,
                       truncation_convergence, verify_gauge_identity)
 from qes.scalars import QuadScalar, SQRT2, SQRT3, embed_to_float, format_scalar
 
@@ -138,6 +139,22 @@ def test_solved_frequency_ratios(n_max, expected):
     assert ratios == pytest.approx(expected, abs=2e-6)
 
 
+@pytest.mark.parametrize("n_max", [2, 4, 5, 6, 7])
+def test_frequency_polynomials_of_the_tabulated_sizes_are_irreducible(n_max):
+    # docs/discrepancies.md rules out the quoted quadratic closed forms
+    # because these polynomials (dims 3, 5..8) are irreducible over Q.
+    sympy = pytest.importorskip("sympy")
+    lam = sympy.Symbol("lam")
+    for sol_type in ("I", "II"):
+        coeffs = solve_frequencies(RabiConfig(n_max, sol_type)).lambda_charpoly
+        poly = sum(sympy.Rational(c.numerator, c.denominator) * lam ** k
+                   for k, c in enumerate(coeffs))
+        _, factors = sympy.factor_list(poly, lam)
+        assert len(factors) == 1, factors
+        factor, power = factors[0]
+        assert power == 1 and sympy.degree(factor, lam) == n_max + 1
+
+
 def test_one_dimensional_lock_is_rational():
     # At N=0 the subspace matrix is 1x1, the eigenvalue is 3/4, and the
     # frequency ratio is exactly 2; exercises the degree-one extension.
@@ -176,6 +193,73 @@ def test_exact_null_vectors_annihilate_the_shifted_matrix():
                     for j in range(size)] for i in range(size)]
         lifted = [ext.element(list(entry.coeffs)) for entry in root.null_vector_exact]
         assert all(entry.is_zero() for entry in mat_vec(shifted, lifted))
+
+
+@pytest.mark.parametrize("sol_type", ["I", "II"])
+def test_subspace_matrix_is_unreduced_tridiagonal(sol_type):
+    # The recurrence for the null vector rests on this shape.
+    for n_max in range(13):
+        m0 = subspace_matrix(RabiConfig(n_max, sol_type))
+        for i, row in enumerate(m0):
+            for j, entry in enumerate(row):
+                if abs(i - j) > 1:
+                    assert entry == 0, (n_max, i, j)
+                elif abs(i - j) == 1:
+                    assert entry != 0, (n_max, i, j)
+
+
+@pytest.mark.parametrize("sol_type", ["I", "II"])
+def test_recurrence_null_vector_equals_the_elimination_one(sol_type):
+    # nullspace (dense RREF) is the reference: it must produce the same
+    # extension elements, normalized to last entry 1, over the same field.
+    for n_max in range(9):
+        config = RabiConfig(n_max, sol_type)
+        m0 = subspace_matrix(config)
+        size = len(m0)
+        for root in solve_frequencies(config).roots:
+            ext = root.extension
+            lam = ext.generator()
+            shifted = [[ext.scalar(m0[i][j]) + (lam if i == j else ext.zero())
+                        for j in range(size)] for i in range(size)]
+            basis = nullspace(shifted)
+            assert len(basis) == 1
+            assert basis[0] == root.null_vector_exact
+
+
+def test_extension_nullspace_rejects_a_matrix_that_is_not_unreduced_tridiagonal():
+    # The path graph on three vertices is singular at lambda = 0.
+    tridiagonal = [[F(0), F(1), F(0)], [F(1), F(0), F(1)], [F(0), F(1), F(0)]]
+    minimal = [F(0), F(1)]
+    vector, _ = _extension_nullspace(tridiagonal, minimal, F(0))
+    assert [entry.to_float() for entry in vector] == [-1.0, 0.0, 1.0]
+    wide = [list(row) for row in tridiagonal]
+    wide[0][2] = F(1)
+    with pytest.raises(RabiError, match="tridiagonal"):
+        _extension_nullspace(wide, minimal, F(0))
+    split = [list(row) for row in tridiagonal]
+    split[2][1] = F(0)
+    with pytest.raises(RabiError, match="tridiagonal"):
+        _extension_nullspace(split, minimal, F(0))
+
+
+def test_extension_nullspace_refuses_a_non_eigenvalue():
+    m0 = [[F(-1), F(1)], [F(1), F(-1)]]
+    with pytest.raises(RabiError, match="re-multiplication"):
+        _extension_nullspace(m0, [F(-3), F(1)], F(3))
+
+
+def test_conjugate_roots_share_one_recovered_partner_component():
+    config = RabiConfig(5, "I")
+    result = solve_frequencies(config)
+    assert len(result.roots) == 2
+    assert result.roots[0].minimal_poly == result.roots[1].minimal_poly
+    operator = build_L(config)
+    for state, root in zip(assemble_eigenfunctions(result), result.roots):
+        chi = _apply_recovery_operator(root, config, operator)
+        assert state["psi1"]["f_coefficient"] == repr(chi.r).replace(
+            "x^", "z^").replace("*x", "*z")
+        assert state["psi1"]["fprime_coefficient"] == repr(chi.s).replace(
+            "x^", "z^").replace("*x", "*z")
 
 
 def test_frequency_polynomial_matches_the_ladder_matrix():
@@ -226,6 +310,15 @@ def test_fock_spectrum_rejects_a_detuned_frequency():
 def test_fock_truncation_requires_a_sane_cutoff():
     with pytest.raises(RabiError):
         fock_truncation_check(RabiConfig(2, "I"), 0.9, cutoff=50)
+
+
+def test_fock_spectra_memo_is_bounded_and_repeatable():
+    assert _fock_spectra.cache_info().maxsize is not None
+    config = RabiConfig(2, "I")
+    first = fock_truncation_check(config, 0.9, cutoff=120)
+    hits = _fock_spectra.cache_info().hits
+    assert fock_truncation_check(config, 0.9, cutoff=120) == first
+    assert _fock_spectra.cache_info().hits == hits + 1
 
 
 def test_truncation_error_does_not_grow_with_the_cutoff():

@@ -74,3 +74,9 @@ def test_rational_zero_divisor_free():
     # a, b not both zero, which is what makes inversion well defined.
     x = QuadScalar(1, 1) * QuadScalar(1, -1)
     assert x == QuadScalar(-1)
+
+
+def test_rational_values_hash_like_their_fraction():
+    assert {QuadScalar(3), Fraction(3), 3} == {3}
+    assert len({QuadScalar(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert len({SQRT2, QuadScalar(0, 1)}) == 1

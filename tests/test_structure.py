@@ -48,6 +48,17 @@ def test_bracket_of_the_ladder_pair_has_order_three(family_id):
     assert bracket == commutator(j_minus, j_plus)
 
 
+@pytest.mark.parametrize("n_max", [0, 2, 3])
+@pytest.mark.parametrize("nu", [F(3, 5), F(2)])
+def test_family_five_bracket_has_an_inverse_power_term(n_max, nu):
+    # [J-, J+] is not polynomial in general: for family 5 its d^0
+    # coefficient carries (2N+1) nu (nu+1) x^-1, its only negative power.
+    bracket = structure_operator(FamilySpec(5, n_max, nu=nu))
+    negative = {(order, exp): coeff for order, poly in bracket.coeffs.items()
+                for exp, coeff in poly.coeffs.items() if exp < 0}
+    assert negative == {(0, -1): (2 * n_max + 1) * nu * (nu + 1)}
+
+
 def test_bracket_matrices_commute_consistently():
     spec = FamilySpec(4, 2)
     j_plus, j_minus = family_operators(spec)
