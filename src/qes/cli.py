@@ -39,14 +39,6 @@ SCHEMA_VERSION = 1
 _TABLE_SIZES = (2, 4, 5, 6, 7)
 
 
-def _seed_default() -> int:
-    raw = os.environ.get("QES_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
-
-
 def _jsonable(value):
     if isinstance(value, bool) or value is None:
         return value
@@ -80,11 +72,9 @@ def _finish(report: Dict[str, object], args, started: float,
 # verify
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(parser: argparse.ArgumentParser, args) -> int:
+def _cmd_verify(args) -> int:
     started = time.perf_counter()
     families = [args.family] if args.family else [1, 2, 3, 4, 5, 6]
-    if args.n is not None and args.n > args.cap:
-        parser.error(f"--n {args.n} exceeds the cap {args.cap}")
     sizes = [args.n] if args.n is not None else [0, 1, 2, 3]
     checks = []
     lines = []
@@ -129,17 +119,16 @@ def _cmd_verify(parser: argparse.ArgumentParser, args) -> int:
 # commutators
 # ---------------------------------------------------------------------------
 
-def _cmd_commutators(parser: argparse.ArgumentParser, args) -> int:
+def _cmd_commutators(args) -> int:
     started = time.perf_counter()
-    if args.all and args.family:
-        parser.error("--all and --family are mutually exclusive")
     families = [args.family] if args.family else [1, 2, 3, 4, 5, 6]
     blocks = []
     lines = []
     worst = "ok"
     for family in families:
-        suite = closure_suite(family, samples=args.samples, seed=args.seed)
         derived = derive_constants(family)
+        suite = closure_suite(family, samples=args.samples, seed=args.seed,
+                              derived=derived)
         match = compare_to_catalog(derived, family)
         block = {
             "family": family,
@@ -252,7 +241,7 @@ def _rabi_lines(report: Dict[str, object]) -> List[str]:
     return lines
 
 
-def _cmd_rabi(parser: argparse.ArgumentParser, args) -> int:
+def _cmd_rabi(args) -> int:
     started = time.perf_counter()
     block = _rabi_block(args.n, args.type, args.cutoff, args.eigenfunctions)
     report = {
@@ -268,7 +257,7 @@ def _cmd_rabi(parser: argparse.ArgumentParser, args) -> int:
 # table1
 # ---------------------------------------------------------------------------
 
-def _cmd_table1(parser: argparse.ArgumentParser, args) -> int:
+def _cmd_table1(args) -> int:
     started = time.perf_counter()
     blocks = []
     lines = []
@@ -319,8 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "two-photon Rabi solver.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = {"seed": _seed_default()}
-
     verify = sub.add_parser("verify", help="ladder invariance checks")
     verify.add_argument("--family", type=int, choices=range(1, 7),
                         help="family id (default: all six)")
@@ -328,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--cap", type=int, default=8,
                         help="largest allowed --n (default 8)")
     verify.add_argument("--samples", type=int, default=8)
-    verify.add_argument("--seed", type=int, default=common["seed"])
+    verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--json", action="store_true")
 
     comm = sub.add_parser("commutators", help="closure-relation checks")
@@ -337,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     comm.add_argument("--all", action="store_true",
                       help="check all six families (the default)")
     comm.add_argument("--samples", type=int, default=8)
-    comm.add_argument("--seed", type=int, default=common["seed"])
+    comm.add_argument("--seed", type=int, default=None)
     comm.add_argument("--json", action="store_true")
 
     rabi = sub.add_parser("rabi", help="solve one lock and cross-check")
@@ -348,31 +335,51 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="Fock truncation cutoff (default 300)")
     rabi.add_argument("--eigenfunctions", action="store_true",
                       help="include exact eigenfunction coefficients")
-    rabi.add_argument("--seed", type=int, default=common["seed"])
+    rabi.add_argument("--seed", type=int, default=None)
     rabi.add_argument("--json", action="store_true")
 
     table = sub.add_parser("table1", help="full frequency grid")
     table.add_argument("--cutoff", type=int, default=300)
     table.add_argument("--csv", action="store_true",
                        help="emit the grid as CSV instead of JSON/text")
-    table.add_argument("--seed", type=int, default=common["seed"])
+    table.add_argument("--seed", type=int, default=None)
     table.add_argument("--json", action="store_true")
 
     return parser
 
 
+def _check_args(parser: argparse.ArgumentParser, args) -> None:
+    """Reject out-of-range input as a usage error (exit 2) before any work.
+
+    Also resolves the seed: --seed, else QES_SEED, else 0.
+    """
+    if args.seed is None:
+        raw = os.environ.get("QES_SEED", "0")
+        try:
+            args.seed = int(raw)
+        except ValueError:
+            parser.error(f"QES_SEED must be an integer, got {raw!r}")
+    if args.command in ("verify", "rabi") and args.n is not None and args.n < 0:
+        parser.error("--n must be non-negative")
+    if args.command == "verify" and args.n is not None and args.n > args.cap:
+        parser.error(f"--n {args.n} exceeds the cap {args.cap}")
+    if args.command in ("verify", "commutators") and args.samples < 1:
+        parser.error("--samples must be at least 1")
+    if args.command == "commutators" and args.all and args.family:
+        parser.error("--all and --family are mutually exclusive")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _check_args(parser, args)
     if args.command == "verify":
-        return _cmd_verify(parser, args)
+        return _cmd_verify(args)
     if args.command == "commutators":
-        return _cmd_commutators(parser, args)
+        return _cmd_commutators(args)
     if args.command == "rabi":
-        if args.n < 0:
-            parser.error("--n must be non-negative")
-        return _cmd_rabi(parser, args)
-    return _cmd_table1(parser, args)
+        return _cmd_rabi(args)
+    return _cmd_table1(args)
 
 
 if __name__ == "__main__":

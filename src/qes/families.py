@@ -11,6 +11,7 @@ and the matrix representations are checked.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
@@ -186,7 +187,7 @@ class BasisElement:
         return self.n if self.sign == "+" else self.spec.n_max + 1 + self.n
 
     def to_pair(self) -> PairElement:
-        return _basis_pairs(self.spec)[self.index]
+        return _basis(self.spec).pairs[self.index]
 
 
 def fundamental_pair_rules(spec: FamilySpec) -> Tuple[DiffOp, Optional[PairElement]]:
@@ -224,14 +225,8 @@ def fundamental_pair_rules(spec: FamilySpec) -> Tuple[DiffOp, Optional[PairEleme
     return ode, minus
 
 
-_PAIR_CACHE: Dict[FamilySpec, List[PairElement]] = {}
-
-
-def _basis_pairs(spec: FamilySpec) -> List[PairElement]:
+def _basis_pairs(spec: FamilySpec) -> Tuple[PairElement, ...]:
     """All basis elements as pairs, in the fixed order."""
-    cached = _PAIR_CACHE.get(spec)
-    if cached is not None:
-        return cached
     ctx = spec.context()
     if spec.family_id == 3:
         pairs = [PairElement(LaurentPoly.const(_ONE), LaurentPoly.zero(), ctx)]
@@ -245,8 +240,7 @@ def _basis_pairs(spec: FamilySpec) -> List[PairElement]:
         plus = PairElement(LaurentPoly.const(_ONE), LaurentPoly.zero(), ctx)
         pairs = [plus.times_poly(LaurentPoly.x(n)) for n in range(spec.n_max + 1)]
         pairs += [minus.times_poly(LaurentPoly.x(n)) for n in range(spec.n_max + 1)]
-    _PAIR_CACHE[spec] = pairs
-    return pairs
+    return tuple(pairs)
 
 
 def family_operators(spec: FamilySpec) -> Tuple[DiffOp, DiffOp]:
@@ -292,46 +286,91 @@ class NotInSpan:
     residual: PairElement
 
 
-def _coefficient_rows(pairs: List[PairElement], target: PairElement):
-    """Rows (component, exponent) of the exact linear system `pairs @ c = target`."""
+@dataclass(frozen=True)
+class _Basis:
+    """A family basis with one exact elimination of its coefficient matrix A.
+
+    A has one row per (component, exponent) key that occurs in the basis
+    and one column per basis pair.  `transform` holds, sparsely, the first
+    `rank` rows of an invertible E with E*A = RREF(A): row i maps a
+    right-hand side b to the value of pivot column `pivots[i]`.
+    """
+
+    pairs: Tuple[PairElement, ...]
+    rows: Tuple[Tuple[str, int], ...]
+    pivots: Tuple[int, ...]
+    transform: Tuple[Tuple[Tuple[int, Fraction], ...], ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+
+def _component(pair: PairElement, comp: str) -> LaurentPoly:
+    return pair.r if comp == "r" else pair.s
+
+
+@functools.lru_cache(maxsize=64)
+def _basis(spec: FamilySpec) -> _Basis:
+    """The basis pairs of `spec` and the elimination of their matrix, built once."""
+    pairs = _basis_pairs(spec)
     exps_r, exps_s = set(), set()
-    for p in pairs + [target]:
+    for p in pairs:
         exps_r.update(p.r.coeffs)
         exps_s.update(p.s.coeffs)
     rows = [("r", e) for e in sorted(exps_r)] + [("s", e) for e in sorted(exps_s)]
-    matrix = []
-    rhs = []
-    for comp, e in rows:
-        matrix.append([(p.r if comp == "r" else p.s).coeff(e) for p in pairs])
-        rhs.append((target.r if comp == "r" else target.s).coeff(e))
-    return matrix, rhs
+    dim, height = len(pairs), len(rows)
+    augmented = [[_component(p, comp).coeff(e) for p in pairs]
+                 + [_ONE if k == i else _ZERO for k in range(height)]
+                 for i, (comp, e) in enumerate(rows)]
+    reduced, pivots = linalg.rref(augmented)
+    pivots = [col for col in pivots if col < dim]
+    transform = tuple(
+        tuple((k, c) for k, c in enumerate(reduced[i][dim:]) if c)
+        for i in range(len(pivots)))
+    return _Basis(pairs, tuple(rows), tuple(pivots), transform)
 
 
 def decompose(pair: PairElement, spec: FamilySpec):
-    """Exact coordinates of `pair` in the family basis, or a NotInSpan witness."""
-    pairs = _basis_pairs(spec)
-    matrix, rhs = _coefficient_rows(pairs, pair)
-    solution = linalg.solve_linear(matrix, rhs)
-    if solution is not None:
-        return solution
-    augmented = [row + [b] for row, b in zip(matrix, rhs)]
-    return NotInSpan(linalg.rank(matrix), linalg.rank(augmented), pair)
+    """Exact coordinates of `pair` in the family basis, or a NotInSpan witness.
+
+    The basis matrix A of `spec` is eliminated once and cached; each call
+    reads the target's coefficients b on A's rows and forms the candidate
+    c = E*b on the pivot columns, free columns zero (the same vector a
+    fresh RREF of [A | b] gives).  The candidate is certified by
+    re-multiplying: sum c_j * basis_j must equal `pair` exactly, which also
+    catches exponents the basis lacks.  When it does not, b lies outside
+    the column space, so the augmented rank is exactly rank(A) + 1.
+    """
+    basis = _basis(spec)
+    rhs = [_component(pair, comp).coeff(e) for comp, e in basis.rows]
+    coords = [_ZERO] * len(basis.pairs)
+    for col, row in zip(basis.pivots, basis.transform):
+        coords[col] = sum((c * rhs[k] for k, c in row), _ZERO)
+    r, s = LaurentPoly.zero(), LaurentPoly.zero()
+    for c, p in zip(coords, basis.pairs):
+        if c:
+            r, s = r + p.r * c, s + p.s * c
+    if r == pair.r and s == pair.s:
+        return coords
+    return NotInSpan(basis.rank, basis.rank + 1, pair)
 
 
 def independence_rank(spec: FamilySpec) -> int:
-    """Column rank of the basis coefficient matrix (should equal the dimension)."""
-    pairs = _basis_pairs(spec)
-    zero = PairElement(LaurentPoly.zero(), LaurentPoly.zero(), pairs[0].ctx)
-    matrix, _ = _coefficient_rows(pairs, zero)
-    return linalg.rank(matrix)
+    """Column rank of the basis coefficient matrix (should equal the dimension).
+
+    Read from the same cached elimination that `decompose` uses.
+    """
+    return _basis(spec).rank
 
 
 def matrix_rep(op: DiffOp, spec: FamilySpec) -> List[List[Fraction]]:
     """Exact matrix of `op` on the family basis; column j expands op(basis_j)."""
     dim = spec.dimension
+    pairs = _basis(spec).pairs
     columns = []
     for j in range(dim):
-        image = apply_op(op, _basis_pairs(spec)[j])
+        image = apply_op(op, pairs[j])
         coords = decompose(image, spec)
         if isinstance(coords, NotInSpan):
             raise FamilyError(
@@ -546,7 +585,7 @@ def solve_preserving(spec: FamilySpec, max_order: int = 2,
     Returns the solution space modulo the constants (multiples of the
     identity), as DiffOp generators plus the raw dimension bookkeeping.
     """
-    pairs = _basis_pairs(spec)
+    pairs = _basis(spec).pairs
     dim = len(pairs)
     op_unknowns = [(k, e) for k in range(max_order + 1) for e in range(degree_bound + 1)]
     n_op = len(op_unknowns)

@@ -540,14 +540,17 @@ def _suite_samples(family_id: int, samples: int, seed: int) -> List[FamilySpec]:
     return specs
 
 
-def closure_suite(family_id: int, samples: int = 8, seed: int = 0) -> Dict[str, object]:
+def closure_suite(family_id: int, samples: int = 8, seed: int = 0,
+                  derived: Optional[CommutatorConstants] = None) -> Dict[str, object]:
     """Catalog closure check at seeded random points, with derived fallback.
 
     The catalog coefficients are checked as exact operator identities at
     ``samples`` parameter points (subspace sizes cycling over 0..3).  If
-    any point fails, the coefficients are re-derived independently and the
-    same points are rechecked with the derived set, which is expected to
-    zero every residual.  Status is "ok" when the catalog holds
+    any point fails, the coefficients are re-derived independently (or
+    ``derived``, a set the caller already has from
+    ``derive_constants(family_id)``, is used) and the same points are
+    rechecked with the derived set, which is expected to zero every
+    residual.  Status is "ok" when the catalog holds
     everywhere, "reference-discrepancy" when only the derived set does,
     and "fail" when not even the derived set closes the relations.
     """
@@ -564,7 +567,8 @@ def closure_suite(family_id: int, samples: int = 8, seed: int = 0) -> Dict[str, 
     if failures == 0:
         result["status"] = "ok"
         return result
-    derived = derive_constants(family_id)
+    if derived is None:
+        derived = derive_constants(family_id)
     agreement = compare_to_catalog(derived, family_id)
     rechecks = [verify_structure_relations(spec, constants=derived) for spec in specs]
     result["derived"] = derived.as_strings()

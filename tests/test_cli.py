@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from qes.cli import main
+from qes import families
+from qes.cli import _build_parser, _check_args, main
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +51,41 @@ def test_commutators_exit_reflects_catalog_agreement(capsys):
     assert code == 1
     assert "reference-discrepancy" in out
     assert "derived" in out
+
+
+def check_args(*argv):
+    parser = _build_parser()
+    args = parser.parse_args(list(argv))
+    _check_args(parser, args)
+    return args
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "-1"),
+    ("verify", "--samples", "0"),
+    ("verify", "--samples", "-2"),
+    ("commutators", "--samples", "-1"),
+    ("rabi", "--n", "-1", "--type", "I"),
+])
+def test_out_of_range_arguments_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        check_args(*argv)
+    assert err.value.code == 2
+
+
+def test_non_integer_seed_variable_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("QES_SEED", "seven")
+    with pytest.raises(SystemExit) as err:
+        check_args("verify", "--n", "1")
+    assert err.value.code == 2
+    assert "QES_SEED" in capsys.readouterr().err
+    assert check_args("verify", "--seed", "4").seed == 4
+
+
+def test_in_range_arguments_pass_the_check(monkeypatch):
+    monkeypatch.delenv("QES_SEED", raising=False)
+    assert check_args("verify", "--n", "0", "--samples", "1").seed == 0
+    assert check_args("commutators", "--samples", "1").samples == 1
 
 
 def test_rabi_requires_its_arguments(capsys):
@@ -114,6 +150,21 @@ def test_json_output_is_deterministic(capsys):
     first.pop("elapsed_seconds")
     second.pop("elapsed_seconds")
     assert first == second
+
+
+def test_reports_do_not_depend_on_a_warm_basis_cache(capsys):
+    for argv in (("verify", "--family", "3", "--n", "3", "--json"),
+                 ("verify", "--n", "2", "--seed", "5", "--json")):
+        families._basis.cache_clear()
+        outputs, misses = [], []
+        for _ in range(2):
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            outputs.append("".join(line for line in out.splitlines(keepends=True)
+                                   if '"elapsed_seconds"' not in line))
+            misses.append(families._basis.cache_info().misses)
+        assert misses[0] > 0 and misses[1] == misses[0]  # the second run is all hits
+        assert outputs[0] == outputs[1]
 
 
 def test_seed_changes_the_sampled_points_but_not_the_verdict(capsys):

@@ -1,15 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from qes import families
 from qes.diffop import DiffOp, commutator
 from qes.families import (BasisElement, FamilyError, FamilySpec, NotInSpan,
-                          apply_op, decompose, family_operators,
+                          PairElement, apply_op, decompose, family_operators,
                           independence_rank, matrix_rep, operator_in_span,
                           solve_preserving, verify_invariance)
 from qes.laurent import LaurentPoly
-from qes.linalg import mat_commutator, mat_mul
-from qes.sampling import sample_grid
+from qes.linalg import mat_commutator, mat_mul, rank, solve_linear
+from qes.sampling import random_rational, sample_grid
 
 F = Fraction
 
@@ -131,3 +133,106 @@ def test_preserving_space_excludes_foreign_operators():
     spec = FamilySpec(1, 0, s=F(7, 3))
     found = solve_preserving(spec, max_order=2, degree_bound=2)
     assert not operator_in_span(found, DiffOp.mul_by(LaurentPoly.x()))
+
+
+# -- the cached elimination against a fresh solve per target ---------------------
+
+def reference_system(pairs, target):
+    """The exact system `pairs @ c = target`, one row per (component, exponent)."""
+    exps_r, exps_s = set(), set()
+    for p in list(pairs) + [target]:
+        exps_r.update(p.r.coeffs)
+        exps_s.update(p.s.coeffs)
+    rows = [("r", e) for e in sorted(exps_r)] + [("s", e) for e in sorted(exps_s)]
+    matrix = [[(p.r if comp == "r" else p.s).coeff(e) for p in pairs]
+              for comp, e in rows]
+    rhs = [(target.r if comp == "r" else target.s).coeff(e) for comp, e in rows]
+    return matrix, rhs
+
+
+def assert_matches_reference(target, spec, pairs):
+    matrix, rhs = reference_system(pairs, target)
+    expected = solve_linear(matrix, rhs)
+    got = decompose(target, spec)
+    if expected is not None:
+        assert got == expected
+        return got
+    assert isinstance(got, NotInSpan)
+    assert got.rank_basis == rank(matrix)
+    assert got.rank_augmented == rank([row + [b] for row, b in zip(matrix, rhs)])
+    assert got.residual is target
+    return got
+
+
+def matrix_exponents(pairs):
+    return {e for p in pairs for e in list(p.r.coeffs) + list(p.s.coeffs)}
+
+
+def sampled_specs():
+    for family_id in (1, 2, 3, 4, 5, 6):
+        for n_max in range(5):
+            for params in sample_grid(family_id, n_max, count=2, seed=23):
+                yield FamilySpec(family_id, n_max, **params)
+
+
+@pytest.mark.parametrize("spec", list(sampled_specs()),
+                         ids=lambda spec: f"f{spec.family_id}-N{spec.n_max}")
+def test_cached_decomposition_equals_a_fresh_solve(spec):
+    pairs = [families._element_at(spec, i).to_pair() for i in range(spec.dimension)]
+    zero = PairElement(LaurentPoly.zero(), LaurentPoly.zero(), pairs[0].ctx)
+    matrix, _ = reference_system(pairs, zero)
+    assert independence_rank(spec) == rank(matrix) == spec.dimension
+
+    for op in family_operators(spec):
+        for pair in pairs:
+            assert not isinstance(assert_matches_reference(apply_op(op, pair), spec, pairs),
+                                  NotInSpan)
+
+    rng = random.Random(spec.n_max)
+    for _ in range(2):
+        weights = [random_rational(rng) if rng.random() < 0.7 else Fraction(0)
+                   for _ in pairs]
+        combo = zero
+        for w, p in zip(weights, pairs):
+            combo = combo + p.scaled(w)
+        assert assert_matches_reference(combo, spec, pairs) == weights
+
+    top = BasisElement(spec, spec.n_max, None if spec.family_id == 3 else "+")
+    outside = [top.to_pair().times_poly(LaurentPoly.x()),
+               pairs[0] + PairElement(LaurentPoly.x(min(matrix_exponents(pairs)) - 1),
+                                      LaurentPoly.zero(), pairs[0].ctx)]
+    for target in outside:
+        assert isinstance(assert_matches_reference(target, spec, pairs), NotInSpan)
+
+
+def test_rank_deficient_basis_keeps_free_coordinates_at_zero(monkeypatch):
+    # A repeated basis pair makes A rank deficient; the cached path must still
+    # give the fresh RREF's solution, free columns zero.
+    spec = FamilySpec(5, 2, nu=F(3, 4))
+    original = families._basis_pairs
+    monkeypatch.setattr(families, "_basis_pairs",
+                        lambda s: original(s) + (original(s)[1].scaled(F(-2)),))
+    families._basis.cache_clear()
+    try:
+        pairs = list(families._basis(spec).pairs)
+        assert families._basis(spec).rank == spec.dimension < len(pairs)
+        j_plus, j_minus = family_operators(spec)
+        for pair in pairs:
+            for op in (j_plus, j_minus):
+                assert_matches_reference(apply_op(op, pair), spec, pairs)
+        assert isinstance(assert_matches_reference(pairs[-1].times_poly(LaurentPoly.x(3)),
+                                                   spec, pairs), NotInSpan)
+    finally:
+        families._basis.cache_clear()
+
+
+def test_basis_cache_is_bounded_and_reused():
+    maxsize = families._basis.cache_info().maxsize
+    assert isinstance(maxsize, int) and 0 < maxsize
+    spec = FamilySpec(2, 3, s=F(7, 2), alpha=F(2, 5))
+    first = families._basis(spec)
+    assert families._basis(FamilySpec(2, 3, s=F(7, 2), alpha=F(2, 5))) is first
+    assert BasisElement(spec, 1, "-").to_pair() is first.pairs[spec.n_max + 2]
+    for k in range(maxsize + 1):
+        families._basis(FamilySpec(5, 0, nu=F(k + 1, 7)))
+    assert families._basis.cache_info().currsize <= maxsize
