@@ -37,6 +37,8 @@ from .structure import closure_suite, compare_to_catalog, derive_constants
 
 SCHEMA_VERSION = 1
 _TABLE_SIZES = (2, 4, 5, 6, 7)
+# Each Fock parity block is a dense cutoff x cutoff matrix (32 MB at 2000).
+_CUTOFF_RANGE = (100, 2000)
 
 
 def _jsonable(value):
@@ -332,14 +334,15 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="subspace size N (dimension is N+1)")
     rabi.add_argument("--type", choices=("I", "II"), required=True)
     rabi.add_argument("--cutoff", type=int, default=300,
-                      help="Fock truncation cutoff (default 300)")
+                      help="Fock truncation cutoff, 100..2000 (default 300)")
     rabi.add_argument("--eigenfunctions", action="store_true",
                       help="include exact eigenfunction coefficients")
     rabi.add_argument("--seed", type=int, default=None)
     rabi.add_argument("--json", action="store_true")
 
     table = sub.add_parser("table1", help="full frequency grid")
-    table.add_argument("--cutoff", type=int, default=300)
+    table.add_argument("--cutoff", type=int, default=300,
+                       help="Fock truncation cutoff, 100..2000 (default 300)")
     table.add_argument("--csv", action="store_true",
                        help="emit the grid as CSV instead of JSON/text")
     table.add_argument("--seed", type=int, default=None)
@@ -367,6 +370,9 @@ def _check_args(parser: argparse.ArgumentParser, args) -> None:
         parser.error("--samples must be at least 1")
     if args.command == "commutators" and args.all and args.family:
         parser.error("--all and --family are mutually exclusive")
+    low, high = _CUTOFF_RANGE
+    if args.command in ("rabi", "table1") and not low <= args.cutoff <= high:
+        parser.error(f"--cutoff must lie in {low}..{high}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -87,14 +87,22 @@ class PairElement:
 def apply_op(op: DiffOp, elem: Union[PairElement, "BasisElement"]) -> PairElement:
     """Apply a differential operator to a pair, reducing F'' via the ODE."""
     pair = elem.to_pair() if isinstance(elem, BasisElement) else elem
-    result = PairElement(LaurentPoly.zero(), LaurentPoly.zero(), pair.ctx)
-    derived = pair
-    last_order = 0
+    return _combine(op, _derivatives(pair, max(op.coeffs, default=0)))
+
+
+def _derivatives(pair: PairElement, order: int) -> List[PairElement]:
+    """[pair, pair', ..., pair^(order)]."""
+    chain = [pair]
+    for _ in range(order):
+        chain.append(chain[-1].derivative())
+    return chain
+
+
+def _combine(op: DiffOp, chain: List[PairElement]) -> PairElement:
+    """sum_k a_k * chain[k] for op = sum_k a_k d^k: op applied to chain[0]."""
+    result = PairElement(LaurentPoly.zero(), LaurentPoly.zero(), chain[0].ctx)
     for order in sorted(op.coeffs):
-        while last_order < order:
-            derived = derived.derivative()
-            last_order += 1
-        result = result + derived.times_poly(op.coeffs[order])
+        result = result + chain[order].times_poly(op.coeffs[order])
     return result
 
 
@@ -245,31 +253,44 @@ def _basis_pairs(spec: FamilySpec) -> Tuple[PairElement, ...]:
 
 def family_operators(spec: FamilySpec) -> Tuple[DiffOp, DiffOp]:
     """(J+, J-) for the family, with the subspace size N baked in."""
-    fid, n_cap = spec.family_id, spec.n_max
+    return operators_over(spec.family_id, Fraction(spec.n_max),
+                          spec.s, spec.alpha, spec.nu)
+
+
+def operators_over(family_id: int, n_cap, s, alpha, nu) -> Tuple[DiffOp, DiffOp]:
+    """(J+, J-) with N, s, alpha and nu taken from any coefficient ring.
+
+    The operators only add and multiply their parameters, so the same
+    definition serves exact rationals (`family_operators`) and polynomials
+    in the parameters (the symbolic closure derivation).  Parameters a
+    family does not use are ignored and may be None.
+    """
     x = LaurentPoly.x()
     x2 = LaurentPoly.x(2)
-    if fid == 1:
-        j_minus = DiffOp({2: x, 1: LaurentPoly.const(spec.s + 1)})
-        j_plus = DiffOp({2: x2, 1: LaurentPoly.x(1, spec.s - 2 * n_cap), 0: -x})
-    elif fid == 2:
-        j_minus = DiffOp({2: x, 1: LaurentPoly({0: 1 + spec.s, 1: -_ONE})})
-        j_plus = DiffOp({2: x2, 1: LaurentPoly({1: spec.s - 2 * n_cap, 2: -_ONE}),
-                         0: LaurentPoly.x(1, n_cap - spec.alpha)})
-    elif fid == 3:
-        j_minus = DiffOp({2: x, 1: LaurentPoly({0: spec.s, 1: -_ONE})})
-        j_plus = DiffOp({2: x2, 1: LaurentPoly({1: spec.s - n_cap, 2: -_ONE}),
-                         0: LaurentPoly.x(1, -spec.alpha)})
-    elif fid == 4:
-        j_minus = DiffOp({2: x, 1: LaurentPoly.const(Fraction(-1 - 2 * n_cap)), 0: -x2})
+    if family_id == 1:
+        j_minus = DiffOp({2: x, 1: LaurentPoly.const(s + 1)})
+        j_plus = DiffOp({2: x2, 1: LaurentPoly.x(1, s - 2 * n_cap), 0: -x})
+    elif family_id == 2:
+        j_minus = DiffOp({2: x, 1: LaurentPoly({0: 1 + s, 1: -_ONE})})
+        j_plus = DiffOp({2: x2, 1: LaurentPoly({1: s - 2 * n_cap, 2: -_ONE}),
+                         0: LaurentPoly.x(1, n_cap - alpha)})
+    elif family_id == 3:
+        j_minus = DiffOp({2: x, 1: LaurentPoly({0: s, 1: -_ONE})})
+        j_plus = DiffOp({2: x2, 1: LaurentPoly({1: s - n_cap, 2: -_ONE}),
+                         0: LaurentPoly.x(1, -alpha)})
+    elif family_id == 4:
+        j_minus = DiffOp({2: x, 1: LaurentPoly.const(-1 - 2 * n_cap), 0: -x2})
         j_plus = DiffOp({2: LaurentPoly.const(_ONE), 0: -x})
-    elif fid == 5:
+    elif family_id == 5:
         j_minus = DiffOp({2: x, 1: LaurentPoly.const(Fraction(2)),
-                          0: LaurentPoly({-1: -(spec.nu * spec.nu + spec.nu), 1: -_ONE})})
-        j_plus = DiffOp({2: x2, 1: LaurentPoly.x(1, Fraction(1 - 2 * n_cap)), 0: -x2})
-    else:
+                          0: LaurentPoly({-1: -(nu * nu + nu), 1: -_ONE})})
+        j_plus = DiffOp({2: x2, 1: LaurentPoly.x(1, 1 - 2 * n_cap), 0: -x2})
+    elif family_id == 6:
         j_minus = DiffOp({2: LaurentPoly.const(_ONE), 1: LaurentPoly.x(1, Fraction(-2))})
-        j_plus = DiffOp({2: x, 1: LaurentPoly({2: Fraction(-2), 0: Fraction(-1 - 2 * n_cap)}),
-                         0: LaurentPoly.x(1, 2 * (n_cap - 2 * spec.alpha))})
+        j_plus = DiffOp({2: x, 1: LaurentPoly({2: Fraction(-2), 0: -1 - 2 * n_cap}),
+                         0: LaurentPoly.x(1, 2 * (n_cap - 2 * alpha))})
+    else:
+        raise FamilyError(f"unknown family id {family_id}")
     return j_plus, j_minus
 
 
@@ -323,8 +344,7 @@ def _basis(spec: FamilySpec) -> _Basis:
     augmented = [[_component(p, comp).coeff(e) for p in pairs]
                  + [_ONE if k == i else _ZERO for k in range(height)]
                  for i, (comp, e) in enumerate(rows)]
-    reduced, pivots = linalg.rref(augmented)
-    pivots = [col for col in pivots if col < dim]
+    reduced, pivots = linalg.rref(augmented, pivot_columns=dim)
     transform = tuple(
         tuple((k, c) for k, c in enumerate(reduced[i][dim:]) if c)
         for i in range(len(pivots)))
@@ -537,18 +557,21 @@ def action_formula(spec: FamilySpec, raise_op: bool, elem: BasisElement) -> Dict
 def verify_invariance(spec: FamilySpec) -> Dict[str, object]:
     """Check both family operators against the closed-form ladder actions.
 
-    Every basis element is pushed through J+ and J- symbolically, decomposed
+    Every basis element is pushed through J+ and J- symbolically (its
+    derivatives are formed once and shared by both operators), decomposed
     over the basis, and the exact coordinates are compared entry by entry
     with `action_formula`.  Mismatches carry both values.
     """
     j_plus, j_minus = family_operators(spec)
+    depth = max(j_plus.order(), j_minus.order())
     mismatches: List[Dict[str, object]] = []
     checks = 0
     for idx in range(spec.dimension):
         elem = _element_at(spec, idx)
+        chain = _derivatives(elem.to_pair(), depth)
         for label, op in (("J+", j_plus), ("J-", j_minus)):
             checks += 1
-            coords = decompose(apply_op(op, elem), spec)
+            coords = decompose(_combine(op, chain), spec)
             if isinstance(coords, NotInSpan):
                 mismatches.append({"op": label, "element": idx,
                                    "computed": "not in span",
@@ -591,12 +614,7 @@ def solve_preserving(spec: FamilySpec, max_order: int = 2,
     n_op = len(op_unknowns)
     n_unknowns = n_op + dim * dim
 
-    derived: List[List[PairElement]] = []
-    for p in pairs:
-        chain = [p]
-        for _ in range(max_order):
-            chain.append(chain[-1].derivative())
-        derived.append(chain)
+    derived = [_derivatives(p, max_order) for p in pairs]
 
     exps_r, exps_s = set(), set()
     for j in range(dim):

@@ -63,12 +63,17 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return out
 
 
-def rref(matrix: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
+def rref(matrix: Matrix, pivot_columns: Optional[int] = None) -> Tuple[Matrix, List[int]]:
+    """Reduced row echelon form; returns (R, pivot column indices).
+
+    With `pivot_columns`, pivots are sought only in that many leading
+    columns; the row operations still act on whole rows, so the columns
+    after them carry the same transform without being reduced themselves.
+    """
     rows = [list(r) for r in matrix]
     if not rows:
         return rows, []
-    ncols = len(rows[0])
+    ncols = len(rows[0]) if pivot_columns is None else pivot_columns
     pivots: List[int] = []
     r = 0
     for col in range(ncols):

@@ -6,20 +6,22 @@ S lands back in a fixed small span: products of the generators, S itself,
 and the identity.  The coefficients of those combinations are polynomials
 in the family parameters.  This module keeps a closed-form catalog of the
 coefficients, checks both closure relations as exact operator identities at
-concrete parameter points, and re-derives the coefficients from scratch by
-linear algebra and interpolation so the catalog has an independent check.
+concrete parameter points, and re-derives the coefficients from scratch so
+the catalog has an independent check.  The derivation is symbolic: with s,
+alpha, nu and n as polynomial variables, each relation is solved over
+Q[s, alpha, nu, n] by forward substitution and certified by a zero residual,
+which proves it at every parameter point at once.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .diffop import DiffOp, commutator
-from .families import FamilySpec, family_operators
+from .families import FamilySpec, family_operators, operators_over
 from .linalg import rank, solve_linear
 from .sampling import mix_seed, sample_params
 
@@ -45,8 +47,8 @@ def _merge(m1: Monomial, m2: Monomial) -> Monomial:
 class ParamPoly:
     """Polynomial in named parameters with rational coefficients.
 
-    Just enough arithmetic for the coefficient catalog and the
-    interpolation fit: ring operations, exact evaluation, printing.
+    Just enough arithmetic for the coefficient catalog and the symbolic
+    derivation: ring operations, exact evaluation, printing.
     """
 
     __slots__ = ("terms",)
@@ -133,6 +135,14 @@ class ParamPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def constant(self) -> Optional[Fraction]:
+        """The value of a constant polynomial, or None if a variable occurs."""
+        if not self.terms:
+            return Fraction(0)
+        if len(self.terms) == 1 and () in self.terms:
+            return self.terms[()]
+        return None
 
     def variables(self) -> Tuple[str, ...]:
         seen = set()
@@ -306,8 +316,8 @@ def structure_operator(spec: FamilySpec) -> DiffOp:
     return s_op
 
 
-def _relation_sides(spec: FamilySpec):
-    jp, jm = family_operators(spec)
+def _relation_sides(jp: DiffOp, jm: DiffOp):
+    """Left sides and candidate terms of both relations, built from (J+, J-)."""
     s_op = commutator(jm, jp)
     ident = DiffOp.identity()
     raising = {
@@ -329,6 +339,16 @@ def _relation_sides(spec: FamilySpec):
     return raising, lowering
 
 
+def _cells(op: DiffOp) -> Dict[Tuple[int, int], object]:
+    """The nonzero coefficients of `op`, keyed by (order, exponent) of d^k x^j."""
+    return {(order, exp): coeff for order, poly in op.coeffs.items()
+            for exp, coeff in poly.coeffs.items()}
+
+
+def _residual_cells(op: DiffOp) -> Dict[str, str]:
+    return {f"d^{k} x^{j}": str(c) for (k, j), c in _cells(op).items()}
+
+
 def verify_structure_relations(
     spec: FamilySpec,
     constants: Optional[CommutatorConstants] = None,
@@ -343,17 +363,13 @@ def verify_structure_relations(
     values = catalog.at(spec)
     bracket_order = structure_operator(spec).order()
     relations: Dict[str, Dict[str, object]] = {}
-    for side in _relation_sides(spec):
+    for side in _relation_sides(*family_operators(spec)):
         residual = side["lhs"]
         for name, op in side["terms"]:
             residual = residual - values[name] * op
         entry: Dict[str, object] = {"ok": residual.is_zero()}
         if not residual.is_zero():
-            cells = {}
-            for order, poly in residual.coeffs.items():
-                for exp, coeff in poly.coeffs.items():
-                    cells[f"d^{order} x^{exp}"] = str(coeff)
-            entry["residual"] = cells
+            entry["residual"] = _residual_cells(residual)
         relations[side["label"]] = entry
     return {
         "family": spec.family_id,
@@ -369,35 +385,6 @@ def verify_structure_relations(
 # independent re-derivation of the coefficients
 # ---------------------------------------------------------------------------
 
-_FAMILY_VARS: Dict[int, Tuple[str, ...]] = {
-    1: ("s", "n"),
-    2: ("s", "alpha", "n"),
-    3: ("s", "alpha", "n"),
-    4: ("n",),
-    5: ("nu", "n"),
-    6: ("alpha", "n"),
-}
-
-_GRID_NODES: Dict[str, Tuple[Fraction, ...]] = {
-    "s": (Fraction(1, 2), Fraction(5, 2), Fraction(9, 2)),
-    "alpha": (Fraction(1, 3), Fraction(4, 3), Fraction(7, 3)),
-    "nu": (Fraction(1, 4), Fraction(5, 4), Fraction(9, 4)),
-    "n": (Fraction(1), Fraction(2), Fraction(3)),
-}
-
-
-def _least_squares(matrix, rhs):
-    columns = list(zip(*matrix))
-    size = len(columns)
-    normal = [
-        [sum(columns[i][k] * columns[j][k] for k in range(len(rhs)))
-         for j in range(size)]
-        for i in range(size)
-    ]
-    target = [sum(columns[i][k] * rhs[k] for k in range(len(rhs))) for i in range(size)]
-    return solve_linear(normal, target)
-
-
 def solve_constants_at(spec: FamilySpec) -> Dict[str, Fraction]:
     """Fit the closure coefficients at one parameter point, exactly.
 
@@ -405,17 +392,14 @@ def solve_constants_at(spec: FamilySpec) -> Dict[str, Fraction]:
     monomial basis x^j d^m and solves the resulting linear system.  Raises
     if the system is inconsistent (the relation does not close in the
     claimed span) or if the candidate terms are linearly dependent there.
+    This is a concrete-point cross-check on `derive_constants`, which
+    solves the same relations symbolically.
     """
     solved: Dict[str, Fraction] = {}
-    for side in _relation_sides(spec):
+    for side in _relation_sides(*family_operators(spec)):
         names = [name for name, _ in side["terms"]]
         ops = [op for _, op in side["terms"]]
-        keys = set()
-        for op in list(ops) + [side["lhs"]]:
-            for order, poly in op.coeffs.items():
-                for exp in poly.coeffs:
-                    keys.add((order, exp))
-        ordered = sorted(keys)
+        ordered = sorted(set().union(*map(_cells, ops + [side["lhs"]])))
         matrix = [
             [op.coeff(order).coeff(exp) for op in ops] for order, exp in ordered
         ]
@@ -426,99 +410,69 @@ def solve_constants_at(spec: FamilySpec) -> Dict[str, Fraction]:
                 "point; pick a more generic sample")
         solution = solve_linear(matrix, rhs)
         if solution is None:
-            fit = _least_squares(matrix, rhs)
-            cells = {}
-            for index, (order, exp) in enumerate(ordered):
-                gap = rhs[index] - sum(
-                    matrix[index][j] * fit[j] for j in range(len(fit)))
-                if gap:
-                    cells[f"d^{order} x^{exp}"] = str(gap)
-            raise StructureError(
-                "relations do not close in the claimed span; "
-                f"residual cells {cells}")
+            raise StructureError("relations do not close in the claimed span")
         solved.update(zip(names, solution))
     return solved
 
 
-def _spec_from_assignment(family_id: int, values: Mapping[str, Fraction]) -> FamilySpec:
-    size = Fraction(values["n"])
-    if size.denominator != 1:
-        raise StructureError("subspace size must be an integer")
-    kwargs = {
-        key: Fraction(values[key])
-        for key in ("s", "alpha", "nu") if key in values
-    }
-    return FamilySpec(family_id, int(size), **kwargs)
+def _symbolic_sides(family_id: int):
+    """Both relations with J+ and J- over Q[s, alpha, nu, n]."""
+    s, alpha, nu, n = (ParamPoly.var(name) for name in ("s", "alpha", "nu", "n"))
+    return _relation_sides(*operators_over(family_id, n, s, alpha, nu))
 
 
-def _lagrange_basis(var: str, nodes: Sequence[Fraction]) -> List[ParamPoly]:
-    x = ParamPoly.var(var)
-    basis = []
-    for i, node_i in enumerate(nodes):
-        poly = ParamPoly.const(1)
-        for j, node_j in enumerate(nodes):
-            if i != j:
-                poly = poly * (x - node_j) * Fraction(1, 1)
-                poly = poly * ParamPoly.const(Fraction(1) / (node_i - node_j))
-        basis.append(poly)
-    return basis
+def _solve_relation(side) -> Dict[str, ParamPoly]:
+    """Solve lhs = sum c_i op_i over Q[s, alpha, nu, n] by forward substitution.
 
-
-def derive_constants(
-    family_id: int,
-    nodes: Optional[Mapping[str, Sequence[Fraction]]] = None,
-    validate: bool = True,
-    seed: int = 0,
-) -> CommutatorConstants:
-    """Re-derive the closure coefficients with no catalog input.
-
-    Solves the per-point fit on a tensor grid of parameter values, then
-    interpolates each coefficient as a polynomial of degree at most two
-    per parameter.  With ``validate`` the interpolants are rechecked at
-    fresh random parameter points and at subspace sizes off the grid, so
-    a hidden higher-degree dependence would be caught rather than fitted
-    away.
+    Each step takes a cell d^k x^j of the remainder in which exactly one
+    unsolved term has a nonzero coefficient, and that coefficient is a
+    rational constant; the cell then fixes that term's coefficient, and the
+    term is subtracted from the remainder.  This order makes the solution
+    unique, and a zero final remainder proves that it exists.
     """
-    variables = _FAMILY_VARS[family_id]
-    grids: List[Tuple[Fraction, ...]] = []
-    for var in variables:
-        chosen = _GRID_NODES[var] if nodes is None or var not in nodes else tuple(nodes[var])
-        if len(chosen) != 3:
-            raise StructureError("three nodes per parameter are required")
-        grids.append(tuple(Fraction(c) for c in chosen))
-    samples: Dict[Tuple[Fraction, ...], Dict[str, Fraction]] = {}
-    for point in itertools.product(*grids):
-        spec = _spec_from_assignment(family_id, dict(zip(variables, point)))
-        samples[point] = solve_constants_at(spec)
-    bases = [_lagrange_basis(var, grid) for var, grid in zip(variables, grids)]
-    fitted: Dict[str, ParamPoly] = {}
-    for name in CONSTANT_NAMES:
-        total = ParamPoly.const(0)
-        for point, values in samples.items():
-            term = ParamPoly.const(values[name])
-            for axis, coordinate in enumerate(point):
-                term = term * bases[axis][grids[axis].index(coordinate)]
-            total = total + term
-        fitted[name] = total
-    result = CommutatorConstants(**fitted)
-    if validate:
-        _validate_fit(family_id, result, seed)
-    return result
+    remainder = side["lhs"]
+    pending = {name: _cells(op) for name, op in side["terms"]}
+    ops = dict(side["terms"])
+    solved: Dict[str, ParamPoly] = {}
+    while pending:
+        pivot = None
+        for cell in sorted(set().union(*pending.values())):
+            present = [name for name, cells in pending.items() if cell in cells]
+            if len(present) == 1:
+                coeff = ParamPoly._coerce(pending[present[0]][cell]).constant()
+                if coeff is not None:
+                    pivot = present[0], cell, coeff
+                    break
+        if pivot is None:
+            raise StructureError(
+                f"relation {side['label']!r}: no constant pivot for "
+                f"{sorted(pending)}")
+        name, cell, coeff = pivot
+        value = ParamPoly._coerce(remainder.coeff(cell[0]).coeff(cell[1]))
+        solved[name] = value * (1 / coeff)
+        remainder = remainder - solved[name] * ops[name]
+        del pending[name]
+    if not remainder.is_zero():
+        raise StructureError(
+            f"relation {side['label']!r} does not close in the claimed span; "
+            f"residual cells {_residual_cells(remainder)}")
+    return solved
 
 
-def _validate_fit(family_id: int, constants: CommutatorConstants, seed: int) -> None:
-    rng = random.Random(mix_seed(seed, family_id, 97))
-    for n_extra in (4, 5):
-        params = sample_params(family_id, n_extra, rng)
-        spec = FamilySpec(family_id, n_extra, **params)
-        fresh = solve_constants_at(spec)
-        predicted = constants.at(spec)
-        for name in CONSTANT_NAMES:
-            if fresh[name] != predicted[name]:
-                raise StructureError(
-                    f"fitted coefficient {name} fails off the grid: "
-                    f"interpolant gives {predicted[name]}, "
-                    f"direct solve gives {fresh[name]}")
+def derive_constants(family_id: int) -> CommutatorConstants:
+    """Derive the closure coefficients with no catalog input, symbolically.
+
+    J+ and J- are built with s, alpha, nu and n as polynomial variables, and
+    each relation is solved over Q[s, alpha, nu, n] by forward substitution
+    on constant pivots (`_solve_relation`).  The result is certified: both
+    residuals lhs - sum c_i op_i are the zero operator as polynomials, so
+    the constants hold at every parameter point.  Raises StructureError
+    when no constant pivot exists or a residual does not vanish.
+    """
+    solved: Dict[str, ParamPoly] = {}
+    for side in _symbolic_sides(family_id):
+        solved.update(_solve_relation(side))
+    return CommutatorConstants(**solved)
 
 
 def compare_to_catalog(derived: CommutatorConstants, family_id: int) -> Dict[str, bool]:

@@ -66,6 +66,10 @@ def check_args(*argv):
     ("verify", "--samples", "-2"),
     ("commutators", "--samples", "-1"),
     ("rabi", "--n", "-1", "--type", "I"),
+    ("rabi", "--n", "2", "--type", "I", "--cutoff", "50"),
+    ("rabi", "--n", "2", "--type", "I", "--cutoff", "2001"),
+    ("table1", "--cutoff", "99"),
+    ("table1", "--cutoff", "2001"),
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -86,6 +90,8 @@ def test_in_range_arguments_pass_the_check(monkeypatch):
     monkeypatch.delenv("QES_SEED", raising=False)
     assert check_args("verify", "--n", "0", "--samples", "1").seed == 0
     assert check_args("commutators", "--samples", "1").samples == 1
+    assert check_args("table1", "--cutoff", "100").cutoff == 100
+    assert check_args("rabi", "--n", "2", "--type", "I", "--cutoff", "2000").cutoff == 2000
 
 
 def test_rabi_requires_its_arguments(capsys):

@@ -104,6 +104,22 @@ def test_a_nonpreserving_operator_is_reported_with_a_witness():
     assert outcome.rank_basis < outcome.rank_augmented
 
 
+@pytest.mark.parametrize("family_id", [1, 2, 3, 4, 5, 6])
+def test_shared_derivatives_apply_both_operators_like_apply_op(family_id):
+    # verify_invariance derives each basis pair once and combines the
+    # derivatives with both operators' coefficients.
+    for n_max in range(5):
+        spec = spec_from(family_id, n_max, sample_grid(family_id, n_max, count=1, seed=4)[0])
+        for pair in families._basis(spec).pairs:
+            chain = families._derivatives(pair, 2)
+            for op in family_operators(spec):
+                by_hand, derived = PairElement(LaurentPoly.zero(), LaurentPoly.zero(), pair.ctx), pair
+                for order in range(op.order() + 1):
+                    by_hand = by_hand + derived.times_poly(op.coeff(order))
+                    derived = derived.derivative()
+                assert families._combine(op, chain) == apply_op(op, pair) == by_hand
+
+
 # -- matrix representation ------------------------------------------------------
 
 @pytest.mark.parametrize("family_id", [1, 4, 6])

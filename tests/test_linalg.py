@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qes.linalg import (FieldExtension, charpoly, det, isolate_real_roots,
                         mat_commutator, mat_identity, mat_mul, minimal_factors,
                         nullspace, poly_eval, poly_gcd, poly_mul, poly_trim,
-                        rank, refine_root, solve_linear, squarefree_part,
+                        rank, refine_root, rref, solve_linear, squarefree_part,
                         sturm_chain)
 from qes.scalars import QuadScalar, SQRT2
 
@@ -30,6 +30,18 @@ def test_rank_and_nullspace_of_a_singular_matrix():
     assert len(basis) == 1
     for row in m:
         assert sum(a * b for a, b in zip(row, basis[0])) == 0
+
+
+def test_rref_can_stop_after_the_leading_columns():
+    # Pivoting on [A | I] only within A's columns still yields rows
+    # [R | E] with E*A = R, and R's nonzero rows are RREF(A).
+    a = [[F(1), F(2)], [F(2), F(4)], [F(0), F(3)]]
+    augmented = [row + [F(int(i == k)) for k in range(3)] for i, row in enumerate(a)]
+    reduced, pivots = rref(augmented, pivot_columns=2)
+    assert pivots == [0, 1]
+    assert [row[:2] for row in reduced[:2]] == [[F(1), F(0)], [F(0), F(1)]]
+    for row in reduced:
+        assert [sum(row[2 + k] * a[k][j] for k in range(3)) for j in range(2)] == row[:2]
 
 
 def test_solve_linear_finds_exact_solutions_and_detects_inconsistency():

@@ -1,9 +1,12 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from qes.diffop import commutator
-from qes.families import FamilySpec, family_operators, matrix_rep
+from qes import structure
+from qes.diffop import DiffOp, commutator
+from qes.families import (FamilySpec, family_operators, matrix_rep,
+                          operators_over)
 from qes.linalg import mat_commutator
 from qes.sampling import sample_grid
 from qes.structure import (CONSTANT_NAMES, CommutatorConstants, ParamPoly,
@@ -105,6 +108,76 @@ def test_direct_solve_agrees_with_interpolated_constants():
     fitted = derive_constants(2).at(spec)
     assert direct == fitted
     assert set(direct) == set(CONSTANT_NAMES)
+
+
+# -- the symbolic derivation ---------------------------------------------------------
+
+SYMBOLS = {name: ParamPoly.var(name) for name in ("s", "alpha", "nu", "n")}
+
+
+def symbolic_residuals(family_id, constants):
+    """lhs - sum c_i op_i of both relations, over Q[s, alpha, nu, n]."""
+    residuals = {}
+    for side in structure._symbolic_sides(family_id):
+        residual = side["lhs"]
+        for name, op in side["terms"]:
+            residual = residual - getattr(constants, name) * op
+        residuals[side["label"]] = residual
+    return residuals
+
+
+def specialize(op, assignment):
+    def value(c):
+        return c.evaluate(assignment) if isinstance(c, ParamPoly) else c
+    return DiffOp({order: poly.map_coeffs(value) for order, poly in op.coeffs.items()})
+
+
+@pytest.mark.parametrize("family_id", [1, 2, 3, 4, 5, 6])
+def test_derived_constants_zero_both_symbolic_residuals(family_id):
+    residuals = symbolic_residuals(family_id, derive_constants(family_id))
+    assert all(residual.is_zero() for residual in residuals.values())
+
+
+@pytest.mark.parametrize("family_id,broken", [(2, "c7p"), (3, "c6p")])
+def test_catalog_defect_leaves_a_symbolic_residual_on_the_raising_side(family_id, broken):
+    patched = dataclasses.replace(
+        derive_constants(family_id),
+        **{broken: getattr(closure_constants(family_id), broken)})
+    residuals = symbolic_residuals(family_id, patched)
+    assert not residuals["raise"].is_zero()
+    assert residuals["lower"].is_zero()
+
+
+@pytest.mark.parametrize("family_id", [1, 2, 3, 4, 5, 6])
+def test_ring_generic_operators_specialize_to_the_concrete_ones(family_id):
+    symbolic = operators_over(family_id, SYMBOLS["n"], SYMBOLS["s"],
+                              SYMBOLS["alpha"], SYMBOLS["nu"])
+    for n_max in range(5):
+        for params in sample_grid(family_id, n_max, count=2, seed=11):
+            spec = spec_from(family_id, n_max, params)
+            assignment = structure.parameter_assignment(spec)
+            assert (tuple(specialize(op, assignment) for op in symbolic)
+                    == family_operators(spec))
+
+
+def test_derivation_rejects_a_relation_that_cannot_close(monkeypatch):
+    original = structure._relation_sides
+
+    def without_bracket_term(jp, jm):
+        raising, lowering = original(jp, jm)
+        terms = tuple(term for term in raising["terms"] if term[0] != "c4p")
+        return dict(raising, terms=terms), lowering
+
+    monkeypatch.setattr(structure, "_relation_sides", without_bracket_term)
+    with pytest.raises(StructureError, match="does not close"):
+        derive_constants(1)
+
+
+def test_derivation_requires_a_constant_pivot():
+    s = ParamPoly.var("s")
+    side = {"label": "raise", "lhs": DiffOp.d(1) * s, "terms": (("c5p", DiffOp.d(1) * s),)}
+    with pytest.raises(StructureError, match="no constant pivot"):
+        structure._solve_relation(side)
 
 
 def test_catalog_strings_expose_all_constants():
