@@ -39,6 +39,8 @@ SCHEMA_VERSION = 1
 _TABLE_SIZES = (2, 4, 5, 6, 7)
 # Each Fock parity block is a dense cutoff x cutoff matrix (32 MB at 2000).
 _CUTOFF_RANGE = (100, 2000)
+# rabi --n 40 --eigenfunctions takes about 30 s, growing like N^3.5.
+_RABI_N_CAP = 40
 
 
 def _jsonable(value):
@@ -331,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rabi = sub.add_parser("rabi", help="solve one lock and cross-check")
     rabi.add_argument("--n", type=int, required=True,
-                      help="subspace size N (dimension is N+1)")
+                      help=f"subspace size N, 0..{_RABI_N_CAP} (dimension is N+1)")
     rabi.add_argument("--type", choices=("I", "II"), required=True)
     rabi.add_argument("--cutoff", type=int, default=300,
                       help="Fock truncation cutoff, 100..2000 (default 300)")
@@ -366,6 +368,8 @@ def _check_args(parser: argparse.ArgumentParser, args) -> None:
         parser.error("--n must be non-negative")
     if args.command == "verify" and args.n is not None and args.n > args.cap:
         parser.error(f"--n {args.n} exceeds the cap {args.cap}")
+    if args.command == "rabi" and args.n > _RABI_N_CAP:
+        parser.error(f"--n {args.n} exceeds the cap {_RABI_N_CAP}")
     if args.command in ("verify", "commutators") and args.samples < 1:
         parser.error("--samples must be at least 1")
     if args.command == "commutators" and args.all and args.family:

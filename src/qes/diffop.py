@@ -96,8 +96,10 @@ class DiffOp:
         return DiffOp(out)
 
     def __rmul__(self, other):
-        # other is a scalar or Laurent poly: left multiplication by a function.
-        return DiffOp.mul_by(other) * self
+        # other is a scalar or Laurent poly: multiplying by a function on the
+        # left only scales each coefficient, with no Leibniz terms.
+        factor = _as_laurent(other)
+        return DiffOp({k: factor * p for k, p in self.coeffs.items()})
 
     def __pow__(self, n: int) -> "DiffOp":
         if not isinstance(n, int) or n < 0:

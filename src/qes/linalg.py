@@ -1,13 +1,16 @@
 """Exact dense linear algebra and univariate polynomial utilities.
 
 Matrix routines are generic over any exact field whose elements support
-+, -, *, / and == 0 (Fraction, QuadScalar, extension elements). Polynomial
-root machinery (Sturm isolation, factor reconstruction) is specific to
-Fraction coefficients.
++, -, *, / and == 0 (Fraction, QuadScalar, extension elements). Polynomials
+are ascending rational coefficient lists; their real-root machinery clears
+denominators once and runs on integers (a primitive Sturm chain, signs by
+homogeneous integer Horner evaluation).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -35,10 +38,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             row.append(total)
         out.append(row)
     return out
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -168,8 +167,16 @@ def _one_like(matrix: Matrix):
 def charpoly(matrix: Matrix) -> List[Fraction]:
     """Monic characteristic polynomial det(xI - A), ascending coefficients.
 
-    Faddeev-LeVerrier recursion; exact over any field of characteristic 0.
+    Exact over any field of characteristic 0: the continuant recurrence
+    when A is tridiagonal, Faddeev-LeVerrier otherwise.
     """
+    n = len(matrix)
+    if all(matrix[i][j] == 0 for i in range(n) for j in range(n) if abs(i - j) > 1):
+        return tridiagonal_charpoly(matrix)
+    return _faddeev_leverrier(matrix)
+
+
+def _faddeev_leverrier(matrix: Matrix) -> List[Fraction]:
     n = len(matrix)
     one = _one_like(matrix)
     zero = one - one
@@ -185,6 +192,26 @@ def charpoly(matrix: Matrix) -> List[Fraction]:
         for i in range(n):
             m[i][i] = m[i][i] + ck
     return coeffs
+
+
+def tridiagonal_charpoly(matrix: Matrix) -> List[Fraction]:
+    """det(xI - A) for a tridiagonal A, ascending, in O(n^2) operations by
+    the continuant D_k = (x - a_kk) D_{k-1} - a_{k,k-1} a_{k-1,k} D_{k-2}.
+
+    Entries off the three diagonals are never read; `charpoly` checks them.
+    """
+    one = _one_like(matrix)
+    zero = one - one
+    previous: List[Fraction] = []
+    current = [one]
+    for k, row in enumerate(matrix):
+        following = [c - row[k] * x for c, x in zip([zero] + current, current + [zero])]
+        if k:
+            coupling = row[k - 1] * matrix[k - 1][k]
+            for i, c in enumerate(previous):
+                following[i] = following[i] - coupling * c
+        previous, current = current, following
+    return current
 
 
 def det(matrix: Matrix):
@@ -210,10 +237,6 @@ def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     for c in reversed(p):
         total = total * x + c
     return total
-
-
-def poly_deriv(p: Sequence[Fraction]) -> List[Fraction]:
-    return [i * c for i, c in enumerate(p)][1:]
 
 
 def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> List[Fraction]:
@@ -256,34 +279,97 @@ def poly_gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> List[Fraction]:
     return a
 
 
-def squarefree_part(p: Sequence[Fraction]) -> List[Fraction]:
-    g = poly_gcd(p, poly_deriv(p))
-    if len(g) <= 1:
-        return poly_trim(list(p))
-    return poly_divmod(p, g)[0]
+# ---------------------------------------------------------------------------
+# Integer polynomials behind the real-root machinery
+# ---------------------------------------------------------------------------
+
+def _content_free(p: List[int]) -> List[int]:
+    content = math.gcd(*p)
+    return p if content <= 1 else [c // content for c in p]
 
 
-def sturm_chain(p: Sequence[Fraction]) -> List[List[Fraction]]:
-    chain = [poly_trim(list(p)), poly_deriv(p)]
+def _integer_multiple(p: Sequence[Fraction]) -> List[int]:
+    """The primitive integer polynomial that is a positive multiple of p."""
+    p = poly_trim([Fraction(c) for c in p])
+    if not p:
+        return []
+    den = math.lcm(*(c.denominator for c in p))
+    return _content_free([c.numerator * (den // c.denominator) for c in p])
+
+
+def _positive_remainder(a: List[int], b: List[int]) -> List[int]:
+    """|lc(b)|^k times the remainder of a by b: each step scales by |lc(b)|."""
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    rem = list(a)
+    while len(rem) >= len(b):
+        if rem[-1]:
+            shift, factor = len(rem) - len(b), sign * rem[-1]
+            rem = [scale * c for c in rem]
+            for i, c in enumerate(b):
+                rem[shift + i] -= factor * c
+        rem.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+def _sign_at(p: List[int], x: Fraction, powers: Optional[List[int]] = None) -> int:
+    """Sign of p(x) from q^d p(a/q), x = a/q, q > 0; `powers` holds q^0..q^d."""
+    if powers is None:
+        powers = [x.denominator ** k for k in range(len(p))]
+    total = p[-1]
+    for k, c in enumerate(reversed(p[:-1]), 1):
+        total = total * x.numerator + c * powers[k]
+    return (total > 0) - (total < 0)
+
+
+def sturm_chain(p: Sequence[Fraction]) -> List[List[int]]:
+    """Sturm chain of p as a primitive pseudo-remainder sequence over Z.
+
+    Member k is a positive integer multiple of the k-th member of the
+    classical rational chain p, p', -rem(p, p'), ..., so the two give the
+    same sign counts at every point.  Each pseudo-remainder is negated and
+    divided by its content (Collins, J. ACM 14 (1967) 128), which keeps the
+    coefficients small without any rational arithmetic.  The last member
+    is gcd(p, p') up to a constant.
+    """
+    first = _integer_multiple(p)
+    chain = [first, _content_free([i * c for i, c in enumerate(first)][1:])]
     while chain[-1]:
-        rem = poly_divmod(chain[-2], chain[-1])[1]
+        rem = _positive_remainder(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append([-c for c in rem])
+        chain.append(_content_free([-c for c in rem]))
     return [c for c in chain if c]
 
 
-def _sign_changes(chain, x: Fraction) -> int:
-    signs = []
+def _sign_changes(chain: List[List[int]], x: Fraction) -> int:
+    powers = [x.denominator ** k for k in range(len(chain[0]))]
+    changes = last = 0
     for poly in chain:
-        v = poly_eval(poly, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    changes = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            changes += 1
+        sign = _sign_at(poly, x, powers)
+        if sign:
+            changes += last == -sign
+            last = sign
     return changes
+
+
+def _squarefree_with_chain(p: Sequence[Fraction]):
+    """(squarefree part of p, the Sturm chain of that part)."""
+    p = poly_trim(list(p))
+    if len(p) <= 1:
+        return p, []
+    chain = sturm_chain(p)
+    gcd = chain[-1]
+    if len(gcd) == 1:
+        return p, chain
+    sq = poly_divmod(p, [Fraction(c, gcd[-1]) for c in gcd])[0]
+    return sq, sturm_chain(sq)
+
+
+def squarefree_part(p: Sequence[Fraction]) -> List[Fraction]:
+    """p divided by the monic gcd(p, p'): the same roots, each simple."""
+    return _squarefree_with_chain(p)[0]
 
 
 def root_bound(p: Sequence[Fraction]) -> Fraction:
@@ -294,62 +380,72 @@ def root_bound(p: Sequence[Fraction]) -> Fraction:
     return Fraction(1) + m / lead
 
 
-def isolate_real_roots(p: Sequence[Fraction]) -> List[Tuple[Fraction, Fraction]]:
+def isolate_real_roots(p: Sequence[Fraction], *, chain: Optional[List[List[int]]] = None
+                       ) -> List[Tuple[Fraction, Fraction]]:
     """Disjoint open intervals each containing exactly one real root.
 
     Works on the square-free part, so multiple roots are reported once.
+    Bisects (-B, B), B the Cauchy bound of that part, counting roots with
+    its integer Sturm chain; a midpoint that hits a root is nudged right
+    by 1/1000003 of the interval.  A given `chain` is p's, and p squarefree.
     """
-    sq = squarefree_part(p)
+    if chain is None:
+        sq, chain = _squarefree_with_chain(p)
+    else:
+        sq = poly_trim(list(p))
     if len(sq) <= 1:
         return []
-    chain = sturm_chain(sq)
     bound = root_bound(sq)
-    lo, hi = -bound, bound
-
-    def count(a: Fraction, b: Fraction) -> int:
-        return _sign_changes(chain, a) - _sign_changes(chain, b)
-
+    # Each entry carries the sign changes at both ends; their difference
+    # is the number of roots inside, so every point is evaluated once.
     intervals = []
-    stack = [(lo, hi, count(lo, hi))]
+    stack = [(-bound, bound, _sign_changes(chain, -bound), _sign_changes(chain, bound))]
     while stack:
-        a, b, n = stack.pop()
-        if n == 0:
+        a, b, va, vb = stack.pop()
+        if va - vb == 0:
             continue
-        if n == 1:
+        if va - vb == 1:
             intervals.append((a, b))
             continue
         mid = (a + b) / 2
         # Nudge off a root of the chain's first polynomial.
-        while poly_eval(sq, mid) == 0:
+        while _sign_at(chain[0], mid) == 0:
             mid = mid + (b - a) / 1000003
-        left = count(a, mid)
-        stack.append((a, mid, left))
-        stack.append((mid, b, n - left))
+        vmid = _sign_changes(chain, mid)
+        stack.append((a, mid, va, vmid))
+        stack.append((mid, b, vmid, vb))
     intervals.sort()
     return intervals
 
 
 def refine_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
                 digits: int = 14) -> Tuple[Fraction, Fraction]:
-    """Shrink an isolating interval by bisection to ~`digits` significant digits."""
-    sq = squarefree_part(p)
-    flo = poly_eval(sq, lo)
-    fhi = poly_eval(sq, hi)
-    if flo == 0:
+    """Shrink an isolating interval by bisection to ~`digits` significant digits.
+
+    If p changes sign across the interval it is a constant-sign multiple of
+    its squarefree part there, so bisecting p itself picks the same halves;
+    only a root of even multiplicity needs the squarefree part.
+    """
+    poly = _integer_multiple(p)
+    slo, shi = _sign_at(poly, lo), _sign_at(poly, hi)
+    if slo == shi != 0:
+        poly = _integer_multiple(squarefree_part(p))
+        slo, shi = _sign_at(poly, lo), _sign_at(poly, hi)
+    if slo == 0:
         return lo, lo
-    if fhi == 0:
+    if shi == 0:
         return hi, hi
-    if (flo > 0) == (fhi > 0):
+    if slo == shi:
         raise ValueError("interval endpoints do not bracket a sign change")
     scale = max(abs(lo), abs(hi), Fraction(1))
     target = scale / Fraction(10) ** digits
     while hi - lo > target:
         mid = (lo + hi) / 2
-        fmid = poly_eval(sq, mid)
-        if fmid == 0:
+        smid = _sign_at(poly, mid)
+        if smid == 0:
             return mid, mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
+        if smid == slo:
+            lo = mid
         else:
             hi = mid
     return lo, hi
@@ -359,27 +455,25 @@ def refine_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
 # Minimal-factor reconstruction for real roots
 # ---------------------------------------------------------------------------
 
-def _interval_to_fraction(lo: Fraction, hi: Fraction) -> Fraction:
-    return (lo + hi) / 2
-
-
 def minimal_factors(p: Sequence[Fraction],
                     max_subset: int = 3,
-                    max_den: int = 10 ** 8):
+                    max_den: int = 10 ** 8,
+                    digits: int = 30):
     """Split the square-free part of p into exactly-verified rational factors.
 
-    Strategy: isolate all real roots, then try subsets (size 1..max_subset)
-    whose elementary symmetric functions round to small rationals; candidate
-    factors are accepted only if they divide p exactly, so the reconstruction
-    heuristics cannot produce a wrong answer. Returns (factors, leftover)
-    where factors is a list of (coeff_list, [root intervals]) and leftover
-    holds any unfactored remainder (roots of complex-paired factors, or real
-    roots whose conjugates are complex).
+    Strategy: isolate all real roots once, refine them to `digits` digits,
+    then try subsets (size 1..max_subset) whose elementary symmetric
+    functions round to small rationals; candidate factors are accepted only
+    if they divide p exactly, so the reconstruction heuristics cannot
+    produce a wrong answer. Returns (factors, leftover) where factors is a
+    list of (coeff_list, [root intervals]) and leftover holds any
+    unfactored remainder with its roots' intervals (max_subset=0: the whole
+    square-free part and every real root).
     """
-    sq = squarefree_part(p)
-    intervals = isolate_real_roots(sq)
-    refined = [refine_root(sq, lo, hi, digits=30) for lo, hi in intervals]
-    approx = [_interval_to_fraction(lo, hi) for lo, hi in refined]
+    sq, chain = _squarefree_with_chain(p)
+    intervals = isolate_real_roots(sq, chain=chain)
+    refined = [refine_root(sq, lo, hi, digits=digits) for lo, hi in intervals]
+    approx = [(lo + hi) / 2 for lo, hi in refined]
     remaining = list(range(len(refined)))
     current = list(sq)
     factors = []
@@ -389,22 +483,14 @@ def minimal_factors(p: Sequence[Fraction],
         # round to rationals, verify exact divisibility.
         poly = [Fraction(1)]
         for i in idxs:
-            root = approx[i]
-            new = [Fraction(0)] * (len(poly) + 1)
-            for k, c in enumerate(poly):
-                new[k + 1] += c
-                new[k] -= root * c
-            poly = new
+            poly = poly_mul(poly, [-approx[i], Fraction(1)])
         candidate = [c.limit_denominator(max_den) for c in poly]
-        quot, rem = poly_divmod(current, candidate)
-        if rem:
-            return None
-        return candidate
+        return None if poly_divmod(current, candidate)[1] else candidate
 
     size = 1
     while size <= max_subset:
         progressed = False
-        for combo in _subsets(remaining, size):
+        for combo in itertools.combinations(remaining, size):
             cand = try_subset(list(combo))
             if cand is not None:
                 factors.append((cand, [refined[i] for i in combo]))
@@ -418,22 +504,6 @@ def minimal_factors(p: Sequence[Fraction],
     leftover_intervals = [refined[i] for i in remaining]
     leftover = poly_trim(current) if len(poly_trim(current)) > 1 else []
     return factors, (leftover, leftover_intervals)
-
-
-def _subsets(pool: List[int], size: int):
-    if size > len(pool):
-        return
-    idx = list(range(size))
-    while True:
-        yield tuple(pool[i] for i in idx)
-        for i in reversed(range(size)):
-            if idx[i] != i + len(pool) - size:
-                break
-        else:
-            return
-        idx[i] += 1
-        for j in range(i + 1, size):
-            idx[j] = idx[j - 1] + 1
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,8 @@ from .diffop import (DiffOp, GaugeFactor, commutator, conjugate_by_gauge,
 from .families import (BasisElement, FamilySpec, apply_op, family_operators,
                        matrix_rep, substitute_pair, substituted_context)
 from .laurent import LaurentPoly
-from .linalg import (FieldExtension, charpoly, isolate_real_roots, mat_scale,
-                     minimal_factors, poly_eval, poly_gcd, poly_trim,
-                     refine_root, squarefree_part)
+from .linalg import (ExtElem, FieldExtension, charpoly, mat_scale, minimal_factors,
+                     poly_gcd, poly_trim)
 from .scalars import SQRT2, SQRT3, SQRT6, QuadScalar, embed_to_float, format_scalar
 
 
@@ -239,8 +238,10 @@ class FrequencyRoot:
     ratio: float                      # 2w/w0 = sqrt(3/lambda)
     lambda_float: float
     lambda_interval: Tuple[Fraction, Fraction]
-    minimal_poly: List[Fraction]      # monic, rational, vanishes at lambda
-    multiplicity: int
+    # The squarefree part of det(lambda*I + M0), monic, vanishing at lambda;
+    # minimal for N <= 20, where a sympy test proves it irreducible.
+    minimal_poly: List[Fraction]
+    multiplicity: int                 # 1: the solver refuses repeated roots
     certificate: Dict[str, object]
     null_vector_floats: List[float]
     null_vector_exact: List[object]   # ExtElem entries, last entry 1
@@ -258,6 +259,7 @@ class SpectralResult:
     config: RabiConfig
     matrix: List[List[Fraction]]
     lambda_charpoly: List[Fraction]   # det(lambda*I + M0), ascending, monic
+    squarefree: List[Fraction]        # its squarefree part, every root's modulus
     roots: List[FrequencyRoot]
     growth: Dict[str, object]
 
@@ -285,48 +287,40 @@ def bargmann_growth(config: RabiConfig) -> Dict[str, object]:
     }
 
 
-def _sign(value: Fraction) -> int:
-    return (value > 0) - (value < 0)
-
-
 def solve_frequencies(config: RabiConfig) -> SpectralResult:
     """All positive-lambda roots of det(M0 + lambda*I) = 0, exactly isolated.
 
-    The characteristic polynomial is computed over the rationals; real
-    roots are isolated with Sturm sequences, refined to 12+ digits, and
-    each positive root is returned with an exactly-verified minimal factor,
-    its algebraic multiplicity, and the null vector of M0 + lambda*I,
-    exact over Q[lambda]/(minimal factor).  M0 is unreduced tridiagonal,
-    so that vector comes from the three-term recurrence without any
-    division in the extension and needs no irreducibility of the factor;
-    re-multiplying it through every row is the singularity certificate.
+    `charpoly` runs the continuant recurrence on the tridiagonal M0, and
+    `minimal_factors`, with no factor search, isolates the real roots of
+    the squarefree part once and refines each to 14 digits; every positive
+    root carries that part as its defining polynomial.  A repeated root is
+    refused, not given one shared multiplicity.  The null vector over
+    Q[lambda]/(squarefree part) comes from the three-term recurrence, which
+    divides only by rationals; it is built and certified once (checking
+    that M0 is unreduced tridiagonal) and rebound to each root.
     """
     m0 = subspace_matrix(config)
     size = config.dimension
     lam_poly = charpoly(mat_scale(m0, Fraction(-1)))
-    if len(lam_poly) != size + 1:
-        raise RabiError("characteristic polynomial has the wrong degree")
-
-    factors, (leftover, leftover_intervals) = minimal_factors(
-        lam_poly, max_subset=size)
-    squarefree = squarefree_part(lam_poly)
+    _, (squarefree, intervals) = minimal_factors(lam_poly, max_subset=0, digits=14)
+    if len(squarefree) != len(lam_poly):
+        raise RabiError("det(lambda*I + M0) has a repeated root")
+    shared, _ = _extension_nullspace(m0, squarefree, None)
 
     roots: List[FrequencyRoot] = []
-    for lo, hi in isolate_real_roots(squarefree):
-        lo, hi = refine_root(squarefree, lo, hi, digits=14)
+    for lo, hi in intervals:
         if hi <= 0:
             continue
         lam_mid = (lo + hi) / 2
         lam_float = float(lam_mid)
-        minimal = _matching_factor(factors, leftover, lo, hi)
-        multiplicity = _factor_multiplicity(lam_poly, minimal)
-        vector, ext = _extension_nullspace(m0, minimal, lam_mid)
+        ext = FieldExtension(squarefree, embed=Fraction, approx=lam_mid, name="lam")
+        vector = [ExtElem(ext, entry.coeffs) for entry in shared]
         roots.append(FrequencyRoot(
             ratio=math.sqrt(3.0 / lam_float),
             lambda_float=lam_float,
             lambda_interval=(lo, hi),
-            minimal_poly=minimal,
-            multiplicity=multiplicity,
+            minimal_poly=squarefree,
+            multiplicity=1,
             certificate={
                 "kind": "extension-nullspace",
                 "rank": size - 1,
@@ -339,39 +333,17 @@ def solve_frequencies(config: RabiConfig) -> SpectralResult:
         ))
 
     roots.sort(key=lambda root: root.ratio)
-    roots = _deduplicate(roots)
     return SpectralResult(
         config=config,
         matrix=m0,
         lambda_charpoly=lam_poly,
+        squarefree=squarefree,
         roots=roots,
         growth=bargmann_growth(config),
     )
 
 
-def _matching_factor(factors, leftover, lo: Fraction, hi: Fraction) -> List[Fraction]:
-    for coeffs, _intervals in factors:
-        if _sign(poly_eval(coeffs, lo)) * _sign(poly_eval(coeffs, hi)) < 0:
-            return list(coeffs)
-    if leftover and _sign(poly_eval(leftover, lo)) * _sign(poly_eval(leftover, hi)) < 0:
-        return list(leftover)
-    raise RabiError("no verified factor brackets the isolated root")
-
-
-def _factor_multiplicity(poly: Sequence[Fraction], factor: Sequence[Fraction]) -> int:
-    from .linalg import poly_divmod
-    count = 0
-    current = list(poly)
-    while len(current) >= len(factor):
-        quotient, remainder = poly_divmod(current, factor)
-        if poly_trim(remainder):
-            break
-        count += 1
-        current = quotient
-    return max(count, 1)
-
-
-def _extension_nullspace(m0, minimal: List[Fraction], approx: Fraction):
+def _extension_nullspace(m0, minimal: List[Fraction], approx: Optional[Fraction]):
     """Null vector of M0 + lambda*I over Q[lambda]/(minimal), and the field.
 
     M0 must be unreduced tridiagonal (no entry off the three diagonals, no
@@ -406,19 +378,6 @@ def _extension_nullspace(m0, minimal: List[Fraction], approx: Fraction):
     return vector, ext
 
 
-def _deduplicate(roots: List[FrequencyRoot]) -> List[FrequencyRoot]:
-    merged: List[FrequencyRoot] = []
-    for root in roots:
-        if merged:
-            previous = merged[-1]
-            scale = max(1.0, abs(previous.ratio))
-            if abs(root.ratio - previous.ratio) <= 1e-9 * scale:
-                previous.multiplicity += root.multiplicity
-                continue
-        merged.append(root)
-    return merged
-
-
 # ---------------------------------------------------------------------------
 # eigenfunction assembly
 # ---------------------------------------------------------------------------
@@ -448,18 +407,18 @@ CLOSED_FORM_LAMBDA = {
 def closed_form_report(result: SpectralResult) -> Dict[str, object]:
     """Membership of the quoted N=2 closed-form lambda in the computed set.
 
-    The quoted values are quadratic surds; each computed root carries an
-    exactly-verified minimal factor, so membership reduces to a polynomial
-    gcd over the rationals: the surd is a root of the characteristic
-    polynomial iff its quadratic minimal polynomial shares a factor with
-    it.  The report records the verdict and both floats; it does not try
-    to reconcile a mismatch.
+    The quoted values are quadratic surds, so membership reduces to a
+    polynomial gcd over the rationals: the surd is a root of the
+    characteristic polynomial iff its quadratic minimal polynomial shares a
+    factor with the squarefree part the solver already holds.  The report
+    records the verdict and both floats; it does not try to reconcile a
+    mismatch.
     """
     config = result.config
     rational, coeff, radicand = CLOSED_FORM_LAMBDA[config.sol_type]
     target_poly = _quadratic_minimal(rational, coeff, radicand)
     target_lambda = float(rational) + float(coeff) * math.sqrt(radicand)
-    shared = poly_gcd(squarefree_part(result.lambda_charpoly), target_poly)
+    shared = poly_gcd(result.squarefree, target_poly)
     member = len(poly_trim(shared)) > 1
     report: Dict[str, object] = {
         "applies_to": "N=2",
@@ -496,8 +455,8 @@ def assemble_eigenfunctions(result: SpectralResult) -> List[Dict[str, object]]:
     equals the reported frequency ratio and is attached as a float).  For
     N=2 the coefficient ratios are additionally tested, exactly, against
     the quoted closed-form surds; the verdict is reported, not enforced.
-    Conjugate roots share their minimal factor and hence the symbolic
-    null vector, so psi_1 is computed once per factor.
+    Every root shares the defining polynomial and hence the symbolic null
+    vector, so psi_1 is computed once per polynomial.
     """
     config = result.config
     operator = build_L(config)

@@ -308,7 +308,10 @@ def structure_operator(spec: FamilySpec) -> DiffOp:
     Its coefficients are Laurent polynomials, not polynomials in general:
     for family 5 the d^0 coefficient carries an x^-1 term.
     """
-    jp, jm = family_operators(spec)
+    return _bracket(*family_operators(spec))
+
+
+def _bracket(jp: DiffOp, jm: DiffOp) -> DiffOp:
     s_op = commutator(jm, jp)
     if s_op.order() > 3:
         raise StructureError(
@@ -317,14 +320,16 @@ def structure_operator(spec: FamilySpec) -> DiffOp:
 
 
 def _relation_sides(jp: DiffOp, jm: DiffOp):
-    """Left sides and candidate terms of both relations, built from (J+, J-)."""
-    s_op = commutator(jm, jp)
+    """Both relations from (J+, J-); the raising side also carries the bracket S."""
+    s_op = _bracket(jp, jm)
     ident = DiffOp.identity()
+    jm2 = jm * jm
     raising = {
         "label": "raise",
+        "bracket": s_op,
         "lhs": commutator(jp, s_op),
         "terms": (
-            ("c1p", jm * jm), ("c3p", jp * jm), ("c4p", s_op),
+            ("c1p", jm2), ("c3p", jp * jm), ("c4p", s_op),
             ("c5p", jp), ("c6p", jm), ("c7p", ident),
         ),
     }
@@ -332,7 +337,7 @@ def _relation_sides(jp: DiffOp, jm: DiffOp):
         "label": "lower",
         "lhs": commutator(jm, s_op),
         "terms": (
-            ("c1m", jm * jm), ("c2m", jp * jp),
+            ("c1m", jm2), ("c2m", jp * jp),
             ("c5m", jp), ("c6m", jm), ("c7m", ident),
         ),
     }
@@ -361,9 +366,9 @@ def verify_structure_relations(
     """
     catalog = constants if constants is not None else closure_constants(spec.family_id)
     values = catalog.at(spec)
-    bracket_order = structure_operator(spec).order()
+    sides = _relation_sides(*family_operators(spec))
     relations: Dict[str, Dict[str, object]] = {}
-    for side in _relation_sides(*family_operators(spec)):
+    for side in sides:
         residual = side["lhs"]
         for name, op in side["terms"]:
             residual = residual - values[name] * op
@@ -375,7 +380,7 @@ def verify_structure_relations(
         "family": spec.family_id,
         "n_max": spec.n_max,
         "params": {k: str(v) for k, v in parameter_assignment(spec).items()},
-        "bracket_order": bracket_order,
+        "bracket_order": sides[0]["bracket"].order(),
         "relations": relations,
         "ok": all(entry["ok"] for entry in relations.values()),
     }

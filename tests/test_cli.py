@@ -70,6 +70,7 @@ def check_args(*argv):
     ("rabi", "--n", "2", "--type", "I", "--cutoff", "2001"),
     ("table1", "--cutoff", "99"),
     ("table1", "--cutoff", "2001"),
+    ("rabi", "--n", "41", "--type", "II"),
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -92,6 +93,7 @@ def test_in_range_arguments_pass_the_check(monkeypatch):
     assert check_args("commutators", "--samples", "1").samples == 1
     assert check_args("table1", "--cutoff", "100").cutoff == 100
     assert check_args("rabi", "--n", "2", "--type", "I", "--cutoff", "2000").cutoff == 2000
+    assert check_args("rabi", "--n", "40", "--type", "I").n == 40
 
 
 def test_rabi_requires_its_arguments(capsys):

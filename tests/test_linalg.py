@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from qes import linalg
 from qes.linalg import (FieldExtension, charpoly, det, isolate_real_roots,
                         mat_commutator, mat_identity, mat_mul, minimal_factors,
                         nullspace, poly_eval, poly_gcd, poly_mul, poly_trim,
                         rank, refine_root, rref, solve_linear, squarefree_part,
-                        sturm_chain)
+                        sturm_chain, tridiagonal_charpoly)
 from qes.scalars import QuadScalar, SQRT2
 
 F = Fraction
@@ -79,6 +80,29 @@ def test_cayley_hamilton_in_dimension_three():
     assert all(v == 0 for row in acc for v in row)
 
 
+@given(st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.tuples(st.lists(entries, min_size=n, max_size=n),
+                        st.lists(entries, min_size=n, max_size=n),
+                        st.lists(entries, min_size=n, max_size=n))))
+@settings(max_examples=40)
+def test_continuant_equals_the_general_characteristic_polynomial(diagonals):
+    diagonal, upper, lower = diagonals
+    n = len(diagonal)
+    m = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = diagonal[i]
+        if i + 1 < n:
+            m[i][i + 1], m[i + 1][i] = upper[i], lower[i]
+    assert tridiagonal_charpoly(m) == linalg._faddeev_leverrier(m) == charpoly(m)
+
+
+def test_charpoly_of_a_tridiagonal_surd_matrix():
+    m = [[SQRT2, QuadScalar(1), QuadScalar(0)],
+         [QuadScalar(3), QuadScalar(0), SQRT2],
+         [QuadScalar(0), QuadScalar(-1), QuadScalar(2)]]
+    assert charpoly(m) == linalg._faddeev_leverrier(m)
+
+
 def test_matrix_commutator():
     a = [[F(0), F(1)], [F(0), F(0)]]
     b = [[F(0), F(0)], [F(1), F(0)]]
@@ -103,6 +127,61 @@ def test_sturm_chain_handles_repeated_roots_via_squarefree_part():
     assert poly_trim(sf) == [F(-1), F(1)]
     assert len(isolate_real_roots(p)) == 1
     assert len(sturm_chain(sf)) >= 2
+
+
+small_ints = st.integers(min_value=-6, max_value=6)
+
+
+@given(st.lists(small_ints, min_size=2, max_size=6),
+       st.lists(small_ints, min_size=2, max_size=3),
+       st.integers(min_value=0, max_value=3),
+       st.fractions(min_value=-8, max_value=8, max_denominator=7),
+       st.fractions(min_value=-8, max_value=8, max_denominator=7))
+@settings(max_examples=80, deadline=None)
+def test_integer_sturm_counts_match_sympy(base, repeated, power, a, b):
+    # base * repeated^power: repeated factors exercise the squarefree step.
+    sympy = pytest.importorskip("sympy")
+    assume(base[-1] != 0 and repeated[-1] != 0)
+    p = [F(c) for c in base]
+    for _ in range(power):
+        p = poly_mul(p, [F(c) for c in repeated])
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([int(c) for c in reversed(p)], x)
+    lo, hi = min(a, b), max(a, b)
+    assume(lo < hi and poly.eval(lo) != 0 and poly.eval(hi) != 0)
+    chain = sturm_chain(p)
+    counted = linalg._sign_changes(chain, lo) - linalg._sign_changes(chain, hi)
+    assert counted == poly.count_roots(lo, hi)
+    intervals = isolate_real_roots(p)
+    assert len(intervals) == poly.count_roots()
+    assert all(poly.count_roots(lo, hi) == 1 for lo, hi in intervals)
+    sq = squarefree_part(p)
+    expected = poly.sqf_part().monic().all_coeffs()[::-1]
+    assert [c / sq[-1] for c in sq] == [F(int(c.p), int(c.q)) for c in expected]
+
+
+def test_integer_sturm_chain_members_are_positive_multiples_of_the_rational_ones():
+    # x^4 - 5x^2 + x/2 + 3/4, chain built over Q by plain remainders.
+    p = [F(3, 4), F(1, 2), F(-5), F(0), F(1)]
+    rational = [p, [i * c for i, c in enumerate(p)][1:]]
+    while True:
+        remainder = linalg.poly_divmod(rational[-2], rational[-1])[1]
+        if not remainder:
+            break
+        rational.append([-c for c in remainder])
+    chain = sturm_chain(p)
+    assert len(chain) == len(rational)
+    for member, exact in zip(chain, rational):
+        assert all(isinstance(c, int) for c in member)
+        ratio = member[-1] / exact[-1]
+        assert ratio > 0 and [ratio * c for c in exact] == member
+
+
+def test_refine_root_handles_a_root_of_even_multiplicity():
+    p = poly_mul(poly_mul([F(-2), F(0), F(1)], [F(-2), F(0), F(1)]), [F(1), F(1)])
+    lo, hi = refine_root(p, F(1), F(2), digits=12)
+    assert lo < hi and abs(float(lo) - math.sqrt(2)) < 1e-11
+    assert (lo, hi) == refine_root(squarefree_part(p), F(1), F(2), digits=12)
 
 
 def test_refine_root_reaches_requested_precision():
@@ -133,6 +212,25 @@ def test_minimal_factors_splits_into_irreducible_rational_pieces():
     # product matches p up to a nonzero rational scale
     scale = p[-1] / product[-1]
     assert [c * scale for c in product] == list(p)
+
+
+def test_minimal_factors_without_a_search_isolates_the_squarefree_part_once(monkeypatch):
+    # (x^2 - 2)^2 (x - 3): no factor is split off, every real root is refined.
+    p = poly_mul(poly_mul([F(-2), F(0), F(1)], [F(-2), F(0), F(1)]), [F(-3), F(1)])
+    sq = squarefree_part(p)
+    chains = []
+    monkeypatch.setattr(linalg, "sturm_chain",
+                        lambda q: chains.append(q) or sturm_chain(q))
+    factors, (leftover, intervals) = minimal_factors(p, max_subset=0, digits=14)
+    assert len(chains) == 2  # one for p, one for its squarefree part
+    assert factors == [] and leftover == sq
+    assert intervals == [refine_root(sq, lo, hi, digits=14)
+                         for lo, hi in isolate_real_roots(sq)]
+
+
+def test_isolation_reuses_a_given_chain():
+    sq = poly_mul([F(-2), F(0), F(1)], [F(-3), F(1)])
+    assert isolate_real_roots(sq, chain=sturm_chain(sq)) == isolate_real_roots(sq)
 
 
 def test_minimal_factors_keeps_interval_root_pairing():

@@ -74,6 +74,15 @@ def test_composition_agrees_with_sequential_application(a, b, f):
     assert (a * b).apply_to(f) == a.apply_to(b.apply_to(f))
 
 
+@given(diff_ops(), laurent_polys(), small_fractions)
+def test_left_multiplication_scales_coefficients_like_composition(a, f, c):
+    # A function on the left contributes no Leibniz terms, so scaling each
+    # coefficient must agree with composing with the multiplication operator.
+    assert f * a == DiffOp.mul_by(f) * a
+    assert c * a == DiffOp.mul_by(c) * a
+    assert (SQRT2 * a).coeffs == (DiffOp.mul_by(SQRT2) * a).coeffs
+
+
 @given(diff_ops(), diff_ops())
 def test_commutator_antisymmetry(a, b):
     assert commutator(a, b) == -commutator(b, a)

@@ -1,11 +1,14 @@
+import functools
 import math
 from fractions import Fraction
 
 import pytest
 
+from qes import linalg, rabi
 from qes.diffop import DiffOp, GaugeFactor
 from qes.laurent import LaurentPoly
-from qes.linalg import FieldExtension, mat_vec, nullspace, poly_eval
+from qes.linalg import (FieldExtension, isolate_real_roots, mat_scale, mat_vec,
+                        nullspace, poly_eval, poly_mul)
 from qes.rabi import (COS_2T, ETA, SIN_2T, TWO_G, XI, RabiConfig, RabiError,
                       _apply_recovery_operator, _extension_nullspace,
                       _fock_spectra, assemble_eigenfunctions,
@@ -139,20 +142,82 @@ def test_solved_frequency_ratios(n_max, expected):
     assert ratios == pytest.approx(expected, abs=2e-6)
 
 
-@pytest.mark.parametrize("n_max", [2, 4, 5, 6, 7])
+@functools.lru_cache(maxsize=None)
+def solved(n_max, sol_type):
+    return solve_frequencies(RabiConfig(n_max, sol_type))
+
+
+def sympy_poly(coeffs, symbol):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)], symbol)
+
+
+@pytest.mark.parametrize("n_max", range(21))
 def test_frequency_polynomials_of_the_tabulated_sizes_are_irreducible(n_max):
     # docs/discrepancies.md rules out the quoted quadratic closed forms
     # because these polynomials (dims 3, 5..8) are irreducible over Q.
+    # Over N = 0..20 this is also the proof that the squarefree part each
+    # root reports as `minimal_poly` is its minimal polynomial.
     sympy = pytest.importorskip("sympy")
     lam = sympy.Symbol("lam")
     for sol_type in ("I", "II"):
-        coeffs = solve_frequencies(RabiConfig(n_max, sol_type)).lambda_charpoly
-        poly = sum(sympy.Rational(c.numerator, c.denominator) * lam ** k
-                   for k, c in enumerate(coeffs))
-        _, factors = sympy.factor_list(poly, lam)
+        result = solved(n_max, sol_type)
+        _, factors = sympy_poly(result.lambda_charpoly, lam).factor_list()
         assert len(factors) == 1, factors
         factor, power = factors[0]
-        assert power == 1 and sympy.degree(factor, lam) == n_max + 1
+        assert power == 1 and factor.degree() == n_max + 1
+        assert all(root.minimal_poly == result.lambda_charpoly
+                   and root.multiplicity == 1 for root in result.roots)
+
+
+@pytest.mark.parametrize("sol_type", ["I", "II"])
+def test_continuant_equals_the_general_characteristic_polynomial(sol_type):
+    for n_max in range(21):
+        result = solved(n_max, sol_type)
+        reference = linalg._faddeev_leverrier(mat_scale(result.matrix, F(-1)))
+        assert result.lambda_charpoly == reference
+
+
+@pytest.mark.parametrize("sol_type", ["I", "II"])
+def test_every_isolating_interval_holds_exactly_one_root(sol_type):
+    sympy = pytest.importorskip("sympy")
+    lam = sympy.Symbol("lam")
+    for n_max in range(21):
+        result = solved(n_max, sol_type)
+        poly = sympy_poly(result.squarefree, lam)
+        intervals = isolate_real_roots(result.squarefree)
+        assert len(intervals) == poly.count_roots(), n_max
+        refined = [root.lambda_interval for root in result.roots]
+        positive = poly.count_roots(0) - (1 if poly.eval(0) == 0 else 0)
+        assert len(refined) == positive, n_max
+        for lo, hi in intervals + refined:
+            assert poly.count_roots(lo, hi) == 1, (n_max, lo, hi)
+
+
+def test_a_repeated_eigenvalue_is_refused(monkeypatch):
+    # A squared characteristic polynomial would make every root's
+    # multiplicity 2, which the solver does not report.
+    def squared(matrix):
+        p = linalg.charpoly(matrix)
+        return poly_mul(p, p)
+
+    monkeypatch.setattr(rabi, "charpoly", squared)
+    with pytest.raises(RabiError, match="repeated root"):
+        solve_frequencies(RabiConfig(2, "I"))
+
+
+def test_lambda_intervals_at_n7_type_one_are_pinned():
+    # Captured before the integer Sturm core replaced the rational one: the
+    # bisection must pick the same midpoints, so the strings stay identical.
+    intervals = [(str(lo), str(hi))
+                 for lo, hi in (root.lambda_interval for root in solved(7, "I").roots)]
+    assert intervals == [
+        ("1966310562672166648925271737567/39614081257132168796771975168",
+         "61447205083506050217537570429/1237940039285380274899124224"),
+        ("2005512248634373305944902677587/79228162514264337593543950336",
+         "501378062158600065995208298437/19807040628566084398385987584"),
+    ]
 
 
 def test_one_dimensional_lock_is_rational():

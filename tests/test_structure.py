@@ -160,6 +160,45 @@ def test_ring_generic_operators_specialize_to_the_concrete_ones(family_id):
                     == family_operators(spec))
 
 
+@pytest.mark.parametrize("family_id", [1, 2, 3, 4, 5, 6])
+def test_relation_reports_match_composition_with_multiplication_operators(family_id):
+    # The check scales each closure term directly; composing the term with
+    # the operator "multiply by c" must leave the same verdicts and cells.
+    catalog = closure_constants(family_id)
+    for n_max in range(5):
+        for params in sample_grid(family_id, n_max, count=2, seed=3):
+            spec = spec_from(family_id, n_max, params)
+            values = catalog.at(spec)
+            jp, jm = family_operators(spec)
+            report = verify_structure_relations(spec)
+            assert report["bracket_order"] == commutator(jm, jp).order() <= 3
+            for side in structure._relation_sides(jp, jm):
+                residual = side["lhs"]
+                for name, op in side["terms"]:
+                    residual = residual - DiffOp.mul_by(values[name]) * op
+                entry = report["relations"][side["label"]]
+                assert entry["ok"] == residual.is_zero()
+                expected = {} if residual.is_zero() else structure._residual_cells(residual)
+                assert entry.get("residual", {}) == expected
+
+
+def test_relation_check_composes_the_bracket_once(monkeypatch):
+    # Building [J-, J+] once and scaling without composing took family 2 at
+    # N = 3 from 23 compositions per check down to 9.
+    spec = spec_from(2, 3, sample_grid(2, 3, count=1, seed=5)[0])
+    compose = DiffOp.__mul__
+    calls = []
+
+    def counting(self, other):
+        calls.append(other)
+        return compose(self, other)
+
+    monkeypatch.setattr(DiffOp, "__mul__", counting)
+    report = verify_structure_relations(spec)
+    assert report["bracket_order"] <= 3
+    assert len(calls) <= 10
+
+
 def test_derivation_rejects_a_relation_that_cannot_close(monkeypatch):
     original = structure._relation_sides
 
