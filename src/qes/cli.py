@@ -37,9 +37,9 @@ from .structure import closure_suite, compare_to_catalog, derive_constants
 
 SCHEMA_VERSION = 1
 _TABLE_SIZES = (2, 4, 5, 6, 7)
-# Each Fock parity block is a dense cutoff x cutoff matrix (32 MB at 2000).
+# The Fock oracle stacks two (cutoff/2)-square chains per parity (16 MB at 2000).
 _CUTOFF_RANGE = (100, 2000)
-# rabi --n 40 --eigenfunctions takes about 30 s, growing like N^3.5.
+# rabi --n 40 --eigenfunctions takes about 20 s, growing like N^3.5.
 _RABI_N_CAP = 40
 
 

@@ -558,10 +558,10 @@ def _apply_recovery_operator(root: FrequencyRoot, config: RabiConfig,
 def fock_matrix(omega0: float, two_g: float, cutoff: int, parity: int) -> np.ndarray:
     """Dense float Hamiltonian block for one photon-parity sector.
 
-    Photon numbers run over parity, parity+2, ... below the cutoff; each
-    carries both spin states, ordered (n, up), (n, down).  The squared
-    ladder coupling changes the photon number by two and flips the spin,
-    so photon parity is conserved and the two sectors decouple.
+    Photon numbers run over parity, parity+2, ... below the cutoff, each with
+    both spin states, ordered (n, up), (n, down).  The squared ladder coupling
+    moves two photons and flips the spin, so the parity sectors decouple.  This
+    dense block is criterion 6's reference; the oracle uses `_fock_chains`.
     """
     numbers = list(range(parity, cutoff, 2))
     size = 2 * len(numbers)
@@ -578,13 +578,30 @@ def fock_matrix(omega0: float, two_g: float, cutoff: int, parity: int) -> np.nda
     return matrix
 
 
+def _fock_chains(omega0: float, two_g: float, cutoff: int, parity: int) -> np.ndarray:
+    """The `fock_matrix` block permuted into its two tridiagonal chains, (2, L, L).
+
+    The coupling links only (n, up)-(n+2, down) and (n, down)-(n+2, up), so one
+    chain starts at (parity, up), one at (parity, down); entries match exactly.
+    """
+    numbers = np.arange(parity, cutoff, 2)
+    length = len(numbers)
+    half = np.where(np.arange(length) % 2 == 0, omega0 / 2.0, -omega0 / 2.0)
+    coupling = two_g * np.sqrt((numbers[:-1] + 1) * (numbers[:-1] + 2))
+    chains = np.zeros((2, length, length))
+    flat = chains.reshape(2, -1)  # a view; the diagonals step by length + 1
+    flat[:, ::length + 1] = numbers + np.stack((half, -half))
+    flat[:, 1::length + 1] = flat[:, length::length + 1] = coupling
+    return chains
+
+
 def fock_truncation_check(config: RabiConfig, root: float, cutoff: int = 300) -> float:
     """Smallest gap between the truncated spectrum and the locked energy.
 
-    Diagonalizes the Hamiltonian at w = 1, g = 1/(2*sqrt6) and
-    w0 = 2/root in a Fock basis truncated at the cutoff, both parity
-    sectors, and returns min |E_i - ((N+1)/sqrt3 - 1/2)|.  This uses no
-    operator identities at all, so it is an independent check that a
+    Diagonalises the Hamiltonian at w = 1, g = 1/(2*sqrt6), w0 = 2/root in a
+    Fock basis truncated at the cutoff, as the four tridiagonal chains of the
+    two parity sectors, and returns min |E_i - ((N+1)/sqrt3 - 1/2)|.  This uses
+    no operator identities at all, so it is an independent check that a
     claimed frequency really carries an eigenvalue at the locked energy.
     """
     if cutoff < 100:
@@ -598,11 +615,11 @@ def fock_truncation_check(config: RabiConfig, root: float, cutoff: int = 300) ->
 def _fock_spectra(omega0: float, two_g: float, cutoff: int) -> Tuple[np.ndarray, ...]:
     """Both parity spectra at one frequency, shared by every gap taken there.
 
-    Types I and II lock at the same frequencies, so a table run asks for
-    the same spectrum more than once.  The arrays are read-only because
-    every caller receives the same objects.
+    Each is two chains' eigenvalues, unsorted, from one stacked `eigvalsh`.
+    Types I and II share their locks, so a table run reuses spectra; the
+    arrays are read-only because every caller receives the same objects.
     """
-    spectra = tuple(np.linalg.eigvalsh(fock_matrix(omega0, two_g, cutoff, parity))
+    spectra = tuple(np.linalg.eigvalsh(_fock_chains(omega0, two_g, cutoff, parity)).ravel()
                     for parity in (0, 1))
     for eigenvalues in spectra:
         eigenvalues.flags.writeable = False

@@ -146,8 +146,8 @@ class QuadScalar:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, _COERCIBLE):
-            other = QuadScalar(other)
+        if isinstance(other, _COERCIBLE):  # no coercion: runs for every `x == 0`
+            return self.a == other and self.is_rational()
         if not isinstance(other, QuadScalar):
             return NotImplemented
         return (self.a == other.a and self.b == other.b
@@ -180,8 +180,6 @@ Scalar = Union[Fraction, QuadScalar]
 
 def embed_to_float(x) -> float:
     """Embed an exact scalar (or plain number) into a double."""
-    if isinstance(x, QuadScalar):
-        return float(x)
     return float(x)
 
 

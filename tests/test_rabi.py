@@ -2,6 +2,7 @@ import functools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qes import linalg, rabi
@@ -9,11 +10,12 @@ from qes.diffop import DiffOp, GaugeFactor
 from qes.laurent import LaurentPoly
 from qes.linalg import (FieldExtension, isolate_real_roots, mat_scale, mat_vec,
                         nullspace, poly_eval, poly_mul)
-from qes.rabi import (COS_2T, ETA, SIN_2T, TWO_G, XI, RabiConfig, RabiError,
-                      _apply_recovery_operator, _extension_nullspace,
-                      _fock_spectra, assemble_eigenfunctions,
-                      assemble_operator, bargmann_growth, build_L,
-                      closed_form_report, fock_truncation_check,
+from qes.rabi import (COS_2T, ETA, REFERENCE_FREQUENCY_RATIOS, SIN_2T, TWO_G,
+                      XI, RabiConfig, RabiError, _apply_recovery_operator,
+                      _extension_nullspace, _fock_chains, _fock_spectra,
+                      assemble_eigenfunctions, assemble_operator,
+                      bargmann_growth, build_L,
+                      closed_form_report, fock_matrix, fock_truncation_check,
                       frequency_table_report, gauge_identity_residual,
                       ladder_combination, solve_frequencies, subspace_matrix,
                       truncation_convergence, verify_gauge_identity)
@@ -384,6 +386,65 @@ def test_fock_spectra_memo_is_bounded_and_repeatable():
     hits = _fock_spectra.cache_info().hits
     assert fock_truncation_check(config, 0.9, cutoff=120) == first
     assert _fock_spectra.cache_info().hits == hits + 1
+
+
+def _chain_order(length: int):
+    """Indices of the dense block in chain order: chain s starts at spin s.
+
+    Row 2i of `fock_matrix` is (n_i, up) and row 2i+1 is (n_i, down); chain s
+    visits n_0, n_1, ... with spin (i + s) mod 2, so it alternates.
+    """
+    return [2 * i + ((i + s) % 2) for s in (0, 1) for i in range(length)]
+
+
+def _dense_block_gap(omega0: float, energy: float, cutoff: int) -> float:
+    return min(float(np.min(np.abs(np.linalg.eigvalsh(
+        fock_matrix(omega0, embed_to_float(TWO_G), cutoff, parity)) - energy)))
+        for parity in (0, 1))
+
+
+# w0 at the N = 2 lock; the chain structure holds at any frequency.
+_CHAIN_OMEGA0 = 2.0 / 0.919048136607348
+
+
+@pytest.mark.parametrize("cutoff", [100, 101, 300])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_permuted_fock_block_is_exactly_the_two_chains(cutoff, parity):
+    two_g = embed_to_float(TWO_G)
+    chains = _fock_chains(_CHAIN_OMEGA0, two_g, cutoff, parity)
+    length = chains.shape[1]
+    dense = fock_matrix(_CHAIN_OMEGA0, two_g, cutoff, parity)
+    assert dense.shape == (2 * length, 2 * length)
+    order = _chain_order(length)
+    expected = np.zeros_like(dense)
+    expected[:length, :length] = chains[0]
+    expected[length:, length:] = chains[1]
+    assert np.array_equal(dense[np.ix_(order, order)], expected)
+
+
+@pytest.mark.parametrize("cutoff", [100, 300, 700])
+def test_chain_spectra_equal_the_dense_block_spectra(cutoff):
+    two_g = embed_to_float(TWO_G)
+    for parity, spectrum in enumerate(_fock_spectra(_CHAIN_OMEGA0, two_g, cutoff)):
+        dense = np.linalg.eigvalsh(fock_matrix(_CHAIN_OMEGA0, two_g, cutoff, parity))
+        assert np.max(np.abs(np.sort(spectrum) - dense)) < 1e-9
+
+
+_TABLE_CONFIGS = [RabiConfig(n, t) for n in (2, 4, 5, 6, 7) for t in ("I", "II")]
+
+
+@pytest.mark.parametrize("config", _TABLE_CONFIGS, ids=lambda c: f"{c.n_max}{c.sol_type}")
+def test_chain_oracle_locks_every_computed_root_at_cutoff_300(config):
+    for ratio in solve_frequencies(config).ratios():
+        assert fock_truncation_check(config, ratio, cutoff=300) <= 1e-10
+
+
+@pytest.mark.parametrize("config", _TABLE_CONFIGS, ids=lambda c: f"{c.n_max}{c.sol_type}")
+def test_chain_oracle_matches_the_dense_gap_at_every_quoted_ratio(config):
+    energy = embed_to_float(config.energy_ratio)
+    for listed in REFERENCE_FREQUENCY_RATIOS[(config.n_max, config.sol_type)]:
+        dense = _dense_block_gap(2.0 / listed, energy, 300)
+        assert abs(fock_truncation_check(config, listed, cutoff=300) - dense) <= 1e-11
 
 
 def test_truncation_error_does_not_grow_with_the_cutoff():

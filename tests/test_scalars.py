@@ -80,3 +80,25 @@ def test_rational_values_hash_like_their_fraction():
     assert {QuadScalar(3), Fraction(3), 3} == {3}
     assert len({QuadScalar(Fraction(1, 2)), Fraction(1, 2)}) == 1
     assert len({SQRT2, QuadScalar(0, 1)}) == 1
+
+
+def test_equality_with_rationals_reads_components_in_both_orders():
+    half = QuadScalar(Fraction(1, 2))
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half
+    assert QuadScalar(3) == 3 and 3 == QuadScalar(3)
+    assert QuadScalar(0) == 0 and 0 == QuadScalar(0)
+    assert half != 1 and 1 != half
+    assert half != Fraction(1, 3) and Fraction(1, 3) != half
+    # An irrational value equals no rational, even with a matching rational part.
+    for irrational in (SQRT2, SQRT3 + 2, QuadScalar(Fraction(1, 2), 0, 0, 1)):
+        for rational in (0, 2, Fraction(1, 2)):
+            assert irrational != rational and rational != irrational
+    assert (SQRT2 == "sqrt2") is False
+
+
+@given(quad_scalars(), rationals)
+def test_equality_with_a_rational_matches_the_coerced_comparison(x, q):
+    coerced = x == QuadScalar(q)
+    assert (x == q) is coerced and (q == x) is coerced
+    if coerced:
+        assert hash(x) == hash(q)
