@@ -12,10 +12,9 @@ truncated-Fock diagonalization.
 
 from .families import (BasisElement, FamilyError, FamilySpec, NotInSpan,
                        PairContext, PairElement, action_formula, apply_op,
-                       decompose, family_operators, fundamental_pair_rules,
-                       independence_rank, matrix_rep, operator_in_span,
-                       solve_preserving, substitute_pair, substituted_context,
-                       verify_invariance)
+                       decompose, family_operators, independence_rank,
+                       matrix_rep, operator_in_span, solve_preserving,
+                       substitute_pair, substituted_context, verify_invariance)
 from .rabi import (RabiConfig, RabiError, RabiOperator, SpectralResult,
                    FrequencyRoot, assemble_eigenfunctions, bargmann_growth,
                    build_L, closed_form_report, fock_matrix,
@@ -33,9 +32,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisElement", "FamilyError", "FamilySpec", "NotInSpan", "PairContext",
     "PairElement", "action_formula", "apply_op", "decompose",
-    "family_operators", "fundamental_pair_rules", "independence_rank",
-    "matrix_rep", "operator_in_span", "solve_preserving", "substitute_pair",
-    "substituted_context", "verify_invariance",
+    "family_operators", "independence_rank", "matrix_rep", "operator_in_span",
+    "solve_preserving", "substitute_pair", "substituted_context",
+    "verify_invariance",
     "RabiConfig", "RabiError", "RabiOperator", "SpectralResult",
     "FrequencyRoot", "assemble_eigenfunctions", "bargmann_growth", "build_L",
     "closed_form_report", "fock_matrix", "fock_truncation_check",

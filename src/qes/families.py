@@ -198,39 +198,27 @@ class BasisElement:
         return _basis(self.spec).pairs[self.index]
 
 
-def fundamental_pair_rules(spec: FamilySpec) -> Tuple[DiffOp, Optional[PairElement]]:
-    """The kernel's ODE and, where one exists, the second chain seed f_0^-.
+def _second_chain_seed(spec: FamilySpec) -> PairElement:
+    """f_0^-, the seed of the second chain (families other than 3).
 
     Family 3 extends by shifting the upper hypergeometric parameter instead
-    of adjoining a derivative chain, so its second return value is None.
+    of adjoining a derivative chain, so it has no second seed.
     """
     fid = spec.family_id
     ctx = spec.context()
-    x = LaurentPoly.x()
     one = LaurentPoly.const(_ONE)
     if fid == 1:
-        ode = DiffOp({2: x, 1: LaurentPoly.const(spec.s), 0: -one})
-        minus = PairElement(LaurentPoly.zero(), LaurentPoly.const(spec.s), ctx)
-    elif fid in (2, 3):
-        ode = DiffOp({2: x, 1: LaurentPoly({0: spec.s, 1: -_ONE}),
-                      0: LaurentPoly.const(-spec.alpha)})
-        minus = (None if fid == 3 else
-                 PairElement(LaurentPoly.zero(), LaurentPoly.const(spec.s / spec.alpha), ctx))
-    elif fid == 4:
-        ode = DiffOp({2: one, 0: -x})
-        minus = PairElement(LaurentPoly.zero(), one, ctx)
-    elif fid == 5:
-        ode = DiffOp({2: x * x, 1: x, 0: LaurentPoly({2: -_ONE, 0: -spec.nu * spec.nu})})
-        minus = PairElement(LaurentPoly.x(-1, spec.nu), -one, ctx)
-    else:
-        # The second chain must carry the opposite parity for the ladder to
-        # close: its seed is F'/(4*alpha) = x * 1F1(alpha+1; 3/2; x^2), the
-        # derivative kernel with its natural odd prefactor kept.
-        ode = DiffOp({2: one, 1: LaurentPoly.x(1, Fraction(-2)),
-                      0: LaurentPoly.const(-4 * spec.alpha)})
-        minus = PairElement(LaurentPoly.zero(),
-                            LaurentPoly.const(Fraction(1, 4) / spec.alpha), ctx)
-    return ode, minus
+        return PairElement(LaurentPoly.zero(), LaurentPoly.const(spec.s), ctx)
+    if fid == 2:
+        return PairElement(LaurentPoly.zero(), LaurentPoly.const(spec.s / spec.alpha), ctx)
+    if fid == 4:
+        return PairElement(LaurentPoly.zero(), one, ctx)
+    if fid == 5:
+        return PairElement(LaurentPoly.x(-1, spec.nu), -one, ctx)
+    # The second chain must carry the opposite parity for the ladder to
+    # close: its seed is F'/(4*alpha) = x * 1F1(alpha+1; 3/2; x^2), the
+    # derivative kernel with its natural odd prefactor kept.
+    return PairElement(LaurentPoly.zero(), LaurentPoly.const(Fraction(1, 4) / spec.alpha), ctx)
 
 
 def _basis_pairs(spec: FamilySpec) -> Tuple[PairElement, ...]:
@@ -244,7 +232,7 @@ def _basis_pairs(spec: FamilySpec) -> Tuple[PairElement, ...]:
                 LaurentPoly.x(1, _ONE / (spec.alpha + n)))
             pairs.append(prev + step)
     else:
-        _, minus = fundamental_pair_rules(spec)
+        minus = _second_chain_seed(spec)
         plus = PairElement(LaurentPoly.const(_ONE), LaurentPoly.zero(), ctx)
         pairs = [plus.times_poly(LaurentPoly.x(n)) for n in range(spec.n_max + 1)]
         pairs += [minus.times_poly(LaurentPoly.x(n)) for n in range(spec.n_max + 1)]

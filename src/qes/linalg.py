@@ -1,15 +1,16 @@
-"""Exact dense linear algebra and univariate polynomial utilities.
+"""Exact dense linear algebra, univariate polynomials and quotient rings.
 
 Matrix routines are generic over any exact field whose elements support
-+, -, *, / and == 0 (Fraction, QuadScalar, extension elements). Polynomials
-are ascending rational coefficient lists; their real-root machinery clears
-denominators once and runs on integers (a primitive Sturm chain, signs by
-homogeneous integer Horner evaluation).
++, -, *, / and == 0 (Fraction, QuadScalar). Polynomials are ascending
+rational coefficient lists; their real-root machinery clears denominators
+once and runs on integers (a primitive Sturm chain, signs by homogeneous
+integer Horner evaluation). `FieldExtension` is the quotient ring
+base[t]/(m(t)): it adds and multiplies but never divides, so a squarefree
+modulus suffices and no irreducibility is assumed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -40,26 +41,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a: Matrix, s) -> Matrix:
     return [[s * x for x in row] for row in a]
-
-
-def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    out = []
-    for row in a:
-        total = row[0] * v[0]
-        for x, y in zip(row[1:], v[1:]):
-            total = total + x * y
-        out.append(total)
-    return out
 
 
 def rref(matrix: Matrix, pivot_columns: Optional[int] = None) -> Tuple[Matrix, List[int]]:
@@ -149,18 +132,10 @@ def _zero_like(matrix: Matrix, extra: Sequence[object]):
 
 
 def _one_like(matrix: Matrix):
-    # An all-zero matrix still has typed entries; division only works on a
-    # nonzero one, so fall back to the element's own field if it names one.
-    first = None
     for row in matrix:
         for x in row:
-            if first is None:
-                first = x
             if x != 0:
                 return x / x
-    field = getattr(first, "field", None)
-    if field is not None:
-        return field.one()
     return Fraction(1)
 
 
@@ -214,13 +189,6 @@ def tridiagonal_charpoly(matrix: Matrix) -> List[Fraction]:
     return current
 
 
-def det(matrix: Matrix):
-    cp = charpoly(matrix)
-    n = len(matrix)
-    sign = 1 if n % 2 == 0 else -1
-    return sign * cp[0]
-
-
 # ---------------------------------------------------------------------------
 # Fraction polynomials (ascending coefficient lists)
 # ---------------------------------------------------------------------------
@@ -230,23 +198,6 @@ def poly_trim(p: List[Fraction]) -> List[Fraction]:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(p):
-        total = total * x + c
-    return total
-
-
-def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> List[Fraction]:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
 
 
 def poly_divmod(p: Sequence[Fraction], q: Sequence[Fraction]):
@@ -452,70 +403,36 @@ def refine_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
 
 
 # ---------------------------------------------------------------------------
-# Minimal-factor reconstruction for real roots
+# The real-root step
 # ---------------------------------------------------------------------------
 
-def minimal_factors(p: Sequence[Fraction],
-                    max_subset: int = 3,
-                    max_den: int = 10 ** 8,
-                    digits: int = 30):
-    """Split the square-free part of p into exactly-verified rational factors.
+def minimal_factors(p: Sequence[Fraction]
+                    ) -> Tuple[List[Fraction], List[Tuple[Fraction, Fraction]]]:
+    """(squarefree part of p, every real root's refined isolating interval).
 
-    Strategy: isolate all real roots once, refine them to `digits` digits,
-    then try subsets (size 1..max_subset) whose elementary symmetric
-    functions round to small rationals; candidate factors are accepted only
-    if they divide p exactly, so the reconstruction heuristics cannot
-    produce a wrong answer. Returns (factors, leftover) where factors is a
-    list of (coeff_list, [root intervals]) and leftover holds any
-    unfactored remainder with its roots' intervals (max_subset=0: the whole
-    square-free part and every real root).
+    The squarefree part and its integer Sturm chain are built once, the
+    chain isolates the real roots once, and each interval is refined to
+    `refine_root`'s 14-digit default; the intervals come in ascending
+    order.  The name outlives a rational-factor search that is gone:
+    `perfbench/traced.py` times this step under it, so a rename waits for
+    that benchmark's next span list.
     """
     sq, chain = _squarefree_with_chain(p)
-    intervals = isolate_real_roots(sq, chain=chain)
-    refined = [refine_root(sq, lo, hi, digits=digits) for lo, hi in intervals]
-    approx = [(lo + hi) / 2 for lo, hi in refined]
-    remaining = list(range(len(refined)))
-    current = list(sq)
-    factors = []
-
-    def try_subset(idxs: List[int]) -> Optional[List[Fraction]]:
-        # Build the monic polynomial with the chosen approximate roots,
-        # round to rationals, verify exact divisibility.
-        poly = [Fraction(1)]
-        for i in idxs:
-            poly = poly_mul(poly, [-approx[i], Fraction(1)])
-        candidate = [c.limit_denominator(max_den) for c in poly]
-        return None if poly_divmod(current, candidate)[1] else candidate
-
-    size = 1
-    while size <= max_subset:
-        progressed = False
-        for combo in itertools.combinations(remaining, size):
-            cand = try_subset(list(combo))
-            if cand is not None:
-                factors.append((cand, [refined[i] for i in combo]))
-                current = poly_divmod(current, cand)[0]
-                for i in combo:
-                    remaining.remove(i)
-                progressed = True
-                break
-        if not progressed:
-            size += 1
-    leftover_intervals = [refined[i] for i in remaining]
-    leftover = poly_trim(current) if len(poly_trim(current)) > 1 else []
-    return factors, (leftover, leftover_intervals)
+    return sq, [refine_root(sq, lo, hi) for lo, hi in isolate_real_roots(sq, chain=chain)]
 
 
 # ---------------------------------------------------------------------------
-# Quotient-ring field extension  base[t] / (m(t))
+# The quotient ring base[t] / (m(t))
 # ---------------------------------------------------------------------------
 
 class FieldExtension:
-    """Arithmetic in base_field[t]/(m(t)) for a monic squarefree modulus m.
+    """The quotient ring base[t]/(m(t)) for a monic modulus m.
 
-    Elements are ExtElem wrappers around coefficient tuples. Inversion uses
-    the extended Euclidean algorithm and raises ZeroDivisionError when the
-    element is a zero divisor, which needs a modulus reducible over the base.
+    Elements are ExtElem wrappers around coefficient tuples, reduced mod m.
+    The ring adds, subtracts and multiplies; it has no division.  Evaluation
+    at any root of m is a ring map, so an identity computed here holds at
+    every root at once, and for a squarefree m an element is zero exactly
+    when it vanishes at every root: m need not be irreducible.
     """
 
     def __init__(self, modulus: Sequence[object], embed: Callable = Fraction,
@@ -629,67 +546,6 @@ class ExtElem:
         return ExtElem(self.field, self.field._reduce(raw))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.invert()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.invert()
-
-    def invert(self) -> "ExtElem":
-        if self.is_zero():
-            raise ZeroDivisionError("extension element is zero")
-        # Extended Euclid on (self as poly, modulus).
-        zero, one = self.field._zero, self.field._one
-        r0 = list(self.field.modulus)
-        r1 = list(self.coeffs)
-        s0, s1 = [zero], [one]
-
-        def trim(p):
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        r0, r1 = trim(r0), trim(r1)
-        while True:
-            if not r1:
-                raise ZeroDivisionError("modulus reducible over base field")
-            if len(r1) == 1:
-                inv = one / r1[0]
-                coeffs = [inv * c for c in s1]
-                return ExtElem(self.field, self.field._reduce(
-                    coeffs + [zero] * max(0, self.field.degree - len(coeffs))))
-            # divide r0 by r1
-            quot = [zero] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
-            rem = list(r0)
-            while len(trim(rem)) >= len(r1):
-                rem = trim(rem)
-                factor = rem[-1] / r1[-1]
-                shift = len(rem) - len(r1)
-                quot[shift] = quot[shift] + factor
-                for i, c in enumerate(r1):
-                    rem[shift + i] = rem[shift + i] - factor * c
-                rem = trim(rem)
-            new_s = list(s0)
-            # new_s = s0 - quot * s1
-            prod = [zero] * (len(quot) + len(s1) - 1) if quot and s1 else []
-            for i, qc in enumerate(quot):
-                if qc == 0:
-                    continue
-                for j, sc in enumerate(s1):
-                    prod[i + j] = prod[i + j] + qc * sc
-            width = max(len(new_s), len(prod))
-            new_s = new_s + [zero] * (width - len(new_s))
-            for i, c in enumerate(prod):
-                new_s[i] = new_s[i] - c
-            r0, r1 = trim(list(r1)), trim(rem)
-            s0, s1 = s1, trim(new_s)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

@@ -258,8 +258,7 @@ class SpectralResult:
 
     config: RabiConfig
     matrix: List[List[Fraction]]
-    lambda_charpoly: List[Fraction]   # det(lambda*I + M0), ascending, monic
-    squarefree: List[Fraction]        # its squarefree part, every root's modulus
+    lambda_charpoly: List[Fraction]   # det(lambda*I + M0), ascending, monic, squarefree
     roots: List[FrequencyRoot]
     growth: Dict[str, object]
 
@@ -291,21 +290,22 @@ def solve_frequencies(config: RabiConfig) -> SpectralResult:
     """All positive-lambda roots of det(M0 + lambda*I) = 0, exactly isolated.
 
     `charpoly` runs the continuant recurrence on the tridiagonal M0, and
-    `minimal_factors`, with no factor search, isolates the real roots of
-    the squarefree part once and refines each to 14 digits; every positive
-    root carries that part as its defining polynomial.  A repeated root is
-    refused, not given one shared multiplicity.  The null vector over
-    Q[lambda]/(squarefree part) comes from the three-term recurrence, which
-    divides only by rationals; it is built and certified once (checking
-    that M0 is unreduced tridiagonal) and rebound to each root.
+    `minimal_factors` isolates the real roots of its squarefree part once
+    and refines each to 14 digits.  A repeated root is refused, not given
+    one shared multiplicity, so that part is the characteristic polynomial
+    itself and every positive root carries it as its defining polynomial.
+    The null vector over the ring Q[lambda]/(that polynomial) comes from the
+    three-term recurrence, which divides only by rationals; it is built and
+    certified once (checking that M0 is unreduced tridiagonal) and rebound
+    to each root.
     """
     m0 = subspace_matrix(config)
     size = config.dimension
     lam_poly = charpoly(mat_scale(m0, Fraction(-1)))
-    _, (squarefree, intervals) = minimal_factors(lam_poly, max_subset=0, digits=14)
+    squarefree, intervals = minimal_factors(lam_poly)
     if len(squarefree) != len(lam_poly):
         raise RabiError("det(lambda*I + M0) has a repeated root")
-    shared, _ = _extension_nullspace(m0, squarefree, None)
+    shared = _extension_nullspace(m0, squarefree)
 
     roots: List[FrequencyRoot] = []
     for lo, hi in intervals:
@@ -337,14 +337,13 @@ def solve_frequencies(config: RabiConfig) -> SpectralResult:
         config=config,
         matrix=m0,
         lambda_charpoly=lam_poly,
-        squarefree=squarefree,
         roots=roots,
         growth=bargmann_growth(config),
     )
 
 
-def _extension_nullspace(m0, minimal: List[Fraction], approx: Optional[Fraction]):
-    """Null vector of M0 + lambda*I over Q[lambda]/(minimal), and the field.
+def _extension_nullspace(m0, modulus: List[Fraction]) -> List[ExtElem]:
+    """Null vector of M0 + lambda*I over the ring Q[lambda]/(modulus).
 
     M0 must be unreduced tridiagonal (no entry off the three diagonals, no
     zero off-diagonal entry), so the null space has dimension 1 at every
@@ -359,7 +358,7 @@ def _extension_nullspace(m0, minimal: List[Fraction], approx: Optional[Fraction]
             if (offset > 1 and entry != 0) or (offset == 1 and entry == 0):
                 raise RabiError(
                     f"M0 is not unreduced tridiagonal: entry ({i}, {j}) is {entry}")
-    ext = FieldExtension(minimal, embed=Fraction, approx=approx, name="lam")
+    ext = FieldExtension(modulus, embed=Fraction, name="lam")
     lam = ext.generator()
     vector = [ext.zero()] * (size - 1) + [ext.one()]
 
@@ -375,7 +374,7 @@ def _extension_nullspace(m0, minimal: List[Fraction], approx: Optional[Fraction]
         vector[k - 1] = image(k) * (Fraction(-1) / m0[k][k - 1])
     if any(not image(k).is_zero() for k in range(size)):
         raise RabiError("extension null vector fails re-multiplication")
-    return vector, ext
+    return vector
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +409,14 @@ def closed_form_report(result: SpectralResult) -> Dict[str, object]:
     The quoted values are quadratic surds, so membership reduces to a
     polynomial gcd over the rationals: the surd is a root of the
     characteristic polynomial iff its quadratic minimal polynomial shares a
-    factor with the squarefree part the solver already holds.  The report
-    records the verdict and both floats; it does not try to reconcile a
-    mismatch.
+    factor with it.  The report records the verdict and both floats; it
+    does not try to reconcile a mismatch.
     """
     config = result.config
     rational, coeff, radicand = CLOSED_FORM_LAMBDA[config.sol_type]
     target_poly = _quadratic_minimal(rational, coeff, radicand)
     target_lambda = float(rational) + float(coeff) * math.sqrt(radicand)
-    shared = poly_gcd(result.squarefree, target_poly)
+    shared = poly_gcd(result.lambda_charpoly, target_poly)
     member = len(poly_trim(shared)) > 1
     report: Dict[str, object] = {
         "applies_to": "N=2",
@@ -529,10 +527,7 @@ def _apply_recovery_operator(root: FrequencyRoot, config: RabiConfig,
     factor times chi times 2/w0.
     """
     spec = config.family()
-    ext_q = FieldExtension(
-        root.minimal_poly, embed=QuadScalar,
-        approx=(root.lambda_interval[0] + root.lambda_interval[1]) / 2,
-        name="lam")
+    ext_q = FieldExtension(root.minimal_poly, embed=QuadScalar, name="lam")
     lifted = [
         ext_q.element([QuadScalar(c) for c in entry.coeffs])
         for entry in root.null_vector_exact

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Union
-
-Rational = Fraction
 
 _COERCIBLE = (int, Fraction)
 
@@ -37,14 +34,6 @@ class QuadScalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadScalar is immutable")
-
-    @classmethod
-    def _wrap(cls, x: Union["QuadScalar", int, Fraction]) -> "QuadScalar":
-        if isinstance(x, QuadScalar):
-            return x
-        if isinstance(x, _COERCIBLE):
-            return cls(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} into QuadScalar")
 
     # -- ring operations -------------------------------------------------
 
@@ -175,8 +164,6 @@ SQRT2 = QuadScalar(0, 1, 0, 0)
 SQRT3 = QuadScalar(0, 0, 1, 0)
 SQRT6 = QuadScalar(0, 0, 0, 1)
 
-Scalar = Union[Fraction, QuadScalar]
-
 
 def embed_to_float(x) -> float:
     """Embed an exact scalar (or plain number) into a double."""
@@ -200,41 +187,3 @@ def format_scalar(x) -> str:
             parts.append(body)  # str(coeff) already carries the minus sign
     return "".join(parts) if parts else "0"
 
-
-def parse_scalar(text: str) -> QuadScalar:
-    """Inverse of format_scalar for the canonical forms it emits."""
-    text = text.strip().replace(" ", "")
-    if not text:
-        raise ValueError("empty scalar string")
-    terms = []
-    current = ""
-    for i, ch in enumerate(text):
-        if ch in "+-" and i > 0 and text[i - 1] not in "+-/*":
-            terms.append(current)
-            current = ch
-        else:
-            current += ch
-    terms.append(current)
-    slots = {"": 0, "sqrt2": 1, "sqrt3": 2, "sqrt6": 3}
-    comps = [Fraction(0)] * 4
-    for term in terms:
-        if "*" in term:
-            coeff_text, tag = term.split("*", 1)
-        elif term.lstrip("+-").startswith("sqrt"):
-            sign = -1 if term.startswith("-") else 1
-            coeff_text, tag = str(sign), term.lstrip("+-")
-        else:
-            coeff_text, tag = term, ""
-        if tag not in slots:
-            raise ValueError(f"unknown radical tag {tag!r}")
-        comps[slots[tag]] += Fraction(coeff_text)
-    return QuadScalar(*comps)
-
-
-def as_fraction(x) -> Fraction:
-    """Strict conversion to Fraction; rejects irrational QuadScalars."""
-    if isinstance(x, QuadScalar):
-        if not x.is_rational():
-            raise ValueError(f"{x} is not rational")
-        return x.a
-    return Fraction(x)

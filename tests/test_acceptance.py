@@ -19,11 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
+from _algebra import mat_commutator
 from qes.diffop import DiffOp, commutator
 from qes.families import (FamilySpec, family_operators, matrix_rep,
                           operator_in_span, solve_preserving, verify_invariance)
 from qes.laurent import LaurentPoly
-from qes.linalg import mat_commutator
 from qes.rabi import (REFERENCE_FREQUENCY_RATIOS, RabiConfig, fock_matrix,
                       fock_truncation_check, frequency_table_report,
                       solve_frequencies, verify_gauge_identity)

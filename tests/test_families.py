@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from _algebra import mat_commutator
 from qes import families
 from qes.diffop import DiffOp, commutator
 from qes.families import (BasisElement, FamilyError, FamilySpec, NotInSpan,
@@ -10,7 +11,7 @@ from qes.families import (BasisElement, FamilyError, FamilySpec, NotInSpan,
                           independence_rank, matrix_rep, operator_in_span,
                           solve_preserving, verify_invariance)
 from qes.laurent import LaurentPoly
-from qes.linalg import mat_commutator, mat_mul, rank, solve_linear
+from qes.linalg import mat_mul, rank, solve_linear
 from qes.sampling import random_rational, sample_grid
 
 F = Fraction

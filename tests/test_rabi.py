@@ -1,15 +1,17 @@
 import functools
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qes import linalg, rabi
+from _algebra import mat_vec, poly_mul
+from qes import families, linalg, rabi
 from qes.diffop import DiffOp, GaugeFactor
 from qes.laurent import LaurentPoly
-from qes.linalg import (FieldExtension, isolate_real_roots, mat_scale, mat_vec,
-                        nullspace, poly_eval, poly_mul)
+from qes.linalg import FieldExtension, isolate_real_roots, mat_scale
 from qes.rabi import (COS_2T, ETA, REFERENCE_FREQUENCY_RATIOS, SIN_2T, TWO_G,
                       XI, RabiConfig, RabiError, _apply_recovery_operator,
                       _extension_nullspace, _fock_chains, _fock_spectra,
@@ -187,8 +189,8 @@ def test_every_isolating_interval_holds_exactly_one_root(sol_type):
     lam = sympy.Symbol("lam")
     for n_max in range(21):
         result = solved(n_max, sol_type)
-        poly = sympy_poly(result.squarefree, lam)
-        intervals = isolate_real_roots(result.squarefree)
+        poly = sympy_poly(result.lambda_charpoly, lam)
+        intervals = isolate_real_roots(result.lambda_charpoly)
         assert len(intervals) == poly.count_roots(), n_max
         refined = [root.lambda_interval for root in result.roots]
         positive = poly.count_roots(0) - (1 if poly.eval(0) == 0 else 0)
@@ -277,42 +279,93 @@ def test_subspace_matrix_is_unreduced_tridiagonal(sol_type):
 
 @pytest.mark.parametrize("sol_type", ["I", "II"])
 def test_recurrence_null_vector_equals_the_elimination_one(sol_type):
-    # nullspace (dense RREF) is the reference: it must produce the same
-    # extension elements, normalized to last entry 1, over the same field.
+    # The reference is the last column of adj(M0 + lam I) over Q[lam]: it is
+    # annihilated wherever the determinant vanishes, and its last entry, the
+    # monic leading N x N minor, is a unit modulo the defining polynomial.
+    # Scaled by that unit's inverse it must equal the recurrence's vector.
+    sympy = pytest.importorskip("sympy")
+    lam = sympy.Symbol("lam")
     for n_max in range(9):
         config = RabiConfig(n_max, sol_type)
-        m0 = subspace_matrix(config)
-        size = len(m0)
-        for root in solve_frequencies(config).roots:
-            ext = root.extension
-            lam = ext.generator()
-            shifted = [[ext.scalar(m0[i][j]) + (lam if i == j else ext.zero())
-                        for j in range(size)] for i in range(size)]
-            basis = nullspace(shifted)
-            assert len(basis) == 1
-            assert basis[0] == root.null_vector_exact
+        result = solve_frequencies(config)
+        size = config.dimension
+        modulus = sympy_poly(result.lambda_charpoly, lam)
+        shifted = sympy.Matrix(size, size, lambda i, j: sympy.Rational(
+            result.matrix[i][j].numerator, result.matrix[i][j].denominator)
+            + (lam if i == j else 0))
+        column = [sympy.Poly(entry, lam, domain="QQ") for entry in
+                  shifted.adjugate(method="berkowitz")[:, size - 1]]
+        unit = column[-1].invert(modulus)
+        expected = []
+        for entry in column:
+            coeffs = (entry * unit).rem(modulus).all_coeffs()[::-1]
+            coeffs += [sympy.Integer(0)] * (size - len(coeffs))
+            expected.append(tuple(F(int(c.p), int(c.q)) for c in coeffs))
+        for root in result.roots:
+            assert [entry.coeffs for entry in root.null_vector_exact] == expected, n_max
 
 
 def test_extension_nullspace_rejects_a_matrix_that_is_not_unreduced_tridiagonal():
     # The path graph on three vertices is singular at lambda = 0.
     tridiagonal = [[F(0), F(1), F(0)], [F(1), F(0), F(1)], [F(0), F(1), F(0)]]
     minimal = [F(0), F(1)]
-    vector, _ = _extension_nullspace(tridiagonal, minimal, F(0))
-    assert [entry.to_float() for entry in vector] == [-1.0, 0.0, 1.0]
+    vector = _extension_nullspace(tridiagonal, minimal)
+    assert [entry.coeffs for entry in vector] == [(F(-1),), (F(0),), (F(1),)]
     wide = [list(row) for row in tridiagonal]
     wide[0][2] = F(1)
     with pytest.raises(RabiError, match="tridiagonal"):
-        _extension_nullspace(wide, minimal, F(0))
+        _extension_nullspace(wide, minimal)
     split = [list(row) for row in tridiagonal]
     split[2][1] = F(0)
     with pytest.raises(RabiError, match="tridiagonal"):
-        _extension_nullspace(split, minimal, F(0))
+        _extension_nullspace(split, minimal)
 
 
 def test_extension_nullspace_refuses_a_non_eigenvalue():
     m0 = [[F(-1), F(1)], [F(1), F(-1)]]
     with pytest.raises(RabiError, match="re-multiplication"):
-        _extension_nullspace(m0, [F(-3), F(1)], F(3))
+        _extension_nullspace(m0, [F(-3), F(1)])
+
+
+def _count_calls(monkeypatch, *functions):
+    """Rebind each function, in every `qes` module that holds it, to a counter.
+
+    This is how `perfbench/traced.py` times its spans, so a path that
+    bypasses one of these names would leave that span empty.
+    """
+    counts = Counter()
+    modules = [module for name, module in sys.modules.items()
+               if name == "qes" or name.startswith("qes.")]
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+def test_one_solve_runs_each_timed_root_step(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    counts = _count_calls(monkeypatch, linalg.charpoly, linalg.minimal_factors,
+                          linalg.sturm_chain, linalg.isolate_real_roots,
+                          linalg.refine_root, rabi._extension_nullspace)
+    result = solve_frequencies(RabiConfig(7, "I"))
+    real_roots = sympy_poly(result.lambda_charpoly, sympy.Symbol("lam")).count_roots()
+    assert real_roots == len(result.roots) == 2  # every real root is positive here
+    assert counts == {"charpoly": 1, "minimal_factors": 1, "sturm_chain": 1,
+                      "isolate_real_roots": 1, "refine_root": real_roots,
+                      "_extension_nullspace": 1}
+
+
+def test_eigenfunction_assembly_reaches_apply_op(monkeypatch):
+    result = solved(5, "I")
+    counts = _count_calls(monkeypatch, families.apply_op)
+    assemble_eigenfunctions(result)
+    # psi_1 is recovered once for the polynomial both roots share.
+    assert len(result.roots) == 2 and counts == {"apply_op": 1}
 
 
 def test_conjugate_roots_share_one_recovered_partner_component():

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from _algebra import mat_commutator
 from qes import structure
 from qes.diffop import DiffOp, commutator
 from qes.families import (FamilySpec, family_operators, matrix_rep,
                           operators_over)
-from qes.linalg import mat_commutator
 from qes.sampling import sample_grid
 from qes.structure import (CONSTANT_NAMES, CommutatorConstants, ParamPoly,
                            StructureError, closure_constants, closure_suite,
