@@ -39,7 +39,7 @@ SCHEMA_VERSION = 1
 _TABLE_SIZES = (2, 4, 5, 6, 7)
 # The Fock oracle stacks two (cutoff/2)-square chains per parity (16 MB at 2000).
 _CUTOFF_RANGE = (100, 2000)
-# rabi --n 40 --eigenfunctions takes about 20 s, growing like N^3.5.
+# rabi --n 40 --eigenfunctions takes about 8 s on a 2-vCPU host, growing like N^3.
 _RABI_N_CAP = 40
 
 

@@ -223,3 +223,30 @@ def substitute_square(op: DiffOp, scale) -> DiffOp:
     for order, poly in op.coeffs.items():
         result = result + poly.stretch_square(scale) * powers[order]
     return result
+
+
+def pull_back_square(op: DiffOp, scale) -> DiffOp:
+    """The operator in x that `substitute_square(., scale)` maps to `op` in z.
+
+    It exists exactly when `op` is even in z, each p_k(z) D_z^k having only
+    exponents of the parity of k; an odd term raises ValueError.  Orders are
+    peeled from the top: D_x^k turns into (2*scale*z)^-k D_z^k plus lower
+    orders, so the leading term fixes one x-term, and its substitution is
+    subtracted before the next order.
+    """
+    if scale == 0:
+        raise ValueError("substitution scale must be nonzero")
+    rest, result = op, DiffOp.zero()
+    while not rest.is_zero():
+        order = rest.order()
+        lead = rest.coeffs[order] * LaurentPoly.x(order, (2 * scale) ** order)
+        coeffs = {}
+        for exp, coeff in lead.coeffs.items():
+            if exp % 2:
+                raise ValueError(f"term z^{exp - order}*D^{order} is odd in z")
+            half = exp // 2
+            coeffs[half] = coeff * ((1 / scale) ** half if half >= 0 else scale ** -half)
+        term = DiffOp({order: LaurentPoly(coeffs)})
+        result = result + term
+        rest = rest - substitute_square(term, scale)
+    return result

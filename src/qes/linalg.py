@@ -51,6 +51,9 @@ def rref(matrix: Matrix, pivot_columns: Optional[int] = None) -> Tuple[Matrix, L
     With `pivot_columns`, pivots are sought only in that many leading
     columns; the row operations still act on whole rows, so the columns
     after them carry the same transform without being reduced themselves.
+    Each elimination touches only the pivot row's nonzero columns, since a
+    zero there leaves the other row's entry as it is; the `[A | I]` systems
+    of the family bases are mostly zeros.
     """
     rows = [list(r) for r in matrix]
     if not rows:
@@ -68,11 +71,13 @@ def rref(matrix: Matrix, pivot_columns: Optional[int] = None) -> Tuple[Matrix, L
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = 1 / rows[r][col]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivot = rows[r] = [inv * x for x in rows[r]]
+        support = [k for k, x in enumerate(pivot) if x != 0]
+        for i, row in enumerate(rows):
+            if i != r and row[col] != 0:
+                factor = row[col]
+                for k in support:
+                    row[k] = row[k] - factor * pivot[k]
         pivots.append(col)
         r += 1
         if r == len(rows):

@@ -25,18 +25,19 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .diffop import (DiffOp, GaugeFactor, commutator, conjugate_by_gauge,
-                     substitute_square)
-from .families import (BasisElement, FamilySpec, apply_op, family_operators,
-                       matrix_rep, substitute_pair, substituted_context)
+                     pull_back_square, substitute_square)
+from .families import (BasisElement, FamilySpec, action_formula, apply_op,
+                       family_operators, substitute_pair, substituted_context)
 from .laurent import LaurentPoly
 from .linalg import (ExtElem, FieldExtension, charpoly, mat_scale, minimal_factors,
                      poly_gcd, poly_trim)
 from .scalars import SQRT2, SQRT3, SQRT6, QuadScalar, embed_to_float, format_scalar
+
+if TYPE_CHECKING:  # numpy is imported where the Fock oracle runs, not at import
+    import numpy as np
 
 
 class RabiError(ValueError):
@@ -227,8 +228,25 @@ def verify_gauge_identity(config: RabiConfig) -> bool:
 # ---------------------------------------------------------------------------
 
 def subspace_matrix(config: RabiConfig) -> List[List[Fraction]]:
-    """M0: the ladder combination represented on the invariant subspace."""
-    return matrix_rep(ladder_combination(config), config.family())
+    """M0: the ladder combination represented on the invariant subspace.
+
+    Representing operators on the basis is a homomorphism, so with
+    D = rep(J^-) = diag(n + alpha) and the tridiagonal A = rep(J^+), both
+    read from the closed-form `action_formula` (division-free for family 3),
+    M0 = 2 D^2 + (A D - D A) - 7 A + a4 D + offset * I.  The generic
+    `matrix_rep(ladder_combination(config), config.family())` is the tests'
+    reference for it.
+    """
+    spec = config.family()
+    size = config.dimension
+    lower = [action_formula(spec, False, BasisElement(spec, n))[n] for n in range(size)]
+    m0 = [[Fraction(0)] * size for _ in range(size)]
+    for j in range(size):
+        for i, a in action_formula(spec, True, BasisElement(spec, j)).items():
+            m0[i][j] = a * (lower[j] - lower[i] - 7)
+    for n, d in enumerate(lower):
+        m0[n][n] += (2 * d + config.jm_coefficient) * d + config.lambda_offset
+    return m0
 
 
 @dataclass
@@ -449,7 +467,8 @@ def assemble_eigenfunctions(result: SpectralResult) -> List[Dict[str, object]]:
     psi_2 is the gauge factor times the null-vector combination of the
     confluent kernels evaluated at x = stretch * z^2; psi_1 is recovered
     from it by psi_1 = (2/w0) (E + a_hat - c_hat) psi_2, computed exactly
-    in the fundamental-pair representation (the global prefactor 2/w0
+    in the fundamental-pair representation by the gauged recovery operator
+    pulled back to x, then written in z (the global prefactor 2/w0
     equals the reported frequency ratio and is attached as a float).  For
     N=2 the coefficient ratios are additionally tested, exactly, against
     the quoted closed-form surds; the verdict is reported, not enforced.
@@ -518,32 +537,41 @@ def _closed_form_ratio_check(root: FrequencyRoot, config: RabiConfig) -> Dict[st
     return {"ratios": checks}
 
 
-def _apply_recovery_operator(root: FrequencyRoot, config: RabiConfig,
-                             operator: RabiOperator):
-    """chi = (E + a_hat - c_hat) psi_2 divided by the gauge factor.
+def _gauged_recovery_operator(config: RabiConfig, operator: RabiOperator) -> DiffOp:
+    """R_z = gauge^-1 (E + a_hat - c_hat) gauge, free of lambda.
 
-    Conjugating the recovery operator by the gauge turns the application
-    into pure pair arithmetic on the kernel side: psi_1 equals the gauge
-    factor times chi times 2/w0.
+    psi_1 = (2/w0) (E + a_hat - c_hat) psi_2, so R_z maps psi_2 / gauge to
+    (w0/2) psi_1 / gauge.
     """
-    spec = config.family()
-    ext_q = FieldExtension(root.minimal_poly, embed=QuadScalar, name="lam")
-    lifted = [
-        ext_q.element([QuadScalar(c) for c in entry.coeffs])
-        for entry in root.null_vector_exact
-    ]
-    new_ctx = substituted_context(spec, config.stretch)
-    combined = None
-    for n, coefficient in enumerate(lifted):
-        pair_z = substitute_pair(
-            BasisElement(spec, n).to_pair(), config.stretch, new_ctx)
-        term = pair_z.scaled(coefficient)
-        combined = term if combined is None else combined + term
-    recovery = conjugate_by_gauge(
+    return conjugate_by_gauge(
         operator.a_hat - operator.c_hat
         + DiffOp({0: LaurentPoly.const(config.energy_ratio)}),
         config.gauge)
-    return apply_op(recovery, combined)
+
+
+def _apply_recovery_operator(root: FrequencyRoot, config: RabiConfig,
+                             operator: RabiOperator):
+    """chi = (E + a_hat - c_hat) psi_2 divided by the gauge factor, as a z pair.
+
+    Conjugated by the gauge, the recovery operator R_z is even in z, so it
+    pulls back to an operator R_x in the kernel coordinate x = stretch * z^2;
+    substituting R_x back must give R_z exactly, which is checked.  R_x is
+    applied once to sum_n c_n f_n over the null vector's own rational ring
+    Q[lambda]/(p), so every derivative stays rational, and x = stretch * z^2
+    is substituted into the result.  psi_1 equals the gauge factor times chi
+    times 2/w0.
+    """
+    spec = config.family()
+    recovery_z = _gauged_recovery_operator(config, operator)
+    recovery_x = pull_back_square(recovery_z, config.stretch)
+    if substitute_square(recovery_x, config.stretch) != recovery_z:
+        raise RabiError("the recovery operator fails its pull-back to the kernel coordinate")
+    combined = None
+    for n, coefficient in enumerate(root.null_vector_exact):
+        term = BasisElement(spec, n).to_pair().scaled(coefficient)
+        combined = term if combined is None else combined + term
+    chi = apply_op(recovery_x, combined)
+    return substitute_pair(chi, config.stretch, substituted_context(spec, config.stretch))
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +586,7 @@ def fock_matrix(omega0: float, two_g: float, cutoff: int, parity: int) -> np.nda
     moves two photons and flips the spin, so the parity sectors decouple.  This
     dense block is criterion 6's reference; the oracle uses `_fock_chains`.
     """
+    import numpy as np
     numbers = list(range(parity, cutoff, 2))
     size = 2 * len(numbers)
     matrix = np.zeros((size, size))
@@ -579,6 +608,7 @@ def _fock_chains(omega0: float, two_g: float, cutoff: int, parity: int) -> np.nd
     The coupling links only (n, up)-(n+2, down) and (n, down)-(n+2, up), so one
     chain starts at (parity, up), one at (parity, down); entries match exactly.
     """
+    import numpy as np
     numbers = np.arange(parity, cutoff, 2)
     length = len(numbers)
     half = np.where(np.arange(length) % 2 == 0, omega0 / 2.0, -omega0 / 2.0)
@@ -599,6 +629,7 @@ def fock_truncation_check(config: RabiConfig, root: float, cutoff: int = 300) ->
     no operator identities at all, so it is an independent check that a
     claimed frequency really carries an eigenvalue at the locked energy.
     """
+    import numpy as np
     if cutoff < 100:
         raise RabiError("cutoff must be at least 100")
     target = embed_to_float(config.energy_ratio)
@@ -614,6 +645,7 @@ def _fock_spectra(omega0: float, two_g: float, cutoff: int) -> Tuple[np.ndarray,
     Types I and II share their locks, so a table run reuses spectra; the
     arrays are read-only because every caller receives the same objects.
     """
+    import numpy as np
     spectra = tuple(np.linalg.eigvalsh(_fock_chains(omega0, two_g, cutoff, parity)).ravel()
                     for parity in (0, 1))
     for eigenvalues in spectra:

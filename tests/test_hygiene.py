@@ -1,6 +1,9 @@
-"""Source hygiene: no unused imports in `qes`."""
+"""Source hygiene: no unused imports in `qes`, and numpy only where it runs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "qes").glob("*.py"))
@@ -31,3 +34,15 @@ def test_every_import_is_used_or_exported():
 
 def test_the_import_check_sees_an_unused_name():
     assert unused_imports("from typing import List, Union\nx: List[int] = []\n") == ["Union"]
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # numpy is imported by the Fock oracle alone, so `verify` and
+    # `commutators` never pay for it.
+    src = str(SOURCES[0].parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = "import sys, qes.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

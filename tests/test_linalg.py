@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from _algebra import mat_commutator, poly_eval, poly_mul
+from _algebra import dense_rref, mat_commutator, poly_eval, poly_mul
 from qes import linalg
 from qes.linalg import (FieldExtension, charpoly, isolate_real_roots,
                         mat_identity, mat_mul, minimal_factors, nullspace,
@@ -54,6 +54,26 @@ def test_rref_can_stop_after_the_leading_columns():
     assert [row[:2] for row in reduced[:2]] == [[F(1), F(0)], [F(0), F(1)]]
     for row in reduced:
         assert [sum(row[2 + k] * a[k][j] for k in range(3)) for j in range(2)] == row[:2]
+
+
+def sparse_matrices(element):
+    """Up to 7 x 9 matrices, about two thirds of whose entries are zero."""
+    zero = st.just(F(0))
+    return st.integers(1, 7).flatmap(lambda height: st.integers(1, 9).flatmap(
+        lambda width: st.lists(st.lists(st.one_of(zero, zero, element),
+                                        min_size=width, max_size=width),
+                               min_size=height, max_size=height)))
+
+
+surds = st.tuples(entries, entries).map(lambda ab: QuadScalar(ab[0], ab[1], 0, 0))
+
+
+@given(st.sampled_from([entries, surds]).flatmap(sparse_matrices), st.integers(0, 9))
+@settings(max_examples=80, deadline=None)
+def test_sparse_rref_equals_the_dense_elimination(matrix, leading):
+    assert rref(matrix) == dense_rref(matrix)
+    pivot_columns = min(leading, len(matrix[0]))
+    assert rref(matrix, pivot_columns) == dense_rref(matrix, pivot_columns)
 
 
 def test_solve_linear_finds_exact_solutions_and_detects_inconsistency():

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qes.diffop import DiffOp, GaugeFactor, commutator, conjugate_by_gauge, substitute_square
+from qes.diffop import (DiffOp, GaugeFactor, commutator, conjugate_by_gauge,
+                        pull_back_square, substitute_square)
 from qes.laurent import LaurentPoly
 from qes.scalars import QuadScalar, SQRT2
 
@@ -154,6 +155,28 @@ def test_substitute_square_intertwines_application(p, scale):
     pulled_input = p.stretch_square(scale)
     pulled_output = op.apply_to(p).stretch_square(scale)
     assert substitute_square(op, scale).apply_to(pulled_input) == pulled_output
+
+
+@given(diff_ops(), small_fractions.filter(lambda c: c != 0))
+@settings(max_examples=40)
+def test_pull_back_square_inverts_the_substitution(op, scale):
+    assert pull_back_square(substitute_square(op, scale), scale) == op
+
+
+def test_pull_back_square_over_a_surd_scale():
+    op = DiffOp({2: LaurentPoly.x(), 1: LaurentPoly({-1: Fraction(2), 0: SQRT2}),
+                 0: LaurentPoly.x(2)})
+    scale = 3 * SQRT2 / 8
+    assert pull_back_square(substitute_square(op, scale), scale) == op
+
+
+def test_pull_back_square_refuses_a_term_odd_in_z():
+    with pytest.raises(ValueError, match="odd"):
+        pull_back_square(DiffOp.d(), Fraction(2))
+    with pytest.raises(ValueError, match="odd"):
+        pull_back_square(DiffOp.mul_by(LaurentPoly.x()), Fraction(2))
+    with pytest.raises(ValueError, match="nonzero"):
+        pull_back_square(DiffOp.identity(), 0)
 
 
 def test_substitute_square_first_order_chain_rule():

@@ -7,14 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _algebra import mat_vec, poly_mul
+from _algebra import mat_vec, poly_mul, recovery_in_z
 from qes import families, linalg, rabi
-from qes.diffop import DiffOp, GaugeFactor
+from qes.diffop import DiffOp, GaugeFactor, pull_back_square, substitute_square
 from qes.laurent import LaurentPoly
 from qes.linalg import FieldExtension, isolate_real_roots, mat_scale
 from qes.rabi import (COS_2T, ETA, REFERENCE_FREQUENCY_RATIOS, SIN_2T, TWO_G,
                       XI, RabiConfig, RabiError, _apply_recovery_operator,
                       _extension_nullspace, _fock_chains, _fock_spectra,
+                      _gauged_recovery_operator,
                       assemble_eigenfunctions, assemble_operator,
                       bargmann_growth, build_L,
                       closed_form_report, fock_matrix, fock_truncation_check,
@@ -278,6 +279,16 @@ def test_subspace_matrix_is_unreduced_tridiagonal(sol_type):
 
 
 @pytest.mark.parametrize("sol_type", ["I", "II"])
+def test_closed_form_matrix_equals_the_generic_representation(sol_type):
+    # The reference pushes every basis pair through the order-4 ladder
+    # combination and decomposes the image over the basis.
+    for n_max in range(21):
+        config = RabiConfig(n_max, sol_type)
+        reference = families.matrix_rep(ladder_combination(config), config.family())
+        assert subspace_matrix(config) == reference, n_max
+
+
+@pytest.mark.parametrize("sol_type", ["I", "II"])
 def test_recurrence_null_vector_equals_the_elimination_one(sol_type):
     # The reference is the last column of adj(M0 + lam I) over Q[lam]: it is
     # annihilated wherever the determinant vanishes, and its last entry, the
@@ -380,6 +391,28 @@ def test_conjugate_roots_share_one_recovered_partner_component():
             "x^", "z^").replace("*x", "*z")
         assert state["psi1"]["fprime_coefficient"] == repr(chi.s).replace(
             "x^", "z^").replace("*x", "*z")
+
+
+@pytest.mark.parametrize("sol_type", ["I", "II"])
+def test_recovery_operator_pulls_back_to_the_kernel_coordinate(sol_type):
+    for n_max in range(8):
+        config = RabiConfig(n_max, sol_type)
+        recovery_z = _gauged_recovery_operator(config, build_L(config))
+        recovery_x = pull_back_square(recovery_z, config.stretch)
+        assert substitute_square(recovery_x, config.stretch) == recovery_z, n_max
+        assert all(poly.is_polynomial() for poly in recovery_x.coeffs.values())
+
+
+@pytest.mark.parametrize("sol_type", ["I", "II"])
+def test_partner_component_equals_the_z_frame_computation(sol_type):
+    for n_max in range(11):
+        config = RabiConfig(n_max, sol_type)
+        operator = build_L(config)
+        # Every root shares the null vector, so one root covers the size.
+        for root in solve_frequencies(config).roots[:1]:
+            chi = _apply_recovery_operator(root, config, operator)
+            reference = recovery_in_z(root, config, operator)
+            assert (repr(chi.r), repr(chi.s)) == (repr(reference.r), repr(reference.s)), n_max
 
 
 def test_frequency_polynomial_matches_the_ladder_matrix():
