@@ -7,7 +7,7 @@ coefficients and the closure relations of each raising/lowering pair
 exactly over the rationals (with surds where needed), and uses the third
 family to solve for the frequencies at which the two-photon Rabi
 Hamiltonian has elementary eigenstates, cross-checked by an independent
-truncated-Fock diagonalization.
+truncated-Fock eigenvalue search.
 """
 
 from .families import (BasisElement, FamilyError, FamilySpec, NotInSpan,
@@ -17,10 +17,9 @@ from .families import (BasisElement, FamilyError, FamilySpec, NotInSpan,
                        substitute_pair, substituted_context, verify_invariance)
 from .rabi import (RabiConfig, RabiError, RabiOperator, SpectralResult,
                    FrequencyRoot, assemble_eigenfunctions, bargmann_growth,
-                   build_L, closed_form_report, fock_matrix,
-                   fock_truncation_check, frequency_table_report,
-                   gauge_identity_residual, ladder_combination,
-                   solve_frequencies, subspace_matrix, truncation_convergence,
+                   build_L, closed_form_report, fock_truncation_check,
+                   frequency_table_report, gauge_identity_residual,
+                   ladder_combination, solve_frequencies, subspace_matrix,
                    verify_gauge_identity)
 from .structure import (CommutatorConstants, ParamPoly, StructureError,
                         closure_constants, closure_suite, compare_to_catalog,
@@ -37,10 +36,9 @@ __all__ = [
     "verify_invariance",
     "RabiConfig", "RabiError", "RabiOperator", "SpectralResult",
     "FrequencyRoot", "assemble_eigenfunctions", "bargmann_growth", "build_L",
-    "closed_form_report", "fock_matrix", "fock_truncation_check",
-    "frequency_table_report", "gauge_identity_residual", "ladder_combination",
-    "solve_frequencies", "subspace_matrix", "truncation_convergence",
-    "verify_gauge_identity",
+    "closed_form_report", "fock_truncation_check", "frequency_table_report",
+    "gauge_identity_residual", "ladder_combination", "solve_frequencies",
+    "subspace_matrix", "verify_gauge_identity",
     "CommutatorConstants", "ParamPoly", "StructureError", "closure_constants",
     "closure_suite", "compare_to_catalog", "derive_constants",
     "solve_constants_at", "structure_operator", "verify_structure_relations",

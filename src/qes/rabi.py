@@ -25,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .diffop import (DiffOp, GaugeFactor, commutator, conjugate_by_gauge,
                      pull_back_square, substitute_square)
@@ -35,9 +35,6 @@ from .laurent import LaurentPoly
 from .linalg import (ExtElem, FieldExtension, charpoly, mat_scale, minimal_factors,
                      poly_gcd, poly_trim)
 from .scalars import SQRT2, SQRT3, SQRT6, QuadScalar, embed_to_float, format_scalar
-
-if TYPE_CHECKING:  # numpy is imported where the Fock oracle runs, not at import
-    import numpy as np
 
 
 class RabiError(ValueError):
@@ -578,85 +575,190 @@ def _apply_recovery_operator(root: FrequencyRoot, config: RabiConfig,
 # independent truncated-Fock oracle
 # ---------------------------------------------------------------------------
 
-def fock_matrix(omega0: float, two_g: float, cutoff: int, parity: int) -> np.ndarray:
-    """Dense float Hamiltonian block for one photon-parity sector.
-
-    Photon numbers run over parity, parity+2, ... below the cutoff, each with
-    both spin states, ordered (n, up), (n, down).  The squared ladder coupling
-    moves two photons and flips the spin, so the parity sectors decouple.  This
-    dense block is criterion 6's reference; the oracle uses `_fock_chains`.
-    """
-    import numpy as np
-    numbers = list(range(parity, cutoff, 2))
-    size = 2 * len(numbers)
-    matrix = np.zeros((size, size))
-    for i, n in enumerate(numbers):
-        matrix[2 * i, 2 * i] = n + omega0 / 2.0
-        matrix[2 * i + 1, 2 * i + 1] = n - omega0 / 2.0
-        if i + 1 < len(numbers):
-            element = two_g * math.sqrt((n + 1) * (n + 2))
-            matrix[2 * i, 2 * (i + 1) + 1] = element
-            matrix[2 * (i + 1) + 1, 2 * i] = element
-            matrix[2 * i + 1, 2 * (i + 1)] = element
-            matrix[2 * (i + 1), 2 * i + 1] = element
-    return matrix
-
-
-def _fock_chains(omega0: float, two_g: float, cutoff: int, parity: int) -> np.ndarray:
-    """The `fock_matrix` block permuted into its two tridiagonal chains, (2, L, L).
-
-    The coupling links only (n, up)-(n+2, down) and (n, down)-(n+2, up), so one
-    chain starts at (parity, up), one at (parity, down); entries match exactly.
-    """
-    import numpy as np
-    numbers = np.arange(parity, cutoff, 2)
-    length = len(numbers)
-    half = np.where(np.arange(length) % 2 == 0, omega0 / 2.0, -omega0 / 2.0)
-    coupling = two_g * np.sqrt((numbers[:-1] + 1) * (numbers[:-1] + 2))
-    chains = np.zeros((2, length, length))
-    flat = chains.reshape(2, -1)  # a view; the diagonals step by length + 1
-    flat[:, ::length + 1] = numbers + np.stack((half, -half))
-    flat[:, 1::length + 1] = flat[:, length::length + 1] = coupling
-    return chains
+_EPS = 2.0 ** -52  # the spacing of floats just above 1
 
 
 def fock_truncation_check(config: RabiConfig, root: float, cutoff: int = 300) -> float:
     """Smallest gap between the truncated spectrum and the locked energy.
 
-    Diagonalises the Hamiltonian at w = 1, g = 1/(2*sqrt6), w0 = 2/root in a
-    Fock basis truncated at the cutoff, as the four tridiagonal chains of the
-    two parity sectors, and returns min |E_i - ((N+1)/sqrt3 - 1/2)|.  This uses
+    Takes the Hamiltonian at w = 1, g = 1/(2*sqrt6), w0 = 2/root in a Fock
+    basis truncated at the cutoff, as the four tridiagonal chains of the two
+    parity sectors, and returns min |E_i - ((N+1)/sqrt3 - 1/2)|.  This uses
     no operator identities at all, so it is an independent check that a
     claimed frequency really carries an eigenvalue at the locked energy.
     """
-    import numpy as np
     if cutoff < 100:
         raise RabiError("cutoff must be at least 100")
-    target = embed_to_float(config.energy_ratio)
-    spectra = _fock_spectra(2.0 / float(root), embed_to_float(TWO_G), cutoff)
-    return min(float(np.min(np.abs(eigenvalues - target))) for eigenvalues in spectra)
+    return _fock_gap(2.0 / float(root), embed_to_float(TWO_G), cutoff,
+                     embed_to_float(config.energy_ratio))
 
 
 @functools.lru_cache(maxsize=64)
-def _fock_spectra(omega0: float, two_g: float, cutoff: int) -> Tuple[np.ndarray, ...]:
-    """Both parity spectra at one frequency, shared by every gap taken there.
+def _fock_gap(omega0: float, two_g: float, cutoff: int, energy: float) -> float:
+    """Distance from the energy to the nearest eigenvalue of either parity block.
 
-    Each is two chains' eigenvalues, unsorted, from one stacked `eigvalsh`.
-    Types I and II share their locks, so a table run reuses spectra; the
-    arrays are read-only because every caller receives the same objects.
+    Photon numbers run over parity, parity+2, ... below the cutoff, each with
+    both spin states.  The squared ladder coupling moves two photons and flips
+    the spin, so it links only (n, up)-(n+2, down) and (n, down)-(n+2, up):
+    each parity block is two tridiagonal chains, one starting at (parity, up)
+    and one at (parity, down).  Types I and II share their locks, so a table
+    run asks for each gap twice.
     """
-    import numpy as np
-    spectra = tuple(np.linalg.eigvalsh(_fock_chains(omega0, two_g, cutoff, parity)).ravel()
-                    for parity in (0, 1))
-    for eigenvalues in spectra:
-        eigenvalues.flags.writeable = False
-    return spectra
+    gap = math.inf
+    for parity in (0, 1):
+        numbers = range(parity, cutoff, 2)
+        couplings = [two_g * two_g * ((n + 1) * (n + 2)) for n in numbers[:-1]]
+        for spin in (0.5, -0.5):
+            diagonal = [n + omega0 * (spin if i % 2 == 0 else -spin)
+                        for i, n in enumerate(numbers)]
+            gap = _FockChain(diagonal, couplings).gap(energy, gap)
+    return gap
 
 
-def truncation_convergence(config: RabiConfig, root: float,
-                           cutoffs: Sequence[int] = (100, 200, 400)) -> List[float]:
-    """Fock-check gaps at increasing cutoffs (to zero at a lock, to a positive limit elsewhere)."""
-    return [fock_truncation_check(config, root, cutoff) for cutoff in cutoffs]
+class _FockChain:
+    """A symmetric tridiagonal matrix T, probed through the LDL^T pivots of T - x.
+
+    One O(L) pass of the pivot recurrence at x gives the Sturm count (the
+    number of negative pivots is the number of eigenvalues below x; Barth,
+    Martin & Wilkinson, Numer. Math. 9 (1967) 386), and with the pivots'
+    first two derivatives also S1 = sum 1/(x - l_i) and S2 = sum 1/(x - l_i)^2.
+    """
+
+    def __init__(self, diagonal: List[float], couplings: List[float]):
+        self.diagonal = diagonal
+        self.couplings = couplings  # the squared off-diagonal entries
+        # A pivot smaller than this becomes -pivmin, as in LAPACK's dstebz:
+        # every quotient stays finite and a zero pivot counts as negative.
+        self.pivmin = max(couplings) * 2.0 ** -1000
+
+    def count(self, x: float) -> int:
+        """Number of eigenvalues below x (one at x may count either way)."""
+        pivmin = self.pivmin
+        count = 0
+        pivot = self.diagonal[0] - x
+        for a, b2 in zip(self.diagonal[1:], self.couplings):
+            if pivot < pivmin:
+                count += 1
+                if pivot > -pivmin:
+                    pivot = -pivmin
+            pivot = a - x - b2 / pivot
+        return count + (pivot < pivmin)
+
+    def probe(self, x: float) -> Tuple[int, float, float]:
+        """The Sturm count at x with S1 and S2.
+
+        With d_i the pivots, u_i = d_i'/d_i and v_i = d_i''/d_i, the
+        determinant prod d_i gives S1 = sum u_i and S2 = sum u_i^2 - v_i.
+        """
+        pivmin = self.pivmin
+        pivot = self.diagonal[0] - x
+        if -pivmin < pivot < pivmin:
+            pivot = -pivmin
+        count = int(pivot < 0.0)
+        u = -1.0 / pivot
+        v = 0.0
+        s1, s2 = u, u * u
+        for a, b2 in zip(self.diagonal[1:], self.couplings):
+            t = b2 / pivot
+            pivot = a - x - t
+            if -pivmin < pivot < pivmin:
+                pivot = -pivmin
+            if pivot < 0.0:
+                count += 1
+            v = t * (v - 2.0 * u * u) / pivot
+            u = (t * u - 1.0) / pivot
+            s1 += u
+            s2 += u * u - v
+        return count, s1, s2
+
+    def eigenvalue(self, index: int, lo: float, count_lo: int, hi: float, count_hi: int,
+                   x: float, s1: float, s2: float) -> float:
+        """Eigenvalue `index` (from 0, ascending), given count_lo <= index < count_hi.
+
+        Newton on p/p' (x <- x - S1/S2) converges quadratically to a simple
+        root next to x, so a step is taken only while the Sturm count at x is
+        index or index + 1; otherwise, or when the step leaves the bracket,
+        the bracket is bisected.  Since S2 >= 1/(x - l)^2 for every
+        eigenvalue l, none lies within 1/sqrt(S2) of x, and a shorter step
+        is lengthened to that radius.  Every probe's count narrows the
+        bracket, and a converged step is accepted once the bracket holds
+        that eigenvalue alone.
+        """
+        adjacent = True
+        while True:
+            step = math.nan  # bisect where S2 has lost its meaning
+            if s2 > 0.0:
+                step, radius = s1 / s2, 1.0 / math.sqrt(s2)
+                if abs(step) < radius:
+                    step = math.copysign(radius, step)
+            new = x - step
+            tol = 2.0 * _EPS * max(1.0, abs(new))
+            # Near a root the next error is about |S1 * step - 1| * step / 2.
+            if lo <= new <= hi and (abs(step) <= tol or (
+                    abs(step) <= 1e-6 * max(1.0, abs(new))
+                    and abs(s1 * step - 1.0) * abs(step) <= 2.0 * tol)):
+                if count_lo != index or count_hi != index + 1:
+                    # Count just past the root on the side not yet pinned.
+                    margin = max(abs(new - x), tol)
+                    check = new - margin if count_lo != index else new + margin
+                    if lo < check < hi:
+                        count = self.count(check)
+                        if count <= index:
+                            lo, count_lo = check, count
+                        else:
+                            hi, count_hi = check, count
+                if count_lo == index and count_hi == index + 1:
+                    return new
+            if not (adjacent and lo < new < hi):
+                new = 0.5 * (lo + hi)
+                if hi - lo <= 8.0 * _EPS * max(1.0, abs(new)):
+                    return new
+            count, s1, s2 = self.probe(new)
+            x, adjacent = new, count in (index, index + 1)
+            if count <= index:
+                lo, count_lo = new, count
+            else:
+                hi, count_hi = new, count
+
+    def gap(self, energy: float, gap: float = math.inf) -> float:
+        """min(gap, distance from the energy to this chain's nearest eigenvalue).
+
+        If the Sturm counts at energy - gap and energy + gap agree, no
+        eigenvalue lies that close and the chain costs those two counts.
+        Otherwise the nearest eigenvalue on each side of the energy is found
+        (the side Newton points to first), and the second side is searched
+        only if the count shows an eigenvalue closer than the first.
+        """
+        if gap < math.inf:
+            edges = {side: (energy + side * gap, self.count(energy + side * gap))
+                     for side in (-1, 1)}
+            if edges[-1][1] == edges[1][1]:
+                return gap
+        else:
+            edges = self._bounds()
+        count, s1, s2 = self.probe(energy)
+        for side in ((-1, 1) if s1 >= 0.0 else (1, -1)):
+            far, count_far = edges[side]
+            if count_far is None:
+                count_far = self.count(far)
+            if count_far == count:
+                continue
+            if side < 0:
+                root = self.eigenvalue(count - 1, far, count_far, energy, count,
+                                       energy, s1, s2)
+            else:
+                root = self.eigenvalue(count, energy, count, far, count_far,
+                                       energy, s1, s2)
+            gap = min(gap, abs(root - energy))
+            edges[-side] = (energy - side * gap, None)
+        return gap
+
+    def _bounds(self) -> Dict[int, Tuple[float, Optional[int]]]:
+        """Gershgorin bounds moved out by 1, with the Sturm counts there."""
+        radii = [0.0] + [math.sqrt(b2) for b2 in self.couplings] + [0.0]
+        lower = min(a - radii[i] - radii[i + 1] for i, a in enumerate(self.diagonal))
+        upper = max(a + radii[i] + radii[i + 1] for i, a in enumerate(self.diagonal))
+        return {-1: (lower - 1.0, 0), 1: (upper + 1.0, len(self.diagonal))}
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Small exact helpers that only the tests need: products of polynomials
 and matrices, in the ascending-list and list-of-rows forms of `qes.linalg`,
-and the plain reference computations that faster solver paths must match."""
+the plain reference computations that faster solver paths must match, and
+the dense numpy Fock blocks that the chain oracle must agree with."""
 
+import math
 from fractions import Fraction
+
+import numpy as np
 
 from qes.diffop import DiffOp, conjugate_by_gauge
 from qes.families import BasisElement, apply_op, substitute_pair, substituted_context
 from qes.laurent import LaurentPoly
 from qes.linalg import FieldExtension, mat_mul
+from qes.rabi import fock_truncation_check
 from qes.scalars import QuadScalar
 
 
@@ -87,3 +92,47 @@ def recovery_in_z(root, config, operator):
         + DiffOp({0: LaurentPoly.const(config.energy_ratio)}),
         config.gauge)
     return apply_op(recovery, combined)
+
+
+def fock_matrix(omega0, two_g, cutoff, parity):
+    """Dense float Hamiltonian block for one photon-parity sector.
+
+    Photon numbers run over parity, parity+2, ... below the cutoff, each with
+    both spin states, ordered (n, up), (n, down).  The squared ladder coupling
+    moves two photons and flips the spin, so the parity sectors decouple.
+    """
+    numbers = list(range(parity, cutoff, 2))
+    size = 2 * len(numbers)
+    matrix = np.zeros((size, size))
+    for i, n in enumerate(numbers):
+        matrix[2 * i, 2 * i] = n + omega0 / 2.0
+        matrix[2 * i + 1, 2 * i + 1] = n - omega0 / 2.0
+        if i + 1 < len(numbers):
+            element = two_g * math.sqrt((n + 1) * (n + 2))
+            matrix[2 * i, 2 * (i + 1) + 1] = element
+            matrix[2 * (i + 1) + 1, 2 * i] = element
+            matrix[2 * i + 1, 2 * (i + 1)] = element
+            matrix[2 * (i + 1), 2 * i + 1] = element
+    return matrix
+
+
+def fock_chains(omega0, two_g, cutoff, parity):
+    """The `fock_matrix` block permuted into its two tridiagonal chains, (2, L, L).
+
+    The coupling links only (n, up)-(n+2, down) and (n, down)-(n+2, up), so one
+    chain starts at (parity, up), one at (parity, down); entries match exactly.
+    """
+    numbers = np.arange(parity, cutoff, 2)
+    length = len(numbers)
+    half = np.where(np.arange(length) % 2 == 0, omega0 / 2.0, -omega0 / 2.0)
+    coupling = two_g * np.sqrt((numbers[:-1] + 1) * (numbers[:-1] + 2))
+    chains = np.zeros((2, length, length))
+    flat = chains.reshape(2, -1)  # a view; the diagonals step by length + 1
+    flat[:, ::length + 1] = numbers + np.stack((half, -half))
+    flat[:, 1::length + 1] = flat[:, length::length + 1] = coupling
+    return chains
+
+
+def truncation_convergence(config, root, cutoffs=(100, 200, 400)):
+    """Fock-check gaps at increasing cutoffs (to zero at a lock, to a positive limit elsewhere)."""
+    return [fock_truncation_check(config, root, cutoff) for cutoff in cutoffs]

@@ -19,14 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from _algebra import mat_commutator
+from _algebra import fock_chains, mat_commutator
 from qes.diffop import DiffOp, commutator
 from qes.families import (FamilySpec, family_operators, matrix_rep,
                           operator_in_span, solve_preserving, verify_invariance)
 from qes.laurent import LaurentPoly
-from qes.rabi import (REFERENCE_FREQUENCY_RATIOS, RabiConfig, fock_matrix,
-                      fock_truncation_check, frequency_table_report,
-                      solve_frequencies, verify_gauge_identity)
+from qes.rabi import (REFERENCE_FREQUENCY_RATIOS, RabiConfig, fock_truncation_check,
+                      frequency_table_report, solve_frequencies, verify_gauge_identity)
 from qes.sampling import sample_grid
 from qes.structure import closure_suite
 from qes.structure import verify_structure_relations  # noqa: F401 (re-export guard)
@@ -84,7 +83,10 @@ def _lock_energy(n_max: int) -> float:
 
 
 def _block_spectrum(omega0: float, parity: int, cutoff: int) -> np.ndarray:
-    return np.linalg.eigvalsh(fock_matrix(omega0, FOCK_TWO_G, cutoff, parity))
+    """The sorted spectrum of one `fock_matrix` parity block, solved as its two
+    tridiagonal chains (tests/test_rabi.py checks that they are that block)."""
+    chains = fock_chains(omega0, FOCK_TWO_G, cutoff, parity)
+    return np.sort(np.linalg.eigvalsh(chains).ravel())
 
 
 def _block_gap(omega0: float, parity: int, energy: float, cutoff: int) -> float:
@@ -92,7 +94,7 @@ def _block_gap(omega0: float, parity: int, energy: float, cutoff: int) -> float:
 
 
 def _fock_lock_search(cutoff: int):
-    """Lock ratios 2w/w0 located from fock_matrix alone, keyed by N.
+    """Lock ratios 2w/w0 located from the numpy Fock blocks alone, keyed by N.
 
     A lock is a frequency at which both photon-parity blocks hold an
     eigenvalue at E_N.  The search brackets each grid step over which the

@@ -1,10 +1,11 @@
 """The exact fields of two `qes rabi --json` reports against a golden file.
 
 `golden/rabi_reports.json` holds, per command, the exit code and every
-report field that does not depend on numpy: status, computed ratios, and
-per root the isolating interval, defining polynomial, multiplicity,
-certificate and null-vector floats, plus the eigenfunction coefficient and
-psi_1 strings.  The Fock gaps are left out because they depend on the BLAS.
+report field that does not come from the Fock oracle: status, computed
+ratios, and per root the isolating interval, defining polynomial,
+multiplicity, certificate and null-vector floats, plus the eigenfunction
+coefficient and psi_1 strings.  The Fock gaps are left out because their
+last bits depend on how the oracle's float arithmetic is ordered.
 A change to any kept field is a change of the report contract; rewrite the
 file deliberately with
 

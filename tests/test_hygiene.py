@@ -1,4 +1,4 @@
-"""Source hygiene: no unused imports in `qes`, and numpy only where it runs."""
+"""Source hygiene: no unused imports in `qes`, and no numpy anywhere in it."""
 
 import ast
 import os
@@ -36,13 +36,45 @@ def test_the_import_check_sees_an_unused_name():
     assert unused_imports("from typing import List, Union\nx: List[int] = []\n") == ["Union"]
 
 
-def test_importing_the_cli_leaves_numpy_unloaded():
-    # numpy is imported by the Fock oracle alone, so `verify` and
-    # `commutators` never pay for it.
+def numpy_imports(source: str) -> list:
+    """The numpy modules a source file imports, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+    return [name for name in found if name.split(".")[0] == "numpy"]
+
+
+def test_no_module_imports_numpy():
+    found = {path.name: numpy_imports(path.read_text()) for path in SOURCES}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_the_numpy_check_sees_a_local_import():
+    source = "def f():\n    from numpy.linalg import eigvalsh\n    import numpy as np\n"
+    assert sorted(numpy_imports(source)) == ["numpy", "numpy.linalg"]
+
+
+def numpy_loaded_after(*argv: str) -> bool:
+    """Whether `qes.cli` has numpy in sys.modules after importing (and running argv)."""
     src = str(SOURCES[0].parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    probe = "import sys, qes.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    probe = ("import sys\nfrom qes.cli import main\nif sys.argv[1:]: main(sys.argv[1:])\n"
+             "print('numpy' in sys.modules, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode in (0, 1), done.stderr  # 1: the reference discrepancy
+    return done.stderr.strip() != "False"
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    assert not numpy_loaded_after()
+
+
+def test_the_rabi_and_table_runs_leave_numpy_unloaded():
+    # Both reach the Fock oracle, which runs in plain Python.
+    assert not numpy_loaded_after("rabi", "--n", "2", "--type", "I", "--json")
+    assert not numpy_loaded_after("table1", "--cutoff", "100", "--json")

@@ -3,25 +3,29 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _algebra import mat_vec, poly_mul, recovery_in_z
+from _algebra import (fock_chains, fock_matrix, mat_vec, poly_mul, recovery_in_z,
+                      truncation_convergence)
 from qes import families, linalg, rabi
 from qes.diffop import DiffOp, GaugeFactor, pull_back_square, substitute_square
 from qes.laurent import LaurentPoly
 from qes.linalg import FieldExtension, isolate_real_roots, mat_scale
 from qes.rabi import (COS_2T, ETA, REFERENCE_FREQUENCY_RATIOS, SIN_2T, TWO_G,
                       XI, RabiConfig, RabiError, _apply_recovery_operator,
-                      _extension_nullspace, _fock_chains, _fock_spectra,
+                      _extension_nullspace, _fock_gap, _FockChain,
                       _gauged_recovery_operator,
                       assemble_eigenfunctions, assemble_operator,
                       bargmann_growth, build_L,
-                      closed_form_report, fock_matrix, fock_truncation_check,
+                      closed_form_report, fock_truncation_check,
                       frequency_table_report, gauge_identity_residual,
                       ladder_combination, solve_frequencies, subspace_matrix,
-                      truncation_convergence, verify_gauge_identity)
+                      verify_gauge_identity)
 from qes.scalars import QuadScalar, SQRT2, SQRT3, embed_to_float, format_scalar
 
 F = Fraction
@@ -465,13 +469,13 @@ def test_fock_truncation_requires_a_sane_cutoff():
         fock_truncation_check(RabiConfig(2, "I"), 0.9, cutoff=50)
 
 
-def test_fock_spectra_memo_is_bounded_and_repeatable():
-    assert _fock_spectra.cache_info().maxsize is not None
+def test_fock_gap_memo_is_bounded_and_repeatable():
+    assert _fock_gap.cache_info().maxsize is not None
     config = RabiConfig(2, "I")
     first = fock_truncation_check(config, 0.9, cutoff=120)
-    hits = _fock_spectra.cache_info().hits
+    hits = _fock_gap.cache_info().hits
     assert fock_truncation_check(config, 0.9, cutoff=120) == first
-    assert _fock_spectra.cache_info().hits == hits + 1
+    assert _fock_gap.cache_info().hits == hits + 1
 
 
 def _chain_order(length: int):
@@ -497,7 +501,7 @@ _CHAIN_OMEGA0 = 2.0 / 0.919048136607348
 @pytest.mark.parametrize("parity", [0, 1])
 def test_permuted_fock_block_is_exactly_the_two_chains(cutoff, parity):
     two_g = embed_to_float(TWO_G)
-    chains = _fock_chains(_CHAIN_OMEGA0, two_g, cutoff, parity)
+    chains = fock_chains(_CHAIN_OMEGA0, two_g, cutoff, parity)
     length = chains.shape[1]
     dense = fock_matrix(_CHAIN_OMEGA0, two_g, cutoff, parity)
     assert dense.shape == (2 * length, 2 * length)
@@ -508,12 +512,37 @@ def test_permuted_fock_block_is_exactly_the_two_chains(cutoff, parity):
     assert np.array_equal(dense[np.ix_(order, order)], expected)
 
 
-@pytest.mark.parametrize("cutoff", [100, 300, 700])
-def test_chain_spectra_equal_the_dense_block_spectra(cutoff):
+@pytest.mark.parametrize("cutoff", [100, 101, 300, 700])
+@settings(max_examples=10, deadline=None)
+@given(omega0=st.floats(0.4, 20.0), index=st.integers(0, 12))
+def test_chain_spectra_equal_the_dense_block_spectra(cutoff, omega0, index):
+    # w0 spans 2w/w0 in [0.1, 5], criterion 6's search range.  The memo is
+    # bypassed so that every call runs the chain search.
     two_g = embed_to_float(TWO_G)
-    for parity, spectrum in enumerate(_fock_spectra(_CHAIN_OMEGA0, two_g, cutoff)):
-        dense = np.linalg.eigvalsh(fock_matrix(_CHAIN_OMEGA0, two_g, cutoff, parity))
-        assert np.max(np.abs(np.sort(spectrum) - dense)) < 1e-9
+    blocks = [np.linalg.eigvalsh(fock_matrix(omega0, two_g, cutoff, parity))
+              for parity in (0, 1)]
+    spectrum = np.sort(np.concatenate(blocks))
+    first_chain, second_chain = np.linalg.eigvalsh(fock_chains(omega0, two_g, cutoff, 0))
+    others = np.concatenate([second_chain, blocks[1]])
+    # An eigenvalue of the first chain, moved a quarter of the way towards
+    # the nearest eigenvalue of the other three chains: their Sturm counts
+    # show nothing that close, so only the first chain is probed.
+    own = first_chain[index]
+    nearest = others[np.argmin(np.abs(others - own))]
+    targets = {
+        "a dense eigenvalue": blocks[index % 2][index],
+        "midway between two": (spectrum[index] + spectrum[index + 1]) / 2,
+        "below the lowest": spectrum[0] - 1.0,
+    }
+    if abs(nearest - own) > 1e-9:  # at a lock both blocks share an eigenvalue
+        targets["later chains skipped"] = own + (nearest - own) / 4
+    for kind, energy in targets.items():
+        with mock.patch.object(_FockChain, "probe", autospec=True,
+                               side_effect=_FockChain.probe) as probes:
+            gap = _fock_gap.__wrapped__(omega0, two_g, cutoff, float(energy))
+        assert abs(gap - float(np.min(np.abs(spectrum - energy)))) <= 1e-12, kind
+        if kind == "later chains skipped":
+            assert len({call.args[0] for call in probes.call_args_list}) == 1
 
 
 _TABLE_CONFIGS = [RabiConfig(n, t) for n in (2, 4, 5, 6, 7) for t in ("I", "II")]
