@@ -19,8 +19,7 @@ from .rabi import (RabiConfig, RabiError, RabiOperator, SpectralResult,
                    FrequencyRoot, assemble_eigenfunctions, bargmann_growth,
                    build_L, closed_form_report, fock_truncation_check,
                    frequency_table_report, gauge_identity_residual,
-                   ladder_combination, solve_frequencies, subspace_matrix,
-                   verify_gauge_identity)
+                   ladder_combination, solve_frequencies, subspace_matrix)
 from .structure import (CommutatorConstants, ParamPoly, StructureError,
                         closure_constants, closure_suite, compare_to_catalog,
                         derive_constants, solve_constants_at,
@@ -38,7 +37,7 @@ __all__ = [
     "FrequencyRoot", "assemble_eigenfunctions", "bargmann_growth", "build_L",
     "closed_form_report", "fock_truncation_check", "frequency_table_report",
     "gauge_identity_residual", "ladder_combination", "solve_frequencies",
-    "subspace_matrix", "verify_gauge_identity",
+    "subspace_matrix",
     "CommutatorConstants", "ParamPoly", "StructureError", "closure_constants",
     "closure_suite", "compare_to_catalog", "derive_constants",
     "solve_constants_at", "structure_operator", "verify_structure_relations",

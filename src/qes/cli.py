@@ -40,8 +40,13 @@ _TABLE_SIZES = (2, 4, 5, 6, 7)
 # Each Fock-oracle probe is one pass over a chain of cutoff/2 entries;
 # table1 --cutoff 2000 takes about 0.5 s on a 2-vCPU host.
 _CUTOFF_RANGE = (100, 2000)
-# rabi --n 40 --eigenfunctions takes about 8 s on a 2-vCPU host, growing like N^3.
+# rabi --n 40 --eigenfunctions takes 7.5-9.4 s on a 2-vCPU host, growing like N^3.
 _RABI_N_CAP = 40
+# verify --n 8 takes about 1 s on a 2-vCPU host, growing like N^2, and both
+# verify and commutators grow linearly in --samples: verify --n 8 --samples 64
+# takes about 6 s and commutators --samples 64 about 3 s.
+_VERIFY_N_CAP = 8
+_SAMPLES_CAP = 64
 
 
 def _jsonable(value):
@@ -316,10 +321,10 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="ladder invariance checks")
     verify.add_argument("--family", type=int, choices=range(1, 7),
                         help="family id (default: all six)")
-    verify.add_argument("--n", type=int, help="subspace size (default: 0..3)")
-    verify.add_argument("--cap", type=int, default=8,
-                        help="largest allowed --n (default 8)")
-    verify.add_argument("--samples", type=int, default=8)
+    verify.add_argument("--n", type=int,
+                        help=f"subspace size, 0..{_VERIFY_N_CAP} (default: 0..3)")
+    verify.add_argument("--samples", type=int, default=8,
+                        help=f"parameter samples, 1..{_SAMPLES_CAP} (default 8)")
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--json", action="store_true")
 
@@ -328,7 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="family id (default: all six)")
     comm.add_argument("--all", action="store_true",
                       help="check all six families (the default)")
-    comm.add_argument("--samples", type=int, default=8)
+    comm.add_argument("--samples", type=int, default=8,
+                      help=f"parameter samples, 1..{_SAMPLES_CAP} (default 8)")
     comm.add_argument("--seed", type=int, default=None)
     comm.add_argument("--json", action="store_true")
 
@@ -367,12 +373,12 @@ def _check_args(parser: argparse.ArgumentParser, args) -> None:
             parser.error(f"QES_SEED must be an integer, got {raw!r}")
     if args.command in ("verify", "rabi") and args.n is not None and args.n < 0:
         parser.error("--n must be non-negative")
-    if args.command == "verify" and args.n is not None and args.n > args.cap:
-        parser.error(f"--n {args.n} exceeds the cap {args.cap}")
+    if args.command == "verify" and args.n is not None and args.n > _VERIFY_N_CAP:
+        parser.error(f"--n {args.n} exceeds the cap {_VERIFY_N_CAP}")
     if args.command == "rabi" and args.n > _RABI_N_CAP:
         parser.error(f"--n {args.n} exceeds the cap {_RABI_N_CAP}")
-    if args.command in ("verify", "commutators") and args.samples < 1:
-        parser.error("--samples must be at least 1")
+    if args.command in ("verify", "commutators") and not 1 <= args.samples <= _SAMPLES_CAP:
+        parser.error(f"--samples must lie in 1..{_SAMPLES_CAP}")
     if args.command == "commutators" and args.all and args.family:
         parser.error("--all and --family are mutually exclusive")
     low, high = _CUTOFF_RANGE

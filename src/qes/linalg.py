@@ -1,19 +1,22 @@
-"""Exact dense linear algebra, univariate polynomials and quotient rings.
+"""Exact linear algebra and univariate polynomials.
 
 Matrix routines are generic over any exact field whose elements support
-+, -, *, / and == 0 (Fraction, QuadScalar). Polynomials are ascending
++, -, *, / and == 0 (Fraction, QuadScalar); the characteristic polynomial
+is the continuant of a tridiagonal matrix.  Polynomials are ascending
 rational coefficient lists; their real-root machinery clears denominators
 once and runs on integers (a primitive Sturm chain, signs by homogeneous
-integer Horner evaluation). `FieldExtension` is the quotient ring
-base[t]/(m(t)): it adds and multiplies but never divides, so a squarefree
-modulus suffices and no irreducibility is assumed.
+integer Horner evaluation).  `LambdaPoly` is a polynomial in lambda as a
+value, the entry type of the Rabi null vector: it adds and multiplies and
+never divides, and membership of a root is a remainder by its polynomial.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+from .scalars import QuadScalar
 
 Matrix = List[List[object]]
 Vector = List[object]
@@ -22,24 +25,6 @@ Vector = List[object]
 # ---------------------------------------------------------------------------
 # Generic exact matrix algebra
 # ---------------------------------------------------------------------------
-
-def mat_identity(n: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            total = a[i][0] * b[0][j]
-            for t in range(1, k):
-                total = total + a[i][t] * b[t][j]
-            row.append(total)
-        out.append(row)
-    return out
-
 
 def mat_scale(a: Matrix, s) -> Matrix:
     return [[s * x for x in row] for row in a]
@@ -145,41 +130,16 @@ def _one_like(matrix: Matrix):
 
 
 def charpoly(matrix: Matrix) -> List[Fraction]:
-    """Monic characteristic polynomial det(xI - A), ascending coefficients.
+    """Monic characteristic polynomial det(xI - A) of a tridiagonal A, ascending.
 
-    Exact over any field of characteristic 0: the continuant recurrence
-    when A is tridiagonal, Faddeev-LeVerrier otherwise.
+    Exact over any field of characteristic 0, in O(n^2) operations by the
+    continuant D_k = (x - a_kk) D_{k-1} - a_{k,k-1} a_{k-1,k} D_{k-2}.  An
+    entry off the three diagonals is a ValueError.
     """
-    n = len(matrix)
-    if all(matrix[i][j] == 0 for i in range(n) for j in range(n) if abs(i - j) > 1):
-        return tridiagonal_charpoly(matrix)
-    return _faddeev_leverrier(matrix)
-
-
-def _faddeev_leverrier(matrix: Matrix) -> List[Fraction]:
-    n = len(matrix)
-    one = _one_like(matrix)
-    zero = one - one
-    coeffs = [zero] * n + [one]
-    m = mat_identity(n, one, zero)
-    for k in range(1, n + 1):
-        m = mat_mul(matrix, m)
-        trace = m[0][0]
-        for i in range(1, n):
-            trace = trace + m[i][i]
-        ck = -trace / k
-        coeffs[n - k] = ck
-        for i in range(n):
-            m[i][i] = m[i][i] + ck
-    return coeffs
-
-
-def tridiagonal_charpoly(matrix: Matrix) -> List[Fraction]:
-    """det(xI - A) for a tridiagonal A, ascending, in O(n^2) operations by
-    the continuant D_k = (x - a_kk) D_{k-1} - a_{k,k-1} a_{k-1,k} D_{k-2}.
-
-    Entries off the three diagonals are never read; `charpoly` checks them.
-    """
+    for i, row in enumerate(matrix):
+        for j, entry in enumerate(row):
+            if abs(i - j) > 1 and entry != 0:
+                raise ValueError(f"matrix is not tridiagonal: entry ({i}, {j}) is {entry}")
     one = _one_like(matrix)
     zero = one - one
     previous: List[Fraction] = []
@@ -427,160 +387,91 @@ def minimal_factors(p: Sequence[Fraction]
 
 
 # ---------------------------------------------------------------------------
-# The quotient ring base[t] / (m(t))
+# Polynomials in lambda with exact coefficients
 # ---------------------------------------------------------------------------
 
-class FieldExtension:
-    """The quotient ring base[t]/(m(t)) for a monic modulus m.
+_CONSTANTS = (int, Fraction, QuadScalar)
 
-    Elements are ExtElem wrappers around coefficient tuples, reduced mod m.
-    The ring adds, subtracts and multiplies; it has no division.  Evaluation
-    at any root of m is a ring map, so an identity computed here holds at
-    every root at once, and for a squarefree m an element is zero exactly
-    when it vanishes at every root: m need not be irreducible.
+
+class LambdaPoly:
+    """An immutable polynomial in lambda over Q or Q(sqrt2, sqrt3), ascending.
+
+    Coefficients are stored without trailing zeros.  It adds, subtracts and
+    multiplies, with Fraction, QuadScalar and int taken as constants, and has
+    no division and no modulus; a caller that needs a value at a root of p
+    evaluates it there, or divides by p with `poly_divmod`.
     """
 
-    def __init__(self, modulus: Sequence[object], embed: Callable = Fraction,
-                 approx: Optional[Fraction] = None, name: str = "t") -> None:
-        mod = list(modulus)
-        if len(mod) < 2:
-            raise ValueError("modulus must have degree >= 1")
-        if mod[-1] != 1 and mod[-1] != Fraction(1):
-            raise ValueError("modulus must be monic")
-        self.modulus = mod
-        self.embed = embed
-        self.approx = approx
-        self.name = name
-        self.degree = len(mod) - 1
-        self._zero = embed(0)
-        self._one = embed(1)
+    __slots__ = ("coeffs",)
 
-    def element(self, coeffs: Sequence[object]) -> "ExtElem":
-        vec = [self.embed(0)] * self.degree
-        for i, c in enumerate(coeffs):
-            if i >= self.degree:
-                raise ValueError("coefficient list too long")
-            vec[i] = c
-        return ExtElem(self, tuple(vec))
-
-    def scalar(self, value) -> "ExtElem":
-        return self.element([self.embed(0) + value])
-
-    def generator(self) -> "ExtElem":
-        if self.degree == 1:
-            # t is congruent to the rational root -m0.
-            return self.scalar(-self.modulus[0])
-        return self.element([self._zero, self._one])
-
-    def zero(self) -> "ExtElem":
-        return self.element([])
-
-    def one(self) -> "ExtElem":
-        return self.scalar(self._one)
-
-    def _reduce(self, coeffs: List[object]) -> Tuple[object, ...]:
-        m = self.modulus
-        deg = self.degree
-        work = list(coeffs)
-        for i in range(len(work) - 1, deg - 1, -1):
-            lead = work[i]
-            if lead == 0:
-                work.pop()
-                continue
-            for k in range(deg + 1):
-                work[i - deg + k] = work[i - deg + k] - lead * m[k]
-            work.pop()
-        while len(work) < deg:
-            work.append(self._zero)
-        return tuple(work[:deg])
-
-
-class ExtElem:
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FieldExtension, coeffs: Tuple[object, ...]) -> None:
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, coeffs: Sequence[object] = ()) -> None:
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     def __setattr__(self, name, value):
-        raise AttributeError("ExtElem is immutable")
+        raise AttributeError("LambdaPoly is immutable")
 
-    def _coerce(self, other) -> Optional["ExtElem"]:
-        if isinstance(other, ExtElem):
-            if other.field is not self.field:
-                return None
-            return other
-        try:
-            return self.field.scalar(other)
-        except (TypeError, ValueError):
-            return None
+    @staticmethod
+    def _operand(other) -> Optional[Tuple[object, ...]]:
+        if isinstance(other, LambdaPoly):
+            return other.coeffs
+        return (other,) if isinstance(other, _CONSTANTS) else None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = self._operand(other)
+        if b is None:
             return NotImplemented
-        return ExtElem(self.field,
-                       tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        a = self.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return LambdaPoly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtElem(self.field, tuple(-a for a in self.coeffs))
+        return LambdaPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = self._operand(other)
+        if b is None:
             return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self + -LambdaPoly(b)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = self._operand(other)
+        if b is None:
             return NotImplemented
-        raw = [self.field._zero] * (2 * self.field.degree - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
+        if not self.coeffs or not b:
+            return LambdaPoly()
+        raw: List[object] = [0] * (len(self.coeffs) + len(b) - 1)
+        for i, x in enumerate(self.coeffs):
+            if x == 0:
                 continue
-            for j, b in enumerate(o.coeffs):
-                if b == 0:
-                    continue
-                raw[i + j] = raw[i + j] + a * b
-        return ExtElem(self.field, self.field._reduce(raw))
+            for j, y in enumerate(b):
+                if y != 0:
+                    raw[i + j] = raw[i + j] + x * y
+        return LambdaPoly(raw)
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __bool__(self):
-        return not self.is_zero()
-
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = self._operand(other)
+        if b is None:
             return NotImplemented
-        return all(a == b for a, b in zip(self.coeffs, o.coeffs))
+        return self.coeffs == LambdaPoly(b).coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def to_float(self) -> float:
-        from .scalars import embed_to_float
-        if self.field.approx is None:
-            raise ValueError("no numeric approximation attached to the field")
+    def to_float(self, point: float) -> float:
+        """The value at `point`, summed term by term in ascending order."""
         total = 0.0
         power = 1.0
-        root = float(self.field.approx)
         for c in self.coeffs:
-            total += embed_to_float(c) * power
-            power *= root
+            total += float(c) * power
+            power *= point
         return total
 
     def __repr__(self):
-        name = self.field.name
         parts = []
         for i, c in enumerate(self.coeffs):
             if c == 0:
@@ -588,7 +479,7 @@ class ExtElem:
             if i == 0:
                 parts.append(f"{c}")
             elif i == 1:
-                parts.append(f"({c})*{name}")
+                parts.append(f"({c})*lam")
             else:
-                parts.append(f"({c})*{name}^{i}")
+                parts.append(f"({c})*lam^{i}")
         return " + ".join(parts) if parts else "0"

@@ -32,7 +32,7 @@ from .diffop import (DiffOp, GaugeFactor, commutator, conjugate_by_gauge,
 from .families import (BasisElement, FamilySpec, action_formula, apply_op,
                        family_operators, substitute_pair, substituted_context)
 from .laurent import LaurentPoly
-from .linalg import (ExtElem, FieldExtension, charpoly, mat_scale, minimal_factors,
+from .linalg import (LambdaPoly, charpoly, mat_scale, minimal_factors, poly_divmod,
                      poly_gcd, poly_trim)
 from .scalars import SQRT2, SQRT3, SQRT6, QuadScalar, embed_to_float, format_scalar
 
@@ -215,11 +215,6 @@ def gauge_identity_residual(config: RabiConfig,
     return lhs - rhs
 
 
-def verify_gauge_identity(config: RabiConfig) -> bool:
-    """True iff the subspace-collapse identity holds exactly."""
-    return gauge_identity_residual(config).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # the spectral condition
 # ---------------------------------------------------------------------------
@@ -248,7 +243,11 @@ def subspace_matrix(config: RabiConfig) -> List[List[Fraction]]:
 
 @dataclass
 class FrequencyRoot:
-    """One positive-lambda root of det(M0 + lambda*I) = 0."""
+    """One positive-lambda root of det(M0 + lambda*I) = 0.
+
+    The exact null vector is shared by every root of a solve: its entries
+    are polynomials in lambda, and the floats are their values at this root.
+    """
 
     ratio: float                      # 2w/w0 = sqrt(3/lambda)
     lambda_float: float
@@ -259,8 +258,7 @@ class FrequencyRoot:
     multiplicity: int                 # 1: the solver refuses repeated roots
     certificate: Dict[str, object]
     null_vector_floats: List[float]
-    null_vector_exact: List[object]   # ExtElem entries, last entry 1
-    extension: FieldExtension
+    null_vector_exact: List[LambdaPoly]  # entry k of degree N - k, last entry 1
 
     def omega0(self) -> float:
         """w0 in w = 1 units."""
@@ -309,10 +307,10 @@ def solve_frequencies(config: RabiConfig) -> SpectralResult:
     and refines each to 14 digits.  A repeated root is refused, not given
     one shared multiplicity, so that part is the characteristic polynomial
     itself and every positive root carries it as its defining polynomial.
-    The null vector over the ring Q[lambda]/(that polynomial) comes from the
-    three-term recurrence, which divides only by rationals; it is built and
-    certified once (checking that M0 is unreduced tridiagonal) and rebound
-    to each root.
+    The null vector comes from the three-term recurrence over Q[lambda],
+    which divides only by rationals; it is built and certified once
+    (checking that M0 is unreduced tridiagonal) and every root evaluates
+    the same polynomials at its own lambda.
     """
     m0 = subspace_matrix(config)
     size = config.dimension
@@ -320,16 +318,13 @@ def solve_frequencies(config: RabiConfig) -> SpectralResult:
     squarefree, intervals = minimal_factors(lam_poly)
     if len(squarefree) != len(lam_poly):
         raise RabiError("det(lambda*I + M0) has a repeated root")
-    shared = _extension_nullspace(m0, squarefree)
+    vector = _extension_nullspace(m0, squarefree)
 
     roots: List[FrequencyRoot] = []
     for lo, hi in intervals:
         if hi <= 0:
             continue
-        lam_mid = (lo + hi) / 2
-        lam_float = float(lam_mid)
-        ext = FieldExtension(squarefree, embed=Fraction, approx=lam_mid, name="lam")
-        vector = [ExtElem(ext, entry.coeffs) for entry in shared]
+        lam_float = float((lo + hi) / 2)
         roots.append(FrequencyRoot(
             ratio=math.sqrt(3.0 / lam_float),
             lambda_float=lam_float,
@@ -342,9 +337,8 @@ def solve_frequencies(config: RabiConfig) -> SpectralResult:
                 "dimension": size,
                 "nullity": 1,
             },
-            null_vector_floats=[entry.to_float() for entry in vector],
+            null_vector_floats=[entry.to_float(lam_float) for entry in vector],
             null_vector_exact=vector,
-            extension=ext,
         ))
 
     roots.sort(key=lambda root: root.ratio)
@@ -357,14 +351,16 @@ def solve_frequencies(config: RabiConfig) -> SpectralResult:
     )
 
 
-def _extension_nullspace(m0, modulus: List[Fraction]) -> List[ExtElem]:
-    """Null vector of M0 + lambda*I over the ring Q[lambda]/(modulus).
+def _extension_nullspace(m0, modulus: List[Fraction]) -> List[LambdaPoly]:
+    """Null vector of M0 + lambda*I at every root of `modulus`, over Q[lambda].
 
     M0 must be unreduced tridiagonal (no entry off the three diagonals, no
     zero off-diagonal entry), so the null space has dimension 1 at every
     eigenvalue.  With v_N = 1, rows N..1 give v_{N-1}..v_0 by the
-    three-term recurrence, dividing only by rational subdiagonal entries;
-    re-multiplying every row certifies that lambda is an eigenvalue.
+    three-term recurrence, dividing only by rational subdiagonal entries,
+    so v_k has degree N - k and needs no reduction.  Re-multiplying every
+    row certifies the vector: rows 1..N must vanish, and row 0, a rational
+    multiple of det(lambda*I + M0), must leave no remainder by `modulus`.
     """
     size = len(m0)
     for i, row in enumerate(m0):
@@ -373,9 +369,8 @@ def _extension_nullspace(m0, modulus: List[Fraction]) -> List[ExtElem]:
             if (offset > 1 and entry != 0) or (offset == 1 and entry == 0):
                 raise RabiError(
                     f"M0 is not unreduced tridiagonal: entry ({i}, {j}) is {entry}")
-    ext = FieldExtension(modulus, embed=Fraction, name="lam")
-    lam = ext.generator()
-    vector = [ext.zero()] * (size - 1) + [ext.one()]
+    lam = LambdaPoly((Fraction(0), Fraction(1)))
+    vector = [LambdaPoly()] * (size - 1) + [LambdaPoly((Fraction(1),))]
 
     def image(k: int):
         # Row k of (M0 + lambda*I) v: at most three products.
@@ -387,8 +382,8 @@ def _extension_nullspace(m0, modulus: List[Fraction]) -> List[ExtElem]:
 
     for k in range(size - 1, 0, -1):
         vector[k - 1] = image(k) * (Fraction(-1) / m0[k][k - 1])
-    if any(not image(k).is_zero() for k in range(size)):
-        raise RabiError("extension null vector fails re-multiplication")
+    if any(image(k) != 0 for k in range(1, size)) or poly_divmod(image(0).coeffs, modulus)[1]:
+        raise RabiError("the recurrence null vector fails re-multiplication")
     return vector
 
 
@@ -445,17 +440,16 @@ def closed_form_report(result: SpectralResult) -> Dict[str, object]:
     return report
 
 
-def _ratio_membership(ext: FieldExtension, ratio_elem, target) -> bool:
+def _ratio_membership(ratio_elem: LambdaPoly, target, defining: List[Fraction]) -> bool:
+    """Whether the target surd's minimal polynomial vanishes at ratio_elem
+    at every root of the defining polynomial: a zero remainder by it."""
     rational, coeff, radicand = target
-    if coeff == 0:
-        return ratio_elem == ext.scalar(rational)
-    poly = _quadratic_minimal(rational, coeff, radicand)
-    value = ext.zero()
-    power = ext.one()
-    for c in poly:
-        value = value + power * ext.scalar(c)
-        power = power * ratio_elem
-    return value.is_zero()
+    poly = ([-rational, Fraction(1)] if coeff == 0
+            else _quadratic_minimal(rational, coeff, radicand))
+    value = LambdaPoly()
+    for c in reversed(poly):
+        value = value * ratio_elem + c
+    return not poly_divmod(value.coeffs, defining)[1]
 
 
 def assemble_eigenfunctions(result: SpectralResult) -> List[Dict[str, object]]:
@@ -470,18 +464,22 @@ def assemble_eigenfunctions(result: SpectralResult) -> List[Dict[str, object]]:
     N=2 the coefficient ratios are additionally tested, exactly, against
     the quoted closed-form surds; the verdict is reported, not enforced.
     Every root shares the defining polynomial and hence the symbolic null
-    vector, so psi_1 is computed once per polynomial.
+    vector, so the coefficient strings and psi_1 are computed once.
     """
     config = result.config
-    operator = build_L(config)
-    gauge = config.gauge
+    if not result.roots:
+        return []
+    chi = _apply_recovery_operator(result.roots[0], config, build_L(config))
+    # The pair lives in the z coordinate after the pullback.
+    f_coefficient, fprime_coefficient = (
+        repr(part).replace("x^", "z^").replace("*x", "*z") for part in (chi.r, chi.s))
+    values = [repr(element) for element in result.roots[0].null_vector_exact]
     descriptions: List[Dict[str, object]] = []
-    psi1_by_factor: Dict[Tuple[Fraction, ...], Tuple[str, str]] = {}
     for root in result.roots:
         entry: Dict[str, object] = {
             "ratio": root.ratio,
             "lambda": root.lambda_float,
-            "gauge": _describe_gauge(gauge),
+            "gauge": _describe_gauge(config.gauge),
             "kernel_argument": f"({format_scalar(config.stretch)})*z^2",
             "kernel_parameters": [
                 (str(config.alpha + n), str(config.s)) for n in range(config.dimension)
@@ -489,20 +487,12 @@ def assemble_eigenfunctions(result: SpectralResult) -> List[Dict[str, object]]:
         }
         entry["exact"] = True
         entry["coefficients"] = [
-            {"value": repr(element), "float": element.to_float()}
-            for element in root.null_vector_exact
+            {"value": value, "float": number}
+            for value, number in zip(values, root.null_vector_floats)
         ]
         if config.n_max == 2:
             entry["closed_form_ratio_check"] = _closed_form_ratio_check(
                 root, config)
-        factor = tuple(root.minimal_poly)
-        if factor not in psi1_by_factor:
-            chi = _apply_recovery_operator(root, config, operator)
-            # The pair lives in the z coordinate after the pullback.
-            psi1_by_factor[factor] = tuple(
-                repr(part).replace("x^", "z^").replace("*x", "*z")
-                for part in (chi.r, chi.s))
-        f_coefficient, fprime_coefficient = psi1_by_factor[factor]
         entry["psi1"] = {
             "prefactor_float": root.ratio,
             "f_coefficient": f_coefficient,
@@ -518,18 +508,18 @@ def _describe_gauge(gauge: GaugeFactor) -> str:
 
 
 def _closed_form_ratio_check(root: FrequencyRoot, config: RabiConfig) -> Dict[str, object]:
-    ext = root.extension
     targets = CLOSED_FORM_RATIOS[config.sol_type]
     checks = []
     # The null vector has last entry 1, so its entries are the ratios.
-    for index, (target, ratio_elem) in enumerate(zip(targets, root.null_vector_exact)):
+    for index, (target, ratio_elem, computed) in enumerate(
+            zip(targets, root.null_vector_exact, root.null_vector_floats)):
         rational, coeff, radicand = target
         target_float = float(rational) + float(coeff) * math.sqrt(radicand)
         checks.append({
             "index": index,
             "target_float": target_float,
-            "computed_float": ratio_elem.to_float(),
-            "matches_exactly": _ratio_membership(ext, ratio_elem, target),
+            "computed_float": computed,
+            "matches_exactly": _ratio_membership(ratio_elem, target, root.minimal_poly),
         })
     return {"ratios": checks}
 
@@ -553,10 +543,10 @@ def _apply_recovery_operator(root: FrequencyRoot, config: RabiConfig,
     Conjugated by the gauge, the recovery operator R_z is even in z, so it
     pulls back to an operator R_x in the kernel coordinate x = stretch * z^2;
     substituting R_x back must give R_z exactly, which is checked.  R_x is
-    applied once to sum_n c_n f_n over the null vector's own rational ring
-    Q[lambda]/(p), so every derivative stays rational, and x = stretch * z^2
-    is substituted into the result.  psi_1 equals the gauge factor times chi
-    times 2/w0.
+    applied once to sum_n c_n f_n, whose coefficients c_n are the null
+    vector's polynomials in lambda over Q, so every derivative stays
+    rational, and x = stretch * z^2 is substituted into the result.  psi_1
+    equals the gauge factor times chi times 2/w0.
     """
     spec = config.family()
     recovery_z = _gauged_recovery_operator(config, operator)

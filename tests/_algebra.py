@@ -1,7 +1,8 @@
 """Small exact helpers that only the tests need: products of polynomials
 and matrices, in the ascending-list and list-of-rows forms of `qes.linalg`,
-the plain reference computations that faster solver paths must match, and
-the dense numpy Fock blocks that the chain oracle must agree with."""
+the plain reference computations that faster solver paths must match (among
+them the dense Faddeev-LeVerrier characteristic polynomial), and the dense
+numpy Fock blocks that the chain oracle must agree with."""
 
 import math
 from fractions import Fraction
@@ -11,7 +12,7 @@ import numpy as np
 from qes.diffop import DiffOp, conjugate_by_gauge
 from qes.families import BasisElement, apply_op, substitute_pair, substituted_context
 from qes.laurent import LaurentPoly
-from qes.linalg import FieldExtension, mat_mul
+from qes.linalg import LambdaPoly
 from qes.rabi import fock_truncation_check
 from qes.scalars import QuadScalar
 
@@ -31,6 +32,32 @@ def poly_eval(p, x):
     for c in reversed(p):
         total = total * x + c
     return total
+
+
+def mat_identity(n, one=Fraction(1), zero=Fraction(0)):
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b):
+    return [[sum((a[i][t] * b[t][j] for t in range(1, len(b))), a[i][0] * b[0][j])
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def faddeev_leverrier(matrix):
+    """det(xI - A) for any square A, ascending: the dense reference for `charpoly`."""
+    n = len(matrix)
+    one = next((x / x for row in matrix for x in row if x != 0), Fraction(1))
+    zero = one - one
+    coeffs = [zero] * n + [one]
+    m = mat_identity(n, one, zero)
+    for k in range(1, n + 1):
+        m = mat_mul(matrix, m)
+        trace = sum((m[i][i] for i in range(1, n)), m[0][0])
+        ck = -trace / k
+        coeffs[n - k] = ck
+        for i in range(n):
+            m[i][i] = m[i][i] + ck
+    return coeffs
 
 
 def mat_vec(a, v):
@@ -71,15 +98,12 @@ def recovery_in_z(root, config, operator):
     """psi_1's pair recovered wholly in the z coordinate, the solver's reference.
 
     Every basis pair is substituted to z first, the null vector is lifted to
-    Q(sqrt2, sqrt3)[lambda]/(p), and the gauged recovery operator is applied
+    Q(sqrt2, sqrt3)[lambda], and the gauged recovery operator is applied
     there.
     """
     spec = config.family()
-    ext_q = FieldExtension(root.minimal_poly, embed=QuadScalar, name="lam")
-    lifted = [
-        ext_q.element([QuadScalar(c) for c in entry.coeffs])
-        for entry in root.null_vector_exact
-    ]
+    lifted = [LambdaPoly([QuadScalar(c) for c in entry.coeffs])
+              for entry in root.null_vector_exact]
     new_ctx = substituted_context(spec, config.stretch)
     combined = None
     for n, coefficient in enumerate(lifted):

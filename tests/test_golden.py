@@ -1,10 +1,11 @@
-"""The exact fields of two `qes rabi --json` reports against a golden file.
+"""The exact fields of three `qes rabi --json` reports against a golden file.
 
 `golden/rabi_reports.json` holds, per command, the exit code and every
 report field that does not come from the Fock oracle: status, computed
 ratios, and per root the isolating interval, defining polynomial,
 multiplicity, certificate and null-vector floats, plus the eigenfunction
-coefficient and psi_1 strings.  The Fock gaps are left out because their
+coefficient and psi_1 strings and, at N = 2, the closed-form report and
+each state's closed-form ratio check.  The Fock gaps are left out because their
 last bits depend on how the oracle's float arithmetic is ordered.
 A change to any kept field is a change of the report contract; rewrite the
 file deliberately with
@@ -26,6 +27,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "rabi_reports.json"
 COMMANDS = (
     "rabi --n 7 --type II --eigenfunctions --cutoff 100 --json",
     "rabi --n 14 --type I --cutoff 100 --json",
+    "rabi --n 2 --type I --eigenfunctions --cutoff 100 --json",
 )
 ROOT_FIELDS = ("lambda_interval", "minimal_poly", "multiplicity", "certificate",
                "null_vector_floats")
@@ -39,12 +41,18 @@ def exact_fields(exit_code, report):
         "computed_ratios": block["computed_ratios"],
         "roots": [{name: root[name] for name in ROOT_FIELDS} for root in block["roots"]],
     }
+    if "closed_form" in block:
+        fields["closed_form"] = block["closed_form"]
     if "eigenfunctions" in block:
-        fields["eigenfunctions"] = [
-            {"values": [coefficient["value"] for coefficient in state["coefficients"]],
-             "psi1": [state["psi1"]["f_coefficient"], state["psi1"]["fprime_coefficient"]]}
-            for state in block["eigenfunctions"]
-        ]
+        fields["eigenfunctions"] = [exact_state_fields(state) for state in block["eigenfunctions"]]
+    return fields
+
+
+def exact_state_fields(state):
+    fields = {"values": [coefficient["value"] for coefficient in state["coefficients"]],
+              "psi1": [state["psi1"]["f_coefficient"], state["psi1"]["fprime_coefficient"]]}
+    if "closed_form_ratio_check" in state:
+        fields["closed_form_ratio_check"] = state["closed_form_ratio_check"]
     return fields
 
 

@@ -1,12 +1,15 @@
-"""Source hygiene: no unused imports in `qes`, and no numpy anywhere in it."""
+"""Source hygiene: no unused imports in `qes`, no numpy anywhere in it, and
+every name the benchmark's tracer wraps still defined."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "qes").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "qes").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -78,3 +81,22 @@ def test_the_rabi_and_table_runs_leave_numpy_unloaded():
     # Both reach the Fock oracle, which runs in plain Python.
     assert not numpy_loaded_after("rabi", "--n", "2", "--type", "I", "--json")
     assert not numpy_loaded_after("table1", "--cutoff", "100", "--json")
+
+
+def traced_names(source: str) -> list:
+    """The `module.name` pairs wrapped by the `functions` tuple in `install`."""
+    install = next(node for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    table = next(node.value for node in ast.walk(install) if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "functions")
+    return [(entry.elts[1].value.id, entry.elts[1].attr) for entry in table.elts]
+
+
+def test_every_traced_name_exists_in_qes():
+    # The tracer rebinds these names at install time, so a rename in `qes`
+    # would stop `perfbench/traced.py` before it times anything.
+    names = traced_names((ROOT / "perfbench" / "traced.py").read_text())
+    assert ("rabi", "_extension_nullspace") in names and len(names) >= 10
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(f"qes.{module}"), name)]
+    assert missing == []

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from _algebra import dense_rref, mat_commutator, poly_eval, poly_mul
+from _algebra import (dense_rref, faddeev_leverrier, mat_commutator, mat_identity,
+                      mat_mul, poly_eval, poly_mul)
 from qes import linalg
-from qes.linalg import (FieldExtension, charpoly, isolate_real_roots,
-                        mat_identity, mat_mul, minimal_factors, nullspace,
-                        poly_gcd, poly_trim, rank, refine_root, rref,
-                        solve_linear, squarefree_part, sturm_chain,
-                        tridiagonal_charpoly)
+from qes.linalg import (LambdaPoly, charpoly, isolate_real_roots, minimal_factors,
+                        nullspace, poly_gcd, poly_trim, rank, refine_root, rref,
+                        solve_linear, squarefree_part, sturm_chain)
 from qes.scalars import QuadScalar, SQRT2
 
 F = Fraction
@@ -21,6 +20,16 @@ entries = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
 def square_matrices(n):
     return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def tridiagonal_matrices(n):
+    """n x n matrices with random entries on the three diagonals, zeros off them."""
+    return square_matrices(n).map(lambda m: [
+        [x if abs(i - j) <= 1 else F(0) for j, x in enumerate(row)]
+        for i, row in enumerate(m)])
+
+
+sizes = st.integers(min_value=1, max_value=5)
 
 
 # -- exact linear algebra ----------------------------------------------------
@@ -83,35 +92,44 @@ def test_solve_linear_finds_exact_solutions_and_detects_inconsistency():
     assert solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
 
 
-@given(square_matrices(3))
+@given(sizes.flatmap(tridiagonal_matrices))
 @settings(max_examples=40)
 def test_charpoly_matches_numpy(m):
     exact = charpoly(m)
     approx = np.poly(np.array(m, dtype=float))[::-1]  # ascending, monic
-    assert len(exact) == 4
+    assert len(exact) == len(m) + 1
     assert exact[-1] == 1
     for a, b in zip(exact, approx):
         assert float(a) == pytest.approx(b, abs=1e-6 * (1 + abs(b)))
 
 
-@given(square_matrices(3))
+@given(sizes.flatmap(tridiagonal_matrices))
 @settings(max_examples=40, deadline=None)
 def test_constant_coefficient_is_signed_determinant(m):
     sympy = pytest.importorskip("sympy")
     det = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                         for row in m]).det()
-    assert charpoly(m)[0] == F(int(det.p), int(det.q)) * (-1) ** 3
+    assert charpoly(m)[0] == F(int(det.p), int(det.q)) * (-1) ** len(m)
 
 
-def test_cayley_hamilton_in_dimension_three():
-    m = [[F(1), F(2), F(0)], [F(0), F(1, 2), F(1)], [F(3), F(0), F(-1)]]
-    p = charpoly(m)
-    acc = [[F(0)] * 3 for _ in range(3)]
-    power = mat_identity(3)
-    for c in p:
-        acc = [[acc[i][j] + c * power[i][j] for j in range(3)] for i in range(3)]
+@given(tridiagonal_matrices(3))
+@settings(max_examples=20)
+def test_cayley_hamilton_in_dimension_three(m):
+    n = len(m)
+    acc = [[F(0)] * n for _ in range(n)]
+    power = mat_identity(n)
+    for c in charpoly(m):
+        acc = [[acc[i][j] + c * power[i][j] for j in range(n)] for i in range(n)]
         power = mat_mul(power, m)
     assert all(v == 0 for row in acc for v in row)
+
+
+def test_charpoly_refuses_an_entry_off_the_three_diagonals():
+    m = [[F(1), F(2), F(0)], [F(0), F(1, 2), F(1)], [F(3), F(0), F(-1)]]
+    with pytest.raises(ValueError, match=r"entry \(2, 0\)"):
+        charpoly(m)
+    m[2][0] = F(0)
+    assert charpoly(m) == faddeev_leverrier(m)
 
 
 @given(st.integers(min_value=0, max_value=6).flatmap(
@@ -127,14 +145,14 @@ def test_continuant_equals_the_general_characteristic_polynomial(diagonals):
         m[i][i] = diagonal[i]
         if i + 1 < n:
             m[i][i + 1], m[i + 1][i] = upper[i], lower[i]
-    assert tridiagonal_charpoly(m) == linalg._faddeev_leverrier(m) == charpoly(m)
+    assert charpoly(m) == faddeev_leverrier(m)
 
 
 def test_charpoly_of_a_tridiagonal_surd_matrix():
     m = [[SQRT2, QuadScalar(1), QuadScalar(0)],
          [QuadScalar(3), QuadScalar(0), SQRT2],
          [QuadScalar(0), QuadScalar(-1), QuadScalar(2)]]
-    assert charpoly(m) == linalg._faddeev_leverrier(m)
+    assert charpoly(m) == faddeev_leverrier(m)
 
 
 def test_matrix_commutator():
@@ -264,37 +282,70 @@ def test_minimal_factors_keeps_interval_root_pairing():
         assert poly_eval(part, lo) * poly_eval(part, hi) <= 0
 
 
-# -- quotient rings Q[t]/(m) ---------------------------------------------------
+# -- polynomials in lambda ------------------------------------------------------
 
-def test_extension_arithmetic_and_inversion():
-    ext = FieldExtension([F(-2), F(0), F(1)], approx=F(141421356, 10**8), name="r")
-    r = ext.generator()
-    assert r * r == ext.scalar(2)
-    x = ext.scalar(3) + r
-    # No division: a unit's inverse is an element like any other.
-    assert x * ext.element([F(3, 7), F(-1, 7)]) == ext.one()
-    assert (x * x) == ext.scalar(11) + ext.scalar(6) * r
-    assert x.to_float() == pytest.approx(3 + math.sqrt(2), abs=1e-6)
+polys = st.lists(entries, max_size=5)
 
 
-def test_extension_ring_over_a_reducible_modulus_has_no_division():
-    # t^2 - 1 = (t - 1)(t + 1): the ring has zero divisors and computes
-    # with them; it offers no division to trip over them.
-    ext = FieldExtension([F(-1), F(0), F(1)], approx=F(1))
-    t = ext.generator()
-    assert (t - ext.one()) * (t + ext.one()) == ext.zero()
-    assert t * t == ext.one()
+@given(polys, polys, entries)
+@settings(max_examples=60)
+def test_lambda_polynomial_arithmetic_commutes_with_evaluation(a, b, x):
+    p, q = LambdaPoly(a), LambdaPoly(b)
+    pa, qb = poly_eval(a, x), poly_eval(b, x)
+    assert poly_eval(list((p + q).coeffs), x) == pa + qb
+    assert poly_eval(list((p - q).coeffs), x) == pa - qb
+    assert poly_eval(list((p * q).coeffs), x) == pa * qb
+    assert (p * q).coeffs == tuple(poly_mul(poly_trim(a), poly_trim(b)))
+    for result in (p + q, p - q, p * q, -p):
+        assert not result.coeffs or result.coeffs[-1] != 0
+
+
+def test_lambda_polynomial_arithmetic_over_the_rationals():
+    p = LambdaPoly([F(1), F(2)])
+    q = LambdaPoly([F(-1, 2), F(0), F(3)])
+    assert (p * q).coeffs == (F(-1, 2), F(-1), F(3), F(6))
+    assert (p + q).coeffs == (F(1, 2), F(2), F(3))
+    assert q - q == 0 and (q - q).coeffs == ()
+    assert (F(3, 2) * p).coeffs == (p * F(3, 2)).coeffs == (F(3, 2), F(3))
+    assert p - 5 == LambdaPoly([F(-4), F(2)]) and 1 + p == LambdaPoly([F(2), F(2)])
+    assert LambdaPoly([F(1), F(0), F(0)]).coeffs == (F(1),)
+    assert p != 1 and LambdaPoly([F(7)]) == 7
+    # No division: a polynomial is a value, not a field element.
     with pytest.raises(TypeError):
-        1 / t
+        1 / p
     with pytest.raises(TypeError):
-        ext.one() / t
+        p * "lam"
 
 
-def test_extension_over_surd_coefficients():
-    # Base field containing sqrt2, adjoin a root of t^2 - sqrt2 * t - 1.
-    modulus = [QuadScalar(-1), -SQRT2, QuadScalar(1)]
-    ext = FieldExtension(modulus, embed=QuadScalar, approx=F(19, 10))
-    t = ext.generator()
-    assert t * t == ext.scalar(SQRT2) * t + ext.one()
-    # From the modulus, t (t - sqrt2) = 1.
-    assert t * (t - ext.scalar(SQRT2)) == ext.one()
+def test_lambda_polynomials_over_surd_coefficients():
+    p = LambdaPoly([QuadScalar(1), SQRT2])
+    q = LambdaPoly([QuadScalar(1), -SQRT2])
+    assert p * q == LambdaPoly([QuadScalar(1), QuadScalar(0), QuadScalar(-2)])
+    assert (p * q).coeffs[1] == 0
+    assert SQRT2 * p == LambdaPoly([SQRT2, QuadScalar(2)]) == p * SQRT2
+    # A rational coefficient equals its surd-field form.
+    assert p + F(1, 2) == LambdaPoly([F(3, 2), SQRT2])
+    assert p - p == 0
+
+
+def test_lambda_polynomial_strings_keep_the_report_format():
+    assert repr(LambdaPoly([F(-551, 640), F(-11, 80), F(1, 40)])) == \
+        "-551/640 + (-11/80)*lam + (1/40)*lam^2"
+    assert repr(LambdaPoly([F(13, 8), F(1, 2)])) == "13/8 + (1/2)*lam"
+    assert repr(LambdaPoly([F(1)])) == "1"
+    assert repr(LambdaPoly()) == "0"
+    assert repr(LambdaPoly([F(0), F(0), F(3)])) == "(3)*lam^2"
+    assert repr(LambdaPoly([F(1), F(0), F(-2)])) == "1 + (-2)*lam^2"
+    sqrt3 = QuadScalar(0, 0, 1, 0)
+    assert repr(LambdaPoly([F(67, 128) * sqrt3, F(13, 48) * sqrt3, F(1, 24) * sqrt3])) == \
+        "67/128*sqrt3 + (13/48*sqrt3)*lam + (1/24*sqrt3)*lam^2"
+
+
+def test_lambda_polynomial_float_evaluation():
+    # c_0 of the N = 2, type I lock at its lambda, as the report prints it.
+    c0 = LambdaPoly([F(-551, 640), F(-11, 80), F(1, 40)])
+    assert c0.to_float(3.5517692016213527) == -1.0339291536832866
+    r = LambdaPoly([QuadScalar(3), QuadScalar(1)])
+    assert r.to_float(math.sqrt(2)) == pytest.approx(3 + math.sqrt(2), abs=1e-15)
+    assert LambdaPoly([SQRT2]).to_float(5.0) == math.sqrt(2)
+    assert LambdaPoly().to_float(2.0) == 0.0
