@@ -33,7 +33,8 @@ from .rabi import (REFERENCE_FREQUENCY_RATIOS, TWO_G, RabiConfig,
                    frequency_table_report, solve_frequencies)
 from .sampling import sample_grid
 from .scalars import QuadScalar, embed_to_float, format_scalar
-from .structure import closure_suite, compare_to_catalog, derive_constants
+from .structure import (closure_suite, compare_to_catalog, derive_constants,
+                        symbolic_sides)
 
 SCHEMA_VERSION = 1
 _TABLE_SIZES = (2, 4, 5, 6, 7)
@@ -42,9 +43,10 @@ _TABLE_SIZES = (2, 4, 5, 6, 7)
 _CUTOFF_RANGE = (100, 2000)
 # rabi --n 40 --eigenfunctions takes 7.5-9.4 s on a 2-vCPU host, growing like N^3.
 _RABI_N_CAP = 40
-# verify --n 8 takes about 1 s on a 2-vCPU host, growing like N^2, and both
-# verify and commutators grow linearly in --samples: verify --n 8 --samples 64
-# takes about 6 s and commutators --samples 64 about 3 s.
+# verify --n 8 takes about 0.5 s on a 2-vCPU host, growing like N^2 and
+# linearly in --samples: verify --n 8 --samples 64 takes about 2.7 s.
+# commutators forms its residuals once and evaluates them per sample, so
+# commutators --samples 64 takes about 0.4 s.
 _VERIFY_N_CAP = 8
 _SAMPLES_CAP = 64
 
@@ -136,9 +138,10 @@ def _cmd_commutators(args) -> int:
     lines = []
     worst = "ok"
     for family in families:
-        derived = derive_constants(family)
+        sides = symbolic_sides(family)
+        derived = derive_constants(family, sides)
         suite = closure_suite(family, samples=args.samples, seed=args.seed,
-                              derived=derived)
+                              derived=derived, sides=sides)
         match = compare_to_catalog(derived, family)
         block = {
             "family": family,

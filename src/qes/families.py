@@ -99,11 +99,26 @@ def _derivatives(pair: PairElement, order: int) -> List[PairElement]:
 
 
 def _combine(op: DiffOp, chain: List[PairElement]) -> PairElement:
-    """sum_k a_k * chain[k] for op = sum_k a_k d^k: op applied to chain[0]."""
-    result = PairElement(LaurentPoly.zero(), LaurentPoly.zero(), chain[0].ctx)
+    """sum_k a_k * chain[k] for op = sum_k a_k d^k: op applied to chain[0].
+
+    Both components are summed in one pass, each product taken as
+    (coefficient of a_k) * (coefficient of chain[k]).
+    """
+    r: Dict[int, object] = {}
+    s: Dict[int, object] = {}
     for order in sorted(op.coeffs):
-        result = result + chain[order].times_poly(op.coeffs[order])
-    return result
+        elem = chain[order]
+        for shift, a in op.coeffs[order].coeffs.items():
+            _add_product(r, a, shift, elem.r)
+            _add_product(s, a, shift, elem.s)
+    return PairElement(LaurentPoly(r), LaurentPoly(s), chain[0].ctx)
+
+
+def _add_product(acc: Dict[int, object], factor, shift: int, poly: LaurentPoly) -> None:
+    """acc += factor * x^shift * poly, on a bare {exponent: coefficient} dict."""
+    for exp, coeff in poly.coeffs.items():
+        key = exp + shift
+        acc[key] = acc.get(key, 0) + factor * coeff
 
 
 # ---------------------------------------------------------------------------
@@ -300,23 +315,19 @@ class _Basis:
     """A family basis with one exact elimination of its coefficient matrix A.
 
     A has one row per (component, exponent) key that occurs in the basis
-    and one column per basis pair.  `transform` holds, sparsely, the first
-    `rank` rows of an invertible E with E*A = RREF(A): row i maps a
-    right-hand side b to the value of pivot column `pivots[i]`.
+    and one column per basis pair.  Let E be invertible with E*A = RREF(A).
+    `by_row` holds E's first `rank` rows by column: for each row key k, the
+    pairs (pivots[i], E[i][k]) with E[i][k] nonzero.  A right-hand side b
+    gives pivot column pivots[i] the value sum_k E[i][k] * b_k.
     """
 
     pairs: Tuple[PairElement, ...]
-    rows: Tuple[Tuple[str, int], ...]
     pivots: Tuple[int, ...]
-    transform: Tuple[Tuple[Tuple[int, Fraction], ...], ...]
+    by_row: Dict[Tuple[str, int], Tuple[Tuple[int, Fraction], ...]]
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-
-def _component(pair: PairElement, comp: str) -> LaurentPoly:
-    return pair.r if comp == "r" else pair.s
 
 
 @functools.lru_cache(maxsize=64)
@@ -329,37 +340,45 @@ def _basis(spec: FamilySpec) -> _Basis:
         exps_s.update(p.s.coeffs)
     rows = [("r", e) for e in sorted(exps_r)] + [("s", e) for e in sorted(exps_s)]
     dim, height = len(pairs), len(rows)
-    augmented = [[_component(p, comp).coeff(e) for p in pairs]
+    augmented = [[(p.r if comp == "r" else p.s).coeff(e) for p in pairs]
                  + [_ONE if k == i else _ZERO for k in range(height)]
                  for i, (comp, e) in enumerate(rows)]
     reduced, pivots = linalg.rref(augmented, pivot_columns=dim)
-    transform = tuple(
-        tuple((k, c) for k, c in enumerate(reduced[i][dim:]) if c)
-        for i in range(len(pivots)))
-    return _Basis(pairs, tuple(rows), tuple(pivots), transform)
+    by_row = {
+        key: tuple((col, reduced[i][dim + k]) for i, col in enumerate(pivots)
+                   if reduced[i][dim + k])
+        for k, key in enumerate(rows)}
+    return _Basis(pairs, tuple(pivots), by_row)
 
 
 def decompose(pair: PairElement, spec: FamilySpec):
     """Exact coordinates of `pair` in the family basis, or a NotInSpan witness.
 
     The basis matrix A of `spec` is eliminated once and cached; each call
-    reads the target's coefficients b on A's rows and forms the candidate
-    c = E*b on the pivot columns, free columns zero (the same vector a
-    fresh RREF of [A | b] gives).  The candidate is certified by
-    re-multiplying: sum c_j * basis_j must equal `pair` exactly, which also
-    catches exponents the basis lacks.  When it does not, b lies outside
-    the column space, so the augmented rank is exactly rank(A) + 1.
+    goes over the target's nonzero coefficients b only and forms the
+    candidate c = E*b on the pivot columns, free columns zero (the same
+    vector a fresh RREF of [A | b] gives).  A coefficient at a key that no
+    basis pair has cannot be reached.  Otherwise the candidate is certified
+    by re-multiplying: sum c_j * basis_j must equal `pair` exactly.  When
+    either test fails, b lies outside the column space, so the augmented
+    rank is exactly rank(A) + 1.
     """
     basis = _basis(spec)
-    rhs = [_component(pair, comp).coeff(e) for comp, e in basis.rows]
     coords = [_ZERO] * len(basis.pairs)
-    for col, row in zip(basis.pivots, basis.transform):
-        coords[col] = sum((c * rhs[k] for k, c in row), _ZERO)
-    r, s = LaurentPoly.zero(), LaurentPoly.zero()
+    for comp, poly in (("r", pair.r), ("s", pair.s)):
+        for exp, b in poly.coeffs.items():
+            entries = basis.by_row.get((comp, exp))
+            if entries is None:
+                return NotInSpan(basis.rank, basis.rank + 1, pair)
+            for col, c in entries:
+                coords[col] += c * b
+    r: Dict[int, object] = {}
+    s: Dict[int, object] = {}
     for c, p in zip(coords, basis.pairs):
         if c:
-            r, s = r + p.r * c, s + p.s * c
-    if r == pair.r and s == pair.s:
+            _add_product(r, c, 0, p.r)
+            _add_product(s, c, 0, p.s)
+    if LaurentPoly(r) == pair.r and LaurentPoly(s) == pair.s:
         return coords
     return NotInSpan(basis.rank, basis.rank + 1, pair)
 

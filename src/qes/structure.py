@@ -5,12 +5,15 @@ is an operator of order at most three, and bracketing either generator with
 S lands back in a fixed small span: products of the generators, S itself,
 and the identity.  The coefficients of those combinations are polynomials
 in the family parameters.  This module keeps a closed-form catalog of the
-coefficients, checks both closure relations as exact operator identities at
-concrete parameter points, and re-derives the coefficients from scratch so
-the catalog has an independent check.  The derivation is symbolic: with s,
-alpha, nu and n as polynomial variables, each relation is solved over
-Q[s, alpha, nu, n] by forward substitution and certified by a zero residual,
-which proves it at every parameter point at once.
+coefficients and re-derives them from scratch so the catalog has an
+independent check.  Both rest on the relations built once per family with
+s, alpha, nu and n as polynomial variables.  The derivation solves each
+relation over Q[s, alpha, nu, n] by forward substitution and certifies it
+by a zero residual, which proves it at every parameter point at once.  The
+catalog check forms each residual lhs - sum c_i op_i over the same ring
+once, and evaluates it, and S, coefficient by coefficient at each sampled
+parameter point; evaluation is a ring map, so that equals composing the
+concrete operators at the point.
 """
 
 from __future__ import annotations
@@ -243,13 +246,6 @@ class CommutatorConstants:
     c7p: ParamPoly
     c7m: ParamPoly
 
-    def at(self, spec: FamilySpec) -> Dict[str, Fraction]:
-        assignment = parameter_assignment(spec)
-        return {
-            name: getattr(self, name).evaluate(assignment)
-            for name in CONSTANT_NAMES
-        }
-
     def as_strings(self) -> Dict[str, str]:
         return {name: str(getattr(self, name)) for name in CONSTANT_NAMES}
 
@@ -354,6 +350,51 @@ def _residual_cells(op: DiffOp) -> Dict[str, str]:
     return {f"d^{k} x^{j}": str(c) for (k, j), c in _cells(op).items()}
 
 
+def symbolic_sides(family_id: int):
+    """Both relations with J+ and J- over Q[s, alpha, nu, n]."""
+    s, alpha, nu, n = (ParamPoly.var(name) for name in ("s", "alpha", "nu", "n"))
+    return _relation_sides(*operators_over(family_id, n, s, alpha, nu))
+
+
+def _residuals(sides, constants: CommutatorConstants) -> Dict[str, DiffOp]:
+    """lhs - sum c_i op_i of each relation, over Q[s, alpha, nu, n]."""
+    residuals = {}
+    for side in sides:
+        residual = side["lhs"]
+        for name, op in side["terms"]:
+            residual = residual - getattr(constants, name) * op
+        residuals[side["label"]] = residual
+    return residuals
+
+
+def _evaluate(op: DiffOp, assignment: Mapping[str, Fraction]) -> DiffOp:
+    """`op` with each parameter polynomial in its coefficients evaluated."""
+    def value(c):
+        return c.evaluate(assignment) if isinstance(c, ParamPoly) else c
+    return DiffOp({order: poly.map_coeffs(value) for order, poly in op.coeffs.items()})
+
+
+def _report_at(spec: FamilySpec, bracket: DiffOp,
+               residuals: Mapping[str, DiffOp]) -> Dict[str, object]:
+    """The relation report at one point, read off the symbolic residuals."""
+    assignment = parameter_assignment(spec)
+    relations: Dict[str, Dict[str, object]] = {}
+    for label, symbolic in residuals.items():
+        residual = _evaluate(symbolic, assignment)
+        entry: Dict[str, object] = {"ok": residual.is_zero()}
+        if not residual.is_zero():
+            entry["residual"] = _residual_cells(residual)
+        relations[label] = entry
+    return {
+        "family": spec.family_id,
+        "n_max": spec.n_max,
+        "params": {k: str(v) for k, v in assignment.items()},
+        "bracket_order": _evaluate(bracket, assignment).order(),
+        "relations": relations,
+        "ok": all(entry["ok"] for entry in relations.values()),
+    }
+
+
 def verify_structure_relations(
     spec: FamilySpec,
     constants: Optional[CommutatorConstants] = None,
@@ -361,29 +402,15 @@ def verify_structure_relations(
     """Check both closure relations exactly at one parameter point.
 
     Uses the catalog coefficients unless an alternative set (for example a
-    freshly derived one) is supplied.  The returned report carries one
-    entry per relation with the offending residual cells on failure.
+    freshly derived one) is supplied.  Each residual lhs - sum c_i op_i is
+    formed over Q[s, alpha, nu, n] and evaluated at the point, which gives
+    the same operator as composing the concrete J+ and J- there.  The
+    returned report carries one entry per relation with the offending
+    residual cells on failure.
     """
     catalog = constants if constants is not None else closure_constants(spec.family_id)
-    values = catalog.at(spec)
-    sides = _relation_sides(*family_operators(spec))
-    relations: Dict[str, Dict[str, object]] = {}
-    for side in sides:
-        residual = side["lhs"]
-        for name, op in side["terms"]:
-            residual = residual - values[name] * op
-        entry: Dict[str, object] = {"ok": residual.is_zero()}
-        if not residual.is_zero():
-            entry["residual"] = _residual_cells(residual)
-        relations[side["label"]] = entry
-    return {
-        "family": spec.family_id,
-        "n_max": spec.n_max,
-        "params": {k: str(v) for k, v in parameter_assignment(spec).items()},
-        "bracket_order": sides[0]["bracket"].order(),
-        "relations": relations,
-        "ok": all(entry["ok"] for entry in relations.values()),
-    }
+    sides = symbolic_sides(spec.family_id)
+    return _report_at(spec, sides[0]["bracket"], _residuals(sides, catalog))
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +445,6 @@ def solve_constants_at(spec: FamilySpec) -> Dict[str, Fraction]:
             raise StructureError("relations do not close in the claimed span")
         solved.update(zip(names, solution))
     return solved
-
-
-def _symbolic_sides(family_id: int):
-    """Both relations with J+ and J- over Q[s, alpha, nu, n]."""
-    s, alpha, nu, n = (ParamPoly.var(name) for name in ("s", "alpha", "nu", "n"))
-    return _relation_sides(*operators_over(family_id, n, s, alpha, nu))
 
 
 def _solve_relation(side) -> Dict[str, ParamPoly]:
@@ -464,10 +485,11 @@ def _solve_relation(side) -> Dict[str, ParamPoly]:
     return solved
 
 
-def derive_constants(family_id: int) -> CommutatorConstants:
+def derive_constants(family_id: int, sides=None) -> CommutatorConstants:
     """Derive the closure coefficients with no catalog input, symbolically.
 
-    J+ and J- are built with s, alpha, nu and n as polynomial variables, and
+    J+ and J- are built with s, alpha, nu and n as polynomial variables
+    (or ``sides``, the caller's `symbolic_sides(family_id)`, is used), and
     each relation is solved over Q[s, alpha, nu, n] by forward substitution
     on constant pivots (`_solve_relation`).  The result is certified: both
     residuals lhs - sum c_i op_i are the zero operator as polynomials, so
@@ -475,7 +497,7 @@ def derive_constants(family_id: int) -> CommutatorConstants:
     when no constant pivot exists or a residual does not vanish.
     """
     solved: Dict[str, ParamPoly] = {}
-    for side in _symbolic_sides(family_id):
+    for side in sides if sides is not None else symbolic_sides(family_id):
         solved.update(_solve_relation(side))
     return CommutatorConstants(**solved)
 
@@ -500,26 +522,35 @@ def _suite_samples(family_id: int, samples: int, seed: int) -> List[FamilySpec]:
 
 
 def closure_suite(family_id: int, samples: int = 8, seed: int = 0,
-                  derived: Optional[CommutatorConstants] = None) -> Dict[str, object]:
+                  derived: Optional[CommutatorConstants] = None,
+                  sides=None) -> Dict[str, object]:
     """Catalog closure check at seeded random points, with derived fallback.
 
-    The catalog coefficients are checked as exact operator identities at
-    ``samples`` parameter points (subspace sizes cycling over 0..3).  If
-    any point fails, the coefficients are re-derived independently (or
-    ``derived``, a set the caller already has from
-    ``derive_constants(family_id)``, is used) and the same points are
-    rechecked with the derived set, which is expected to zero every
-    residual.  Status is "ok" when the catalog holds
-    everywhere, "reference-discrepancy" when only the derived set does,
-    and "fail" when not even the derived set closes the relations.
+    The relations are built once over Q[s, alpha, nu, n] (or ``sides``,
+    the caller's `symbolic_sides(family_id)`, is used), and the catalog
+    residual lhs - sum c_i op_i of each is formed once.  That residual and
+    the bracket S are then evaluated at ``samples`` parameter points
+    (subspace sizes cycling over 0..3), which checks the relations as exact
+    operator identities there.  If any point fails, the coefficients are
+    re-derived independently (or ``derived``, a set the caller already has
+    from ``derive_constants(family_id)``, is used), and the derived
+    residuals are evaluated at the same points, which is expected to zero
+    every one.  Status is "ok" when the catalog holds everywhere,
+    "reference-discrepancy" when only the derived set does, and "fail"
+    when not even the derived set closes the relations.
     """
+    if sides is None:
+        sides = symbolic_sides(family_id)
+    bracket = sides[0]["bracket"]
     specs = _suite_samples(family_id, samples, seed)
-    reports = [verify_structure_relations(spec) for spec in specs]
+    catalog = closure_constants(family_id)
+    residuals = _residuals(sides, catalog)
+    reports = [_report_at(spec, bracket, residuals) for spec in specs]
     failures = sum(0 if rep["ok"] else 1 for rep in reports)
     result: Dict[str, object] = {
         "family": family_id,
         "samples": samples,
-        "catalog": closure_constants(family_id).as_strings(),
+        "catalog": catalog.as_strings(),
         "catalog_failures": failures,
         "sample_reports": reports,
     }
@@ -527,9 +558,10 @@ def closure_suite(family_id: int, samples: int = 8, seed: int = 0,
         result["status"] = "ok"
         return result
     if derived is None:
-        derived = derive_constants(family_id)
+        derived = derive_constants(family_id, sides)
     agreement = compare_to_catalog(derived, family_id)
-    rechecks = [verify_structure_relations(spec, constants=derived) for spec in specs]
+    derived_residuals = _residuals(sides, derived)
+    rechecks = [_report_at(spec, bracket, derived_residuals) for spec in specs]
     result["derived"] = derived.as_strings()
     result["mismatched_constants"] = sorted(
         name for name, same in agreement.items() if not same)

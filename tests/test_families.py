@@ -11,8 +11,9 @@ from qes.families import (BasisElement, FamilyError, FamilySpec, NotInSpan,
                           independence_rank, matrix_rep, operator_in_span,
                           solve_preserving, verify_invariance)
 from qes.laurent import LaurentPoly
-from qes.linalg import rank, solve_linear
+from qes.linalg import LambdaPoly, rank, solve_linear
 from qes.sampling import random_rational, sample_grid
+from qes.scalars import QuadScalar
 
 F = Fraction
 
@@ -121,6 +122,46 @@ def test_shared_derivatives_apply_both_operators_like_apply_op(family_id):
                 assert families._combine(op, chain) == apply_op(op, pair) == by_hand
 
 
+def per_order_sum(op, chain):
+    total = PairElement(LaurentPoly.zero(), LaurentPoly.zero(), chain[0].ctx)
+    for order in sorted(op.coeffs):
+        total = total + chain[order].times_poly(op.coeffs[order])
+    return total
+
+
+@pytest.mark.parametrize("kind", ["fraction", "quad", "lambda"])
+def test_one_pass_combine_matches_the_per_order_sum(kind):
+    # _combine sums every product into one dict per component; the per-order
+    # sum of times_poly is the reference, including its representation.
+    rng = random.Random(17)
+
+    def rational():
+        return F(rng.randint(-2, 2), rng.randint(1, 3))
+
+    def quad():
+        return QuadScalar(rational(), rational(), 0, rational())
+
+    def op_scalar():
+        return rational() if kind == "fraction" else quad()
+
+    def pair_scalar():
+        if kind == "lambda":
+            return LambdaPoly([rng.choice((rational, quad))() for _ in range(3)])
+        return op_scalar()
+
+    def laurent(scalar):
+        return LaurentPoly({e: scalar() for e in rng.sample(range(-2, 4), 3)})
+
+    ctx = FamilySpec(4, 1).context()
+    for _ in range(30):
+        chain = [PairElement(laurent(pair_scalar), laurent(pair_scalar), ctx)
+                 for _ in range(4)]
+        op = DiffOp({k: laurent(op_scalar) for k in rng.sample(range(4), 3)})
+        got, expected = families._combine(op, chain), per_order_sum(op, chain)
+        assert got == expected
+        assert (repr(got.r), repr(got.s)) == (repr(expected.r), repr(expected.s))
+
+
 # -- matrix representation ------------------------------------------------------
 
 @pytest.mark.parametrize("family_id", [1, 4, 6])
@@ -213,6 +254,15 @@ def test_cached_decomposition_equals_a_fresh_solve(spec):
         for w, p in zip(weights, pairs):
             combo = combo + p.scaled(w)
         assert assert_matches_reference(combo, spec, pairs) == weights
+
+    # One unit coefficient at each exponent of the basis, in either
+    # component: some lie in the span, and some reach only keys the basis
+    # has yet fall outside it, which only the certificate can tell.
+    for e in matrix_exponents(pairs):
+        unit = LaurentPoly.x(e)
+        for target in (PairElement(unit, LaurentPoly.zero(), zero.ctx),
+                       PairElement(LaurentPoly.zero(), unit, zero.ctx)):
+            assert_matches_reference(target, spec, pairs)
 
     top = BasisElement(spec, spec.n_max, None if spec.family_id == 3 else "+")
     outside = [top.to_pair().times_poly(LaurentPoly.x()),

@@ -1,4 +1,8 @@
-"""The exact fields of three `qes rabi --json` reports against a golden file.
+"""`qes` JSON reports against golden files.
+
+`golden/ladder_reports.json` holds, for `verify --n 3` and `commutators
+--all` at seed 0, the exit code and the whole report except
+`elapsed_seconds`.
 
 `golden/rabi_reports.json` holds, per command, the exit code and every
 report field that does not come from the Fock oracle: status, computed
@@ -8,7 +12,7 @@ coefficient and psi_1 strings and, at N = 2, the closed-form report and
 each state's closed-form ratio check.  The Fock gaps are left out because their
 last bits depend on how the oracle's float arithmetic is ordered.
 A change to any kept field is a change of the report contract; rewrite the
-file deliberately with
+files deliberately with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -24,6 +28,11 @@ import pytest
 from qes.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "rabi_reports.json"
+LADDER_GOLDEN = GOLDEN.with_name("ladder_reports.json")
+LADDER_COMMANDS = (
+    "verify --n 3 --seed 0 --json",
+    "commutators --all --seed 0 --json",
+)
 COMMANDS = (
     "rabi --n 7 --type II --eigenfunctions --cutoff 100 --json",
     "rabi --n 14 --type I --cutoff 100 --json",
@@ -56,11 +65,21 @@ def exact_state_fields(state):
     return fields
 
 
-def run(command):
+def report_of(command):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exit_code = main(command.split())
-    return exact_fields(exit_code, json.loads(out.getvalue()))
+    return exit_code, json.loads(out.getvalue())
+
+
+def run(command):
+    return exact_fields(*report_of(command))
+
+
+def run_whole(command):
+    exit_code, report = report_of(command)
+    del report["elapsed_seconds"]
+    return {"exit_code": exit_code, "report": report}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -70,7 +89,15 @@ def test_exact_report_fields_match_the_golden_file(command):
     assert json.loads(json.dumps(run(command))) == golden[command]
 
 
+@pytest.mark.parametrize("command", LADDER_COMMANDS)
+def test_whole_ladder_report_matches_the_golden_file(command):
+    golden = json.loads(LADDER_GOLDEN.read_text())
+    assert run_whole(command) == golden[command]
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps({command: run(command) for command in COMMANDS},
                                  indent=1, sort_keys=True) + "\n")
+    LADDER_GOLDEN.write_text(json.dumps({command: run_whole(command) for command in LADDER_COMMANDS},
+                                        indent=1, sort_keys=True) + "\n")
     sys.exit(0)

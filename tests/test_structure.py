@@ -22,6 +22,12 @@ def spec_from(family_id, n_max, params):
     return FamilySpec(family_id, n_max, **params)
 
 
+def constants_at(constants, spec):
+    """Every closure coefficient evaluated at the parameters of `spec`."""
+    assignment = structure.parameter_assignment(spec)
+    return {name: getattr(constants, name).evaluate(assignment) for name in CONSTANT_NAMES}
+
+
 # -- polynomial bookkeeping ----------------------------------------------------
 
 def test_param_poly_arithmetic_and_evaluation():
@@ -105,7 +111,7 @@ def test_direct_solve_agrees_with_interpolated_constants():
     params = sample_grid(2, 3, count=1, seed=9)[0]
     spec = spec_from(2, 3, params)
     direct = solve_constants_at(spec)
-    fitted = derive_constants(2).at(spec)
+    fitted = constants_at(derive_constants(2), spec)
     assert direct == fitted
     assert set(direct) == set(CONSTANT_NAMES)
 
@@ -118,7 +124,7 @@ SYMBOLS = {name: ParamPoly.var(name) for name in ("s", "alpha", "nu", "n")}
 def symbolic_residuals(family_id, constants):
     """lhs - sum c_i op_i of both relations, over Q[s, alpha, nu, n]."""
     residuals = {}
-    for side in structure._symbolic_sides(family_id):
+    for side in structure.symbolic_sides(family_id):
         residual = side["lhs"]
         for name, op in side["terms"]:
             residual = residual - getattr(constants, name) * op
@@ -168,7 +174,7 @@ def test_relation_reports_match_composition_with_multiplication_operators(family
     for n_max in range(5):
         for params in sample_grid(family_id, n_max, count=2, seed=3):
             spec = spec_from(family_id, n_max, params)
-            values = catalog.at(spec)
+            values = constants_at(catalog, spec)
             jp, jm = family_operators(spec)
             report = verify_structure_relations(spec)
             assert report["bracket_order"] == commutator(jm, jp).order() <= 3
@@ -180,6 +186,62 @@ def test_relation_reports_match_composition_with_multiplication_operators(family
                 assert entry["ok"] == residual.is_zero()
                 expected = {} if residual.is_zero() else structure._residual_cells(residual)
                 assert entry.get("residual", {}) == expected
+
+
+def composed_report(spec, constants):
+    """Bracket order and residual cells from composing J+ and J- at `spec`."""
+    values = constants_at(constants, spec)
+    jp, jm = family_operators(spec)
+    cells = {}
+    for side in structure._relation_sides(jp, jm):
+        residual = side["lhs"]
+        for name, op in side["terms"]:
+            residual = residual - values[name] * op
+        cells[side["label"]] = structure._residual_cells(residual)
+    return commutator(jm, jp).order(), cells
+
+
+@pytest.mark.parametrize("family_id", [2, 3])
+def test_suite_reports_match_composition_at_each_point(family_id):
+    # The suite evaluates symbolic residuals; composing the concrete
+    # operators at each sampled point must give the same verdicts, cells
+    # and bracket order, for the failing catalog and the derived set alike.
+    suite = closure_suite(family_id, samples=8, seed=4)
+    assert suite["catalog_failures"] > 0
+    specs = structure._suite_samples(family_id, 8, 4)
+    for reports, constants in ((suite["sample_reports"], closure_constants(family_id)),
+                               (suite["derived_reports"], derive_constants(family_id))):
+        assert len(reports) == len(specs)
+        for spec, report in zip(specs, reports):
+            order, cells = composed_report(spec, constants)
+            assert report["bracket_order"] == order
+            assert report["params"] == {
+                k: str(v) for k, v in structure.parameter_assignment(spec).items()}
+            for label, expected in cells.items():
+                entry = report["relations"][label]
+                assert entry["ok"] == (not expected)
+                assert entry.get("residual", {}) == expected
+            assert report["ok"] == all(not expected for expected in cells.values())
+
+
+@pytest.mark.parametrize("family_id", [1, 2, 3, 4, 5, 6])
+def test_closure_suite_composes_as_often_at_any_sample_count(monkeypatch, family_id):
+    # Operators are composed only to build the symbolic sides; each sample
+    # is an evaluation.
+    compose = DiffOp.__mul__
+    calls = []
+
+    def counting(self, other):
+        calls.append(other)
+        return compose(self, other)
+
+    monkeypatch.setattr(DiffOp, "__mul__", counting)
+    counts = []
+    for samples in (1, 16):
+        calls.clear()
+        closure_suite(family_id, samples=samples, seed=0)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 9
 
 
 def test_relation_check_composes_the_bracket_once(monkeypatch):
@@ -251,7 +313,7 @@ def test_suite_documents_the_tabulation_defect_with_a_working_fix():
 
 def test_constants_specialize_like_their_symbols():
     spec = FamilySpec(5, 2, nu=F(1, 4))
-    values = closure_constants(5).at(spec)
+    values = constants_at(closure_constants(5), spec)
     # c6p for this family is 1 - 4 N^2 and c7m is -4 (1 + nu + nu^2 + 2 N).
     assert values["c6p"] == 1 - 4 * spec.n_max ** 2
     assert values["c7m"] == -4 * (1 + spec.nu + spec.nu ** 2 + 2 * spec.n_max)
