@@ -43,8 +43,8 @@ _TABLE_SIZES = (2, 4, 5, 6, 7)
 _CUTOFF_RANGE = (100, 2000)
 # rabi --n 40 --eigenfunctions takes 7.5-9.4 s on a 2-vCPU host, growing like N^3.
 _RABI_N_CAP = 40
-# verify --n 8 takes about 0.5 s on a 2-vCPU host, growing like N^2 and
-# linearly in --samples: verify --n 8 --samples 64 takes about 2.7 s.
+# verify --n 8 takes 0.45-0.48 s on a 2-vCPU host, growing like N^2 and
+# linearly in --samples: verify --n 8 --samples 64 takes 2.7-3.0 s.
 # commutators forms its residuals once and evaluates them per sample, so
 # commutators --samples 64 takes about 0.4 s.
 _VERIFY_N_CAP = 8
@@ -156,9 +156,7 @@ def _cmd_commutators(args) -> int:
             block["derived_failures"] = suite["derived_failures"]
             block["mismatched_constants"] = suite["mismatched_constants"]
         blocks.append(block)
-        if suite["status"] == "fail":
-            worst = "fail"
-        elif suite["status"] != "ok" and worst == "ok":
+        if suite["status"] != "ok":
             worst = suite["status"]
         mismatched = sorted(name for name, same in match.items() if not same)
         note = "all constants match" if not mismatched else (

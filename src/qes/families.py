@@ -11,10 +11,9 @@ and the matrix representations are checked.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .diffop import DiffOp
 from .laurent import LaurentPoly
@@ -210,7 +209,7 @@ class BasisElement:
         return self.n if self.sign == "+" else self.spec.n_max + 1 + self.n
 
     def to_pair(self) -> PairElement:
-        return _basis(self.spec).pairs[self.index]
+        return _basis_pairs(self.spec)[self.index]
 
 
 def _second_chain_seed(spec: FamilySpec) -> PairElement:
@@ -310,91 +309,46 @@ class NotInSpan:
     residual: PairElement
 
 
-@dataclass(frozen=True)
-class _Basis:
-    """A family basis with one exact elimination of its coefficient matrix A.
-
-    A has one row per (component, exponent) key that occurs in the basis
-    and one column per basis pair.  Let E be invertible with E*A = RREF(A).
-    `by_row` holds E's first `rank` rows by column: for each row key k, the
-    pairs (pivots[i], E[i][k]) with E[i][k] nonzero.  A right-hand side b
-    gives pivot column pivots[i] the value sum_k E[i][k] * b_k.
-    """
-
-    pairs: Tuple[PairElement, ...]
-    pivots: Tuple[int, ...]
-    by_row: Dict[Tuple[str, int], Tuple[Tuple[int, Fraction], ...]]
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+def _entry(pair: PairElement, key: Tuple[str, int]):
+    comp, exp = key
+    return (pair.r if comp == "r" else pair.s).coeff(exp)
 
 
-@functools.lru_cache(maxsize=64)
-def _basis(spec: FamilySpec) -> _Basis:
-    """The basis pairs of `spec` and the elimination of their matrix, built once."""
-    pairs = _basis_pairs(spec)
+def _basis_matrix(pairs: Sequence[PairElement], extra: Sequence[PairElement] = ()):
+    """(row keys, A): one row per (component, exponent) key that occurs in
+    `pairs` or `extra`, one column per pair of `pairs`."""
     exps_r, exps_s = set(), set()
-    for p in pairs:
+    for p in (*pairs, *extra):
         exps_r.update(p.r.coeffs)
         exps_s.update(p.s.coeffs)
-    rows = [("r", e) for e in sorted(exps_r)] + [("s", e) for e in sorted(exps_s)]
-    dim, height = len(pairs), len(rows)
-    augmented = [[(p.r if comp == "r" else p.s).coeff(e) for p in pairs]
-                 + [_ONE if k == i else _ZERO for k in range(height)]
-                 for i, (comp, e) in enumerate(rows)]
-    reduced, pivots = linalg.rref(augmented, pivot_columns=dim)
-    by_row = {
-        key: tuple((col, reduced[i][dim + k]) for i, col in enumerate(pivots)
-                   if reduced[i][dim + k])
-        for k, key in enumerate(rows)}
-    return _Basis(pairs, tuple(pivots), by_row)
+    keys = [("r", e) for e in sorted(exps_r)] + [("s", e) for e in sorted(exps_s)]
+    return keys, [[_entry(p, key) for p in pairs] for key in keys]
 
 
 def decompose(pair: PairElement, spec: FamilySpec):
     """Exact coordinates of `pair` in the family basis, or a NotInSpan witness.
 
-    The basis matrix A of `spec` is eliminated once and cached; each call
-    goes over the target's nonzero coefficients b only and forms the
-    candidate c = E*b on the pivot columns, free columns zero (the same
-    vector a fresh RREF of [A | b] gives).  A coefficient at a key that no
-    basis pair has cannot be reached.  Otherwise the candidate is certified
-    by re-multiplying: sum c_j * basis_j must equal `pair` exactly.  When
-    either test fails, b lies outside the column space, so the augmented
-    rank is exactly rank(A) + 1.
+    One exact solve of A c = b over the keys of the basis and the target,
+    free coordinates zero.  When the system is inconsistent, b lies outside
+    the column space, so the augmented rank is exactly rank(A) + 1.
     """
-    basis = _basis(spec)
-    coords = [_ZERO] * len(basis.pairs)
-    for comp, poly in (("r", pair.r), ("s", pair.s)):
-        for exp, b in poly.coeffs.items():
-            entries = basis.by_row.get((comp, exp))
-            if entries is None:
-                return NotInSpan(basis.rank, basis.rank + 1, pair)
-            for col, c in entries:
-                coords[col] += c * b
-    r: Dict[int, object] = {}
-    s: Dict[int, object] = {}
-    for c, p in zip(coords, basis.pairs):
-        if c:
-            _add_product(r, c, 0, p.r)
-            _add_product(s, c, 0, p.s)
-    if LaurentPoly(r) == pair.r and LaurentPoly(s) == pair.s:
-        return coords
-    return NotInSpan(basis.rank, basis.rank + 1, pair)
+    keys, matrix = _basis_matrix(_basis_pairs(spec), (pair,))
+    coords = linalg.solve_linear(matrix, [_entry(pair, key) for key in keys])
+    if coords is None:
+        rank = linalg.rank(matrix)
+        return NotInSpan(rank, rank + 1, pair)
+    return coords
 
 
 def independence_rank(spec: FamilySpec) -> int:
-    """Column rank of the basis coefficient matrix (should equal the dimension).
-
-    Read from the same cached elimination that `decompose` uses.
-    """
-    return _basis(spec).rank
+    """Column rank of the basis coefficient matrix (should equal the dimension)."""
+    return linalg.rank(_basis_matrix(_basis_pairs(spec))[1])
 
 
 def matrix_rep(op: DiffOp, spec: FamilySpec) -> List[List[Fraction]]:
     """Exact matrix of `op` on the family basis; column j expands op(basis_j)."""
     dim = spec.dimension
-    pairs = _basis(spec).pairs
+    pairs = _basis_pairs(spec)
     columns = []
     for j in range(dim):
         image = apply_op(op, pairs[j])
@@ -564,34 +518,49 @@ def action_formula(spec: FamilySpec, raise_op: bool, elem: BasisElement) -> Dict
 def verify_invariance(spec: FamilySpec) -> Dict[str, object]:
     """Check both family operators against the closed-form ladder actions.
 
-    Every basis element is pushed through J+ and J- symbolically (its
-    derivatives are formed once and shared by both operators), decomposed
-    over the basis, and the exact coordinates are compared entry by entry
-    with `action_formula`.  Mismatches carry both values.
+    Each action J f_j = sum_i a_ij f_i is checked as an identity: the image
+    of every basis pair is formed symbolically (its derivatives are shared
+    by J+ and J-), the combination given by `action_formula` is subtracted,
+    and the residual must be zero.  A passing check solves nothing; only a
+    failing one is decomposed over the basis, so that its mismatch carries
+    the computed coordinates (or "not in span") beside the expected ones.
     """
+    pairs = _basis_pairs(spec)
     j_plus, j_minus = family_operators(spec)
     depth = max(j_plus.order(), j_minus.order())
     mismatches: List[Dict[str, object]] = []
     checks = 0
-    for idx in range(spec.dimension):
+    for idx, pair in enumerate(pairs):
         elem = _element_at(spec, idx)
-        chain = _derivatives(elem.to_pair(), depth)
+        chain = _derivatives(pair, depth)
         for label, op in (("J+", j_plus), ("J-", j_minus)):
             checks += 1
-            coords = decompose(_combine(op, chain), spec)
-            if isinstance(coords, NotInSpan):
-                mismatches.append({"op": label, "element": idx,
-                                   "computed": "not in span",
-                                   "expected": action_formula(spec, label == "J+", elem)})
-                continue
+            image = _combine(op, chain)
             expected = action_formula(spec, label == "J+", elem)
-            got = {i: c for i, c in enumerate(coords) if c != 0}
-            if got != expected:
-                mismatches.append({"op": label, "element": idx,
-                                   "computed": got, "expected": expected})
+            if _is_combination(image, expected, pairs):
+                continue
+            coords = decompose(image, spec)
+            computed = ("not in span" if isinstance(coords, NotInSpan)
+                        else {i: c for i, c in enumerate(coords) if c != 0})
+            mismatches.append({"op": label, "element": idx,
+                               "computed": computed, "expected": expected})
     return {"family": spec.family_id, "n_max": spec.n_max,
             "checks": checks, "mismatches": mismatches,
             "ok": not mismatches}
+
+
+def _is_combination(image: PairElement, coords: Dict[int, Fraction],
+                    pairs: Sequence[PairElement]) -> bool:
+    """Is image - sum_i coords[i] * pairs[i] exactly zero?
+
+    The residual is summed into one dict per component, as `_combine` sums.
+    """
+    r = dict(image.r.coeffs)
+    s = dict(image.s.coeffs)
+    for i, c in coords.items():
+        _add_product(r, -c, 0, pairs[i].r)
+        _add_product(s, -c, 0, pairs[i].s)
+    return not any(r.values()) and not any(s.values())
 
 
 def _element_at(spec: FamilySpec, index: int) -> BasisElement:
@@ -615,7 +584,7 @@ def solve_preserving(spec: FamilySpec, max_order: int = 2,
     Returns the solution space modulo the constants (multiples of the
     identity), as DiffOp generators plus the raw dimension bookkeeping.
     """
-    pairs = _basis(spec).pairs
+    pairs = _basis_pairs(spec)
     dim = len(pairs)
     op_unknowns = [(k, e) for k in range(max_order + 1) for e in range(degree_bound + 1)]
     n_op = len(op_unknowns)

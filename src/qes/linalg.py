@@ -30,20 +30,17 @@ def mat_scale(a: Matrix, s) -> Matrix:
     return [[s * x for x in row] for row in a]
 
 
-def rref(matrix: Matrix, pivot_columns: Optional[int] = None) -> Tuple[Matrix, List[int]]:
+def rref(matrix: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form; returns (R, pivot column indices).
 
-    With `pivot_columns`, pivots are sought only in that many leading
-    columns; the row operations still act on whole rows, so the columns
-    after them carry the same transform without being reduced themselves.
     Each elimination touches only the pivot row's nonzero columns, since a
-    zero there leaves the other row's entry as it is; the `[A | I]` systems
-    of the family bases are mostly zeros.
+    zero there leaves the other row's entry as it is; the family basis
+    matrices are mostly zeros.
     """
     rows = [list(r) for r in matrix]
     if not rows:
         return rows, []
-    ncols = len(rows[0]) if pivot_columns is None else pivot_columns
+    ncols = len(rows[0])
     pivots: List[int] = []
     r = 0
     for col in range(ncols):

@@ -29,8 +29,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .diffop import (DiffOp, GaugeFactor, commutator, conjugate_by_gauge,
                      pull_back_square, substitute_square)
-from .families import (BasisElement, FamilySpec, action_formula, apply_op,
-                       family_operators, substitute_pair, substituted_context)
+from .families import (BasisElement, FamilySpec, _basis_pairs, action_formula,
+                       apply_op, family_operators, substitute_pair,
+                       substituted_context)
 from .laurent import LaurentPoly
 from .linalg import (LambdaPoly, charpoly, mat_scale, minimal_factors, poly_divmod,
                      poly_gcd, poly_trim)
@@ -126,10 +127,6 @@ class RabiConfig:
         if self.sol_type == "I":
             return -n * n - n / 4 + Fraction(1, 8)
         return -n * n + 13 * n / 4 + Fraction(49, 8)
-
-    def c_at(self, lambda_value) -> Fraction:
-        """C evaluated at a concrete lambda = 3 w0^2 / (4 w^2)."""
-        return lambda_value + self.lambda_offset
 
     def family(self) -> FamilySpec:
         return FamilySpec(3, self.n_max, s=self.s, alpha=self.alpha)
@@ -554,8 +551,8 @@ def _apply_recovery_operator(root: FrequencyRoot, config: RabiConfig,
     if substitute_square(recovery_x, config.stretch) != recovery_z:
         raise RabiError("the recovery operator fails its pull-back to the kernel coordinate")
     combined = None
-    for n, coefficient in enumerate(root.null_vector_exact):
-        term = BasisElement(spec, n).to_pair().scaled(coefficient)
+    for coefficient, pair in zip(root.null_vector_exact, _basis_pairs(spec)):
+        term = pair.scaled(coefficient)
         combined = term if combined is None else combined + term
     chi = apply_op(recovery_x, combined)
     return substitute_pair(chi, config.stretch, substituted_context(spec, config.stretch))

@@ -68,12 +68,12 @@ def mat_commutator(a, b):
     return [[x - y for x, y in zip(r, s)] for r, s in zip(mat_mul(a, b), mat_mul(b, a))]
 
 
-def dense_rref(matrix, pivot_columns=None):
+def dense_rref(matrix):
     """Gauss-Jordan elimination over whole rows: the reference for `linalg.rref`."""
     rows = [list(r) for r in matrix]
     if not rows:
         return rows, []
-    ncols = len(rows[0]) if pivot_columns is None else pivot_columns
+    ncols = len(rows[0])
     pivots = []
     r = 0
     for col in range(ncols):

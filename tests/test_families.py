@@ -7,9 +7,9 @@ from _algebra import mat_commutator, mat_mul
 from qes import families
 from qes.diffop import DiffOp, commutator
 from qes.families import (BasisElement, FamilyError, FamilySpec, NotInSpan,
-                          PairElement, apply_op, decompose, family_operators,
-                          independence_rank, matrix_rep, operator_in_span,
-                          solve_preserving, verify_invariance)
+                          PairElement, action_formula, apply_op, decompose,
+                          family_operators, independence_rank, matrix_rep,
+                          operator_in_span, solve_preserving, verify_invariance)
 from qes.laurent import LaurentPoly
 from qes.linalg import LambdaPoly, rank, solve_linear
 from qes.sampling import random_rational, sample_grid
@@ -112,7 +112,7 @@ def test_shared_derivatives_apply_both_operators_like_apply_op(family_id):
     # derivatives with both operators' coefficients.
     for n_max in range(5):
         spec = spec_from(family_id, n_max, sample_grid(family_id, n_max, count=1, seed=4)[0])
-        for pair in families._basis(spec).pairs:
+        for pair in families._basis_pairs(spec):
             chain = families._derivatives(pair, 2)
             for op in family_operators(spec):
                 by_hand, derived = PairElement(LaurentPoly.zero(), LaurentPoly.zero(), pair.ctx), pair
@@ -193,7 +193,7 @@ def test_preserving_space_excludes_foreign_operators():
     assert not operator_in_span(found, DiffOp.mul_by(LaurentPoly.x()))
 
 
-# -- the cached elimination against a fresh solve per target ---------------------
+# -- decompose against a reference solve per target ---------------------------
 
 def reference_system(pairs, target):
     """The exact system `pairs @ c = target`, one row per (component, exponent)."""
@@ -257,7 +257,7 @@ def test_cached_decomposition_equals_a_fresh_solve(spec):
 
     # One unit coefficient at each exponent of the basis, in either
     # component: some lie in the span, and some reach only keys the basis
-    # has yet fall outside it, which only the certificate can tell.
+    # has yet fall outside it.
     for e in matrix_exponents(pairs):
         unit = LaurentPoly.x(e)
         for target in (PairElement(unit, LaurentPoly.zero(), zero.ctx),
@@ -273,33 +273,84 @@ def test_cached_decomposition_equals_a_fresh_solve(spec):
 
 
 def test_rank_deficient_basis_keeps_free_coordinates_at_zero(monkeypatch):
-    # A repeated basis pair makes A rank deficient; the cached path must still
+    # A repeated basis pair makes A rank deficient; decompose must still
     # give the fresh RREF's solution, free columns zero.
     spec = FamilySpec(5, 2, nu=F(3, 4))
     original = families._basis_pairs
     monkeypatch.setattr(families, "_basis_pairs",
                         lambda s: original(s) + (original(s)[1].scaled(F(-2)),))
-    families._basis.cache_clear()
-    try:
-        pairs = list(families._basis(spec).pairs)
-        assert families._basis(spec).rank == spec.dimension < len(pairs)
-        j_plus, j_minus = family_operators(spec)
-        for pair in pairs:
-            for op in (j_plus, j_minus):
-                assert_matches_reference(apply_op(op, pair), spec, pairs)
-        assert isinstance(assert_matches_reference(pairs[-1].times_poly(LaurentPoly.x(3)),
-                                                   spec, pairs), NotInSpan)
-    finally:
-        families._basis.cache_clear()
+    pairs = list(families._basis_pairs(spec))
+    assert independence_rank(spec) == spec.dimension < len(pairs)
+    j_plus, j_minus = family_operators(spec)
+    for pair in pairs:
+        for op in (j_plus, j_minus):
+            assert_matches_reference(apply_op(op, pair), spec, pairs)
+    assert isinstance(assert_matches_reference(pairs[-1].times_poly(LaurentPoly.x(3)),
+                                               spec, pairs), NotInSpan)
 
 
-def test_basis_cache_is_bounded_and_reused():
-    maxsize = families._basis.cache_info().maxsize
-    assert isinstance(maxsize, int) and 0 < maxsize
-    spec = FamilySpec(2, 3, s=F(7, 2), alpha=F(2, 5))
-    first = families._basis(spec)
-    assert families._basis(FamilySpec(2, 3, s=F(7, 2), alpha=F(2, 5))) is first
-    assert BasisElement(spec, 1, "-").to_pair() is first.pairs[spec.n_max + 2]
-    for k in range(maxsize + 1):
-        families._basis(FamilySpec(5, 0, nu=F(k + 1, 7)))
-    assert families._basis.cache_info().currsize <= maxsize
+# -- invariance as an identity against the decomposed comparison ------------------
+
+def decomposed_verdict(image, spec, action):
+    """The comparison an identity check replaces: decompose, then compare."""
+    coords = decompose(image, spec)
+    return (not isinstance(coords, NotInSpan)
+            and {i: c for i, c in enumerate(coords) if c != 0} == action)
+
+
+@pytest.mark.parametrize("spec", list(sampled_specs()),
+                         ids=lambda spec: f"f{spec.family_id}-N{spec.n_max}")
+def test_identity_verdict_equals_the_decomposed_comparison(spec):
+    # For the published action, for the action with one coefficient moved
+    # or one term added, and for an image pushed out of the span.
+    pairs = families._basis_pairs(spec)
+    for idx, pair in enumerate(pairs):
+        elem = families._element_at(spec, idx)
+        for raise_op, op in zip((True, False), family_operators(spec)):
+            image = apply_op(op, pair)
+            action = action_formula(spec, raise_op, elem)
+            other = (idx + 1) % len(pairs)
+            moved = {**action, idx: action.get(idx, F(0)) + 1}
+            added = {**action, other: action.get(other, F(0)) - F(1, 3)}
+            outside = image.times_poly(LaurentPoly.x(-1))
+            for target, coords in ((image, action), (image, moved), (image, added),
+                                   (outside, action)):
+                coords = {i: c for i, c in coords.items() if c != 0}
+                assert (families._is_combination(target, coords, pairs)
+                        == decomposed_verdict(target, spec, coords))
+            assert families._is_combination(image, action, pairs)
+
+
+def test_a_failing_action_reports_the_decomposed_image(monkeypatch):
+    # A wrong coefficient in the published J+ action, and x*J- in place of
+    # J-, which pushes the top of each chain out of the span: every mismatch
+    # carries what decompose finds for the image.
+    spec = FamilySpec(2, 2, s=F(7, 2), alpha=F(2, 5))
+    j_plus, j_minus = family_operators(spec)
+    x_j_minus = DiffOp.mul_by(LaurentPoly.x()) * j_minus
+    original = families.action_formula
+
+    def wrong_formula(spec, raise_op, elem):
+        action = original(spec, raise_op, elem)
+        if raise_op and elem.n == 1:
+            action[elem.index] = action.get(elem.index, F(0)) + 1
+        return action
+
+    monkeypatch.setattr(families, "action_formula", wrong_formula)
+    monkeypatch.setattr(families, "family_operators", lambda s: (j_plus, x_j_minus))
+    report = verify_invariance(spec)
+    assert not report["ok"] and report["checks"] == 2 * spec.dimension
+    pairs = families._basis_pairs(spec)
+    kinds = set()
+    for mismatch in report["mismatches"]:
+        op = j_plus if mismatch["op"] == "J+" else x_j_minus
+        coords = decompose(apply_op(op, pairs[mismatch["element"]]), spec)
+        if isinstance(coords, NotInSpan):
+            assert mismatch["computed"] == "not in span"
+        else:
+            assert mismatch["computed"] == {i: c for i, c in enumerate(coords) if c != 0}
+        kinds.add((mismatch["op"], isinstance(coords, NotInSpan)))
+        assert mismatch["expected"] == wrong_formula(
+            spec, mismatch["op"] == "J+", families._element_at(spec, mismatch["element"]))
+    assert [m["element"] for m in report["mismatches"] if m["op"] == "J+"] == [1, 4]
+    assert kinds == {("J+", False), ("J-", False), ("J-", True)}

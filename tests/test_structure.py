@@ -205,23 +205,22 @@ def composed_report(spec, constants):
 def test_suite_reports_match_composition_at_each_point(family_id):
     # The suite evaluates symbolic residuals; composing the concrete
     # operators at each sampled point must give the same verdicts, cells
-    # and bracket order, for the failing catalog and the derived set alike.
+    # and bracket order for the failing catalog.
     suite = closure_suite(family_id, samples=8, seed=4)
     assert suite["catalog_failures"] > 0
     specs = structure._suite_samples(family_id, 8, 4)
-    for reports, constants in ((suite["sample_reports"], closure_constants(family_id)),
-                               (suite["derived_reports"], derive_constants(family_id))):
-        assert len(reports) == len(specs)
-        for spec, report in zip(specs, reports):
-            order, cells = composed_report(spec, constants)
-            assert report["bracket_order"] == order
-            assert report["params"] == {
-                k: str(v) for k, v in structure.parameter_assignment(spec).items()}
-            for label, expected in cells.items():
-                entry = report["relations"][label]
-                assert entry["ok"] == (not expected)
-                assert entry.get("residual", {}) == expected
-            assert report["ok"] == all(not expected for expected in cells.values())
+    reports = suite["sample_reports"]
+    assert len(reports) == len(specs)
+    for spec, report in zip(specs, reports):
+        order, cells = composed_report(spec, closure_constants(family_id))
+        assert report["bracket_order"] == order
+        assert report["params"] == {
+            k: str(v) for k, v in structure.parameter_assignment(spec).items()}
+        for label, expected in cells.items():
+            entry = report["relations"][label]
+            assert entry["ok"] == (not expected)
+            assert entry.get("residual", {}) == expected
+        assert report["ok"] == all(not expected for expected in cells.values())
 
 
 @pytest.mark.parametrize("family_id", [1, 2, 3, 4, 5, 6])
