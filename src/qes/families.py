@@ -11,6 +11,7 @@ and the matrix representations are checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -40,16 +41,23 @@ class PairContext:
     working coordinate is the kernel's own argument).  With w = map(z):
 
         d/dz [R*F(w) + S*F'(w)] = (R' + S*scale*u)*F + (R*scale + S' + S*scale*v)*F'
+
+    A context with `den` = D > 1 stores D*u and D*v in `u` and `v`, and
+    `derive` computes D*d/dz: clearing the denominators of the rewrite once
+    keeps pairs with integer coefficients on integers (`_cleared_basis`).
     """
 
     u: LaurentPoly
     v: LaurentPoly
     scale: LaurentPoly
+    den: int = 1
 
     def derive(self, r: LaurentPoly, s: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
         s_scaled = s * self.scale
-        return (r.derivative() + s_scaled * self.u,
-                r * self.scale + s.derivative() + s_scaled * self.v)
+        r_part, s_part = r.derivative(), r * self.scale + s.derivative()
+        if self.den != 1:
+            r_part, s_part = r_part * self.den, s_part * self.den
+        return r_part + s_scaled * self.u, s_part + s_scaled * self.v
 
 
 @dataclass(frozen=True)
@@ -309,20 +317,22 @@ class NotInSpan:
     residual: PairElement
 
 
-def _entry(pair: PairElement, key: Tuple[str, int]):
+def _entry(pair: PairElement, key: Tuple[str, int], zero=_ZERO):
     comp, exp = key
-    return (pair.r if comp == "r" else pair.s).coeff(exp)
+    return (pair.r if comp == "r" else pair.s).coeffs.get(exp, zero)
 
 
-def _basis_matrix(pairs: Sequence[PairElement], extra: Sequence[PairElement] = ()):
+def _basis_matrix(pairs: Sequence[PairElement], extra: Sequence[PairElement] = (),
+                  zero=_ZERO):
     """(row keys, A): one row per (component, exponent) key that occurs in
-    `pairs` or `extra`, one column per pair of `pairs`."""
+    `pairs` or `extra`, one column per pair of `pairs`; absent entries are
+    `zero`."""
     exps_r, exps_s = set(), set()
     for p in (*pairs, *extra):
         exps_r.update(p.r.coeffs)
         exps_s.update(p.s.coeffs)
     keys = [("r", e) for e in sorted(exps_r)] + [("s", e) for e in sorted(exps_s)]
-    return keys, [[_entry(p, key) for p in pairs] for key in keys]
+    return keys, [[_entry(p, key, zero) for p in pairs] for key in keys]
 
 
 def decompose(pair: PairElement, spec: FamilySpec):
@@ -342,23 +352,33 @@ def decompose(pair: PairElement, spec: FamilySpec):
 
 def independence_rank(spec: FamilySpec) -> int:
     """Column rank of the basis coefficient matrix (should equal the dimension)."""
-    return linalg.rank(_basis_matrix(_basis_pairs(spec))[1])
+    return _integer_rank(_cleared_basis(spec)[1])
+
+
+def _integer_rank(pairs: Sequence[PairElement]) -> int:
+    return linalg.integer_rank(_basis_matrix(pairs, zero=0)[1])
 
 
 def matrix_rep(op: DiffOp, spec: FamilySpec) -> List[List[Fraction]]:
-    """Exact matrix of `op` on the family basis; column j expands op(basis_j)."""
-    dim = spec.dimension
+    """Exact matrix of `op` on the family basis; column j expands op(basis_j).
+
+    One elimination of [A | images] solves every column.  The first pivot
+    among the image columns marks the first image outside the span of A.
+    """
     pairs = _basis_pairs(spec)
-    columns = []
-    for j in range(dim):
-        image = apply_op(op, pairs[j])
-        coords = decompose(image, spec)
-        if isinstance(coords, NotInSpan):
+    dim = len(pairs)
+    images = [apply_op(op, pair) for pair in pairs]
+    keys, matrix = _basis_matrix(pairs, images)
+    red, pivots = linalg.rref([row + [_entry(image, key) for image in images]
+                               for key, row in zip(keys, matrix)])
+    rep = [[_ZERO] * dim for _ in range(dim)]
+    for row, col in zip(red, pivots):
+        if col >= dim:
             raise FamilyError(
                 f"operator does not preserve the family-{spec.family_id} subspace "
-                f"(failed on basis element {j})")
-        columns.append(coords)
-    return [[columns[j][i] for j in range(dim)] for i in range(dim)]
+                f"(failed on basis element {col - dim})")
+        rep[col] = row[dim:]
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -521,32 +541,85 @@ def verify_invariance(spec: FamilySpec) -> Dict[str, object]:
     Each action J f_j = sum_i a_ij f_i is checked as an identity: the image
     of every basis pair is formed symbolically (its derivatives are shared
     by J+ and J-), the combination given by `action_formula` is subtracted,
-    and the residual must be zero.  A passing check solves nothing; only a
-    failing one is decomposed over the basis, so that its mismatch carries
-    the computed coordinates (or "not in span") beside the expected ones.
+    and the residual must be zero.  The check runs on integers: the basis
+    is cleared to d*f_i, its derivatives are taken as D*d/dx
+    (`_cleared_basis`), and each operator and its actions carry one
+    common factor (`_cleared_action`), so the residual is a nonzero integer
+    multiple of the rational one.  The same cleared basis gives
+    `basis_rank`.  A passing check solves nothing; only a failing one is
+    decomposed over the basis, unscaled, so that its mismatch carries the
+    computed coordinates (or "not in span") beside the expected ones.
     """
-    pairs = _basis_pairs(spec)
-    j_plus, j_minus = family_operators(spec)
-    depth = max(j_plus.order(), j_minus.order())
+    pairs, cleared = _cleared_basis(spec)
+    ops = family_operators(spec)
+    depth = max(op.order() for op in ops)
+    den = cleared[0].ctx.den
+    checked = []
+    for label, op in zip(("J+", "J-"), ops):
+        actions = [action_formula(spec, label == "J+", _element_at(spec, idx))
+                   for idx in range(len(pairs))]
+        checked.append((label, op, actions, *_cleared_action(op, actions, den, depth)))
     mismatches: List[Dict[str, object]] = []
     checks = 0
-    for idx, pair in enumerate(pairs):
-        elem = _element_at(spec, idx)
+    for idx, pair in enumerate(cleared):
         chain = _derivatives(pair, depth)
-        for label, op in (("J+", j_plus), ("J-", j_minus)):
+        for label, op, actions, int_op, int_actions in checked:
             checks += 1
-            image = _combine(op, chain)
-            expected = action_formula(spec, label == "J+", elem)
-            if _is_combination(image, expected, pairs):
+            if _is_combination(_combine(int_op, chain), int_actions[idx], cleared):
                 continue
-            coords = decompose(image, spec)
+            coords = decompose(apply_op(op, pairs[idx]), spec)
             computed = ("not in span" if isinstance(coords, NotInSpan)
                         else {i: c for i, c in enumerate(coords) if c != 0})
             mismatches.append({"op": label, "element": idx,
-                               "computed": computed, "expected": expected})
+                               "computed": computed, "expected": actions[idx]})
+    rank = _integer_rank(cleared)
     return {"family": spec.family_id, "n_max": spec.n_max,
             "checks": checks, "mismatches": mismatches,
-            "ok": not mismatches}
+            "ok": not mismatches,
+            "basis_rank": rank, "rank_ok": rank == spec.dimension}
+
+
+def _denominator(*polys: LaurentPoly) -> int:
+    """The lcm of the denominators of all coefficients of `polys`."""
+    return math.lcm(*(c.denominator for p in polys for c in p.coeffs.values()))
+
+
+def _times(poly: LaurentPoly, factor: int) -> LaurentPoly:
+    """factor * poly on int coefficients; `factor` clears poly's denominators."""
+    return LaurentPoly({e: c.numerator * (factor // c.denominator)
+                        for e, c in poly.coeffs.items()})
+
+
+def _cleared_basis(spec: FamilySpec) -> Tuple[Tuple[PairElement, ...], Tuple[PairElement, ...]]:
+    """(the basis pairs, d times each of them on ints), d the lcm of the
+    denominators of all the pairs.
+
+    The cleared pairs differentiate by D*d/dx, D the lcm of the denominators
+    of the ODE rewrite (u, v), so their derivative chains stay on ints too.
+    """
+    pairs = _basis_pairs(spec)
+    ctx = spec.context()
+    den = _denominator(ctx.u, ctx.v)
+    ctx = PairContext(_times(ctx.u, den), _times(ctx.v, den), LaurentPoly.const(1), den)
+    d = _denominator(*(poly for pair in pairs for poly in (pair.r, pair.s)))
+    return pairs, tuple(PairElement(_times(p.r, d), _times(p.s, d), ctx) for p in pairs)
+
+
+def _cleared_action(op: DiffOp, actions: Sequence[Dict[int, Fraction]], den: int,
+                    depth: int) -> Tuple[DiffOp, List[Dict[int, int]]]:
+    """(T*op for chains of D*d/dx, T*each action), all on ints, one T for the op.
+
+    The order-k coefficient a_k is scaled by L*d_J*D^(depth - k), d_J the
+    lcm of op's denominators, so on the chain [d*f, ..., (D*d/dx)^depth
+    (d*f)] it gives T*d*op(f) with T = L*d_J*D^depth; L clears the
+    denominators of d_J*D^depth times the actions.
+    """
+    m = _denominator(*op.coeffs.values()) * den ** depth
+    lcm = math.lcm(*((m * c).denominator for action in actions for c in action.values()))
+    int_op = DiffOp({k: _times(a, lcm * m // den ** k) for k, a in op.coeffs.items()})
+    int_actions = [{i: c.numerator * (lcm * m // c.denominator) for i, c in action.items()}
+                   for action in actions]
+    return int_op, int_actions
 
 
 def _is_combination(image: PairElement, coords: Dict[int, Fraction],

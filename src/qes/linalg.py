@@ -1,7 +1,8 @@
 """Exact linear algebra and univariate polynomials.
 
 Matrix routines are generic over any exact field whose elements support
-+, -, *, / and == 0 (Fraction, QuadScalar); the characteristic polynomial
++, -, *, / and == 0 (Fraction, QuadScalar), except `integer_rank`, which
+stays on ints by fraction-free elimination; the characteristic polynomial
 is the continuant of a tridiagonal matrix.  Polynomials are ascending
 rational coefficient lists; their real-root machinery clears denominators
 once and runs on integers (a primitive Sturm chain, signs by homogeneous
@@ -69,6 +70,33 @@ def rref(matrix: Matrix) -> Tuple[Matrix, List[int]]:
 
 def rank(matrix: Matrix) -> int:
     return len(rref(matrix)[1])
+
+
+def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
+    """Rank of an int matrix by fraction-free elimination (Bareiss, Math.
+    Comp. 22 (1968) 565).
+
+    Each step replaces every lower entry by (p*a - f*b) / p_prev, a minor
+    of the original matrix, so each division is exact and the entries stay
+    ints of bounded size; a column without a pivot is skipped.
+    """
+    rows = [list(r) for r in matrix]
+    ncols = len(rows[0]) if rows else 0
+    previous, r = 1, 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r]
+        p = pivot[col]
+        for row in rows[r + 1:]:
+            f = row[col]
+            for k in range(col + 1, ncols):
+                row[k] = (p * row[k] - f * pivot[k]) // previous
+        previous = p
+        r += 1
+    return r
 
 
 def solve_linear(matrix: Matrix, rhs: Vector) -> Optional[Vector]:

@@ -47,30 +47,38 @@ def _merge(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
+def _normal(coeff):
+    """`coeff` as an int when it is integral, else as a Fraction."""
+    if type(coeff) is int:
+        return coeff
+    if not isinstance(coeff, Fraction):
+        raise TypeError(f"coefficient {coeff!r} is not an int or a Fraction")
+    return coeff.numerator if coeff.denominator == 1 else coeff
+
+
 class ParamPoly:
     """Polynomial in named parameters with rational coefficients.
 
     Just enough arithmetic for the coefficient catalog and the symbolic
-    derivation: ring operations, exact evaluation, printing.
+    derivation: ring operations, exact evaluation, printing.  Integral
+    coefficients are stored as ints and the others as Fractions, so the
+    integer polynomials the relations are made of never leave int
+    arithmetic; equality and hashing agree across the two types.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Mapping[Monomial, Fraction]] = None) -> None:
-        clean: Dict[Monomial, Fraction] = {}
-        for mono, coeff in dict(terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[mono] = coeff
-        self.terms = clean
+        self.terms = {mono: _normal(coeff)
+                      for mono, coeff in (terms or {}).items() if coeff}
 
     @classmethod
     def const(cls, value) -> "ParamPoly":
-        return cls({(): Fraction(value)})
+        return cls({(): value})
 
     @classmethod
     def var(cls, name: str) -> "ParamPoly":
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
 
     @staticmethod
     def _coerce(value) -> Optional["ParamPoly"]:
@@ -86,11 +94,7 @@ class ParamPoly:
             return NotImplemented
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            total = terms.get(mono, Fraction(0)) + coeff
-            if total:
-                terms[mono] = total
-            else:
-                terms.pop(mono, None)
+            terms[mono] = terms.get(mono, 0) + coeff
         return ParamPoly(terms)
 
     __radd__ = __add__
@@ -118,16 +122,14 @@ class ParamPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = _merge(m1, m2)
-                total = terms.get(mono, Fraction(0)) + c1 * c2
-                if total:
-                    terms[mono] = total
-                else:
-                    terms.pop(mono, None)
+                terms[mono] = terms.get(mono, 0) + c1 * c2
         return ParamPoly(terms)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            return self.terms == ({(): other} if other else {})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -142,7 +144,7 @@ class ParamPoly:
     def constant(self) -> Optional[Fraction]:
         """The value of a constant polynomial, or None if a variable occurs."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if len(self.terms) == 1 and () in self.terms:
             return self.terms[()]
         return None
@@ -475,7 +477,7 @@ def _solve_relation(side) -> Dict[str, ParamPoly]:
                 f"{sorted(pending)}")
         name, cell, coeff = pivot
         value = ParamPoly._coerce(remainder.coeff(cell[0]).coeff(cell[1]))
-        solved[name] = value * (1 / coeff)
+        solved[name] = value * (Fraction(1) / coeff)
         remainder = remainder - solved[name] * ops[name]
         del pending[name]
     if not remainder.is_zero():

@@ -167,14 +167,20 @@ def test_a_passing_verify_solves_nothing_but_one_rank_per_spec(capsys, monkeypat
     def refuse(*args):
         raise AssertionError("decompose called on a passing verify")
 
-    eliminations = []
-    rref = linalg.rref
+    def no_rational_elimination(*args):
+        raise AssertionError("rational elimination on a passing verify")
+
+    ranks = []
+    integer_rank = linalg.integer_rank
     monkeypatch.setattr(families, "decompose", refuse)
-    monkeypatch.setattr(linalg, "rref", lambda m: eliminations.append(m) or rref(m))
+    monkeypatch.setattr(linalg, "rref", no_rational_elimination)
+    monkeypatch.setattr(linalg, "integer_rank",
+                        lambda m: ranks.append(m) or integer_rank(m))
     code, payload = run_json(capsys, "verify", "--n", "2")
     assert code == 0 and payload["status"] == "ok"
     specs = sum(len(check["sample_reports"]) for check in payload["checks"])
-    assert len(eliminations) == specs > 0
+    assert len(ranks) == specs > 0
+    assert all(type(x) is int for m in ranks for row in m for x in row)
 
 
 def test_seed_changes_the_sampled_points_but_not_the_verdict(capsys):

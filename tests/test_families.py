@@ -321,6 +321,38 @@ def test_identity_verdict_equals_the_decomposed_comparison(spec):
             assert families._is_combination(image, action, pairs)
 
 
+@pytest.mark.parametrize("spec", list(sampled_specs()),
+                         ids=lambda spec: f"f{spec.family_id}-N{spec.n_max}")
+def test_cleared_verdict_equals_the_rational_one(spec):
+    # verify_invariance's integer check against the rational identity check:
+    # for the published actions, with one coefficient moved or one term
+    # added, and for x^-1 * J, whose images leave the span.  Every value the
+    # integer check compares is an int.
+    pairs, cleared = families._cleared_basis(spec)
+    den = cleared[0].ctx.den
+    dim = len(pairs)
+    for raise_op, op in zip((True, False), family_operators(spec)):
+        actions = [action_formula(spec, raise_op, families._element_at(spec, idx))
+                   for idx in range(dim)]
+        moved = [{**a, j: a.get(j, F(0)) + 1} for j, a in enumerate(actions)]
+        added = [{**a, (j + 1) % dim: a.get((j + 1) % dim, F(0)) - F(1, 3)}
+                 for j, a in enumerate(actions)]
+        for shifted in (op, DiffOp.mul_by(LaurentPoly.x(-1)) * op):
+            for kind, coords in (("published", actions), ("moved", moved), ("added", added)):
+                coords = [{i: c for i, c in a.items() if c != 0} for a in coords]
+                int_op, int_coords = families._cleared_action(shifted, coords, den, 2)
+                for j, (pair, int_pair) in enumerate(zip(pairs, cleared)):
+                    image = families._combine(int_op, families._derivatives(int_pair, 2))
+                    assert all(type(c) is int for c in (*image.r.coeffs.values(),
+                                                        *image.s.coeffs.values(),
+                                                        *int_coords[j].values()))
+                    verdict = families._is_combination(image, int_coords[j], cleared)
+                    assert verdict == families._is_combination(
+                        apply_op(shifted, pair), coords[j], pairs)
+                    if shifted is op:
+                        assert verdict == (kind == "published")
+
+
 def test_a_failing_action_reports_the_decomposed_image(monkeypatch):
     # A wrong coefficient in the published J+ action, and x*J- in place of
     # J-, which pushes the top of each chain out of the span: every mismatch

@@ -71,6 +71,32 @@ def test_sparse_rref_equals_the_dense_elimination(matrix):
     assert rref(matrix) == dense_rref(matrix)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6),
+       st.integers(min_value=0, max_value=4), st.data())
+def test_integer_rank_equals_the_rational_rank(nrows, ncols, rank_cap, data):
+    # Products of an nrows x k and a k x ncols matrix have rank at most k,
+    # so small k gives rank-deficient matrices; all-zero ones come too.
+    ints = st.integers(min_value=-40, max_value=40)
+    k = min(rank_cap, nrows, ncols)
+    left = data.draw(st.lists(st.lists(ints, min_size=k, max_size=k),
+                              min_size=nrows, max_size=nrows))
+    right = data.draw(st.lists(st.lists(ints, min_size=ncols, max_size=ncols),
+                               min_size=k, max_size=k))
+    matrix = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+              if right else [0] * ncols for row in left]
+    assert linalg.integer_rank(matrix) == rank([[F(x) for x in row] for row in matrix])
+
+
+def test_integer_rank_of_empty_zero_and_rank_deficient_matrices():
+    assert linalg.integer_rank([]) == 0
+    assert linalg.integer_rank([[], []]) == 0
+    assert linalg.integer_rank([[0, 0, 0], [0, 0, 0]]) == 0
+    # The second column has no pivot, and rows 1 and 3 are dependent.
+    assert linalg.integer_rank([[0, 0, 2], [3, 6, 1], [0, 0, 4], [1, 2, 5]]) == 2
+    assert linalg.integer_rank([[2, 4], [3, 6], [5, 10]]) == 1
+
+
 def test_solve_linear_finds_exact_solutions_and_detects_inconsistency():
     m = [[F(2), F(1)], [F(1), F(3)]]
     sol = solve_linear(m, [F(5), F(5)])

@@ -39,6 +39,20 @@ def test_param_poly_arithmetic_and_evaluation():
     assert (p - p).is_zero()
 
 
+@pytest.mark.parametrize("family_id", [1, 2, 3, 4, 5, 6])
+def test_param_poly_coefficients_stay_exact_and_integral_ones_are_ints(family_id):
+    for constants in (closure_constants(family_id), derive_constants(family_id)):
+        for name in CONSTANT_NAMES:
+            for coeff in getattr(constants, name).terms.values():
+                assert type(coeff) is int or (type(coeff) is F and coeff.denominator > 1)
+    half = ParamPoly.var("s") * F(1, 2)
+    assert half.terms == {(("s", 1),): F(1, 2)}
+    assert type((half * 2).terms[(("s", 1),)]) is int
+    assert half * 2 == ParamPoly.var("s") and ParamPoly.const(F(6, 2)) == 3
+    with pytest.raises(TypeError):
+        ParamPoly.const(0.5)
+
+
 def test_param_poly_string_form_is_deterministic():
     n = ParamPoly.var("n")
     s = ParamPoly.var("s")
