@@ -12,9 +12,9 @@ truncated-Fock eigenvalue search.
 
 from .families import (BasisElement, FamilyError, FamilySpec, NotInSpan,
                        PairContext, PairElement, action_formula, apply_op,
-                       decompose, family_operators, independence_rank,
-                       matrix_rep, operator_in_span, solve_preserving,
-                       substitute_pair, substituted_context, verify_invariance)
+                       decompose, family_operators, matrix_rep,
+                       operator_in_span, solve_preserving, substitute_pair,
+                       substituted_context, verify_invariance)
 from .rabi import (RabiConfig, RabiError, RabiOperator, SpectralResult,
                    FrequencyRoot, assemble_eigenfunctions, bargmann_growth,
                    build_L, closed_form_report, fock_truncation_check,
@@ -22,17 +22,15 @@ from .rabi import (RabiConfig, RabiError, RabiOperator, SpectralResult,
                    ladder_combination, solve_frequencies, subspace_matrix)
 from .structure import (CommutatorConstants, ParamPoly, StructureError,
                         closure_constants, closure_suite, compare_to_catalog,
-                        derive_constants, solve_constants_at,
-                        structure_operator, verify_structure_relations)
+                        derive_constants, verify_structure_relations)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BasisElement", "FamilyError", "FamilySpec", "NotInSpan", "PairContext",
     "PairElement", "action_formula", "apply_op", "decompose",
-    "family_operators", "independence_rank", "matrix_rep", "operator_in_span",
-    "solve_preserving", "substitute_pair", "substituted_context",
-    "verify_invariance",
+    "family_operators", "matrix_rep", "operator_in_span", "solve_preserving",
+    "substitute_pair", "substituted_context", "verify_invariance",
     "RabiConfig", "RabiError", "RabiOperator", "SpectralResult",
     "FrequencyRoot", "assemble_eigenfunctions", "bargmann_growth", "build_L",
     "closed_form_report", "fock_truncation_check", "frequency_table_report",
@@ -40,6 +38,6 @@ __all__ = [
     "subspace_matrix",
     "CommutatorConstants", "ParamPoly", "StructureError", "closure_constants",
     "closure_suite", "compare_to_catalog", "derive_constants",
-    "solve_constants_at", "structure_operator", "verify_structure_relations",
+    "verify_structure_relations",
     "__version__",
 ]

@@ -39,9 +39,9 @@ from .structure import (closure_suite, compare_to_catalog, derive_constants,
 SCHEMA_VERSION = 1
 _TABLE_SIZES = (2, 4, 5, 6, 7)
 # Each Fock-oracle probe is one pass over a chain of cutoff/2 entries;
-# table1 --cutoff 2000 takes about 0.5 s on a 2-vCPU host.
+# table1 --cutoff 2000 takes about 0.26 s on a 2-vCPU host.
 _CUTOFF_RANGE = (100, 2000)
-# rabi --n 40 --eigenfunctions takes 7.5-9.4 s on a 2-vCPU host, growing like N^3.
+# rabi --n 40 --type I --eigenfunctions takes 6.1-6.3 s on a 2-vCPU host, growing like N^3.
 _RABI_N_CAP = 40
 # verify --n 8 takes 0.29-0.34 s on a 2-vCPU host, growing like N^2 and
 # linearly in --samples: verify --n 8 --samples 64 takes 1.1-1.6 s.

@@ -155,8 +155,6 @@ class FamilySpec:
                 raise FamilyError(f"family {self.family_id} requires parameter s")
             if self.s.denominator == 1 and self.s <= 0:
                 raise FamilyError("s must avoid the nonpositive integers")
-            if self.s == 0:
-                raise FamilyError("s = 0 is a pole of the ladder formulas")
         if needs_alpha:
             if self.alpha is None:
                 raise FamilyError(f"family {self.family_id} requires parameter alpha")
@@ -317,67 +315,59 @@ class NotInSpan:
     residual: PairElement
 
 
-def _entry(pair: PairElement, key: Tuple[str, int], zero=_ZERO):
-    comp, exp = key
-    return (pair.r if comp == "r" else pair.s).coeffs.get(exp, zero)
+def _basis_matrix(pairs: Sequence[PairElement], zero=_ZERO):
+    """One row per (component, exponent) key that occurs in `pairs`, one
+    column per pair; absent entries are `zero`."""
+    exps_r = sorted({e for p in pairs for e in p.r.coeffs})
+    exps_s = sorted({e for p in pairs for e in p.s.coeffs})
+    return ([[p.r.coeffs.get(e, zero) for p in pairs] for e in exps_r]
+            + [[p.s.coeffs.get(e, zero) for p in pairs] for e in exps_s])
 
 
-def _basis_matrix(pairs: Sequence[PairElement], extra: Sequence[PairElement] = (),
-                  zero=_ZERO):
-    """(row keys, A): one row per (component, exponent) key that occurs in
-    `pairs` or `extra`, one column per pair of `pairs`; absent entries are
-    `zero`."""
-    exps_r, exps_s = set(), set()
-    for p in (*pairs, *extra):
-        exps_r.update(p.r.coeffs)
-        exps_s.update(p.s.coeffs)
-    keys = [("r", e) for e in sorted(exps_r)] + [("s", e) for e in sorted(exps_s)]
-    return keys, [[_entry(p, key, zero) for p in pairs] for key in keys]
+def _solve_over_basis(pairs: Sequence[PairElement], targets: Sequence[PairElement]):
+    """Solve A c = t for every target t by one RREF of [A | targets], A's
+    columns being `pairs`.
+
+    Returns (rank of A, coordinates, None), column j of the coordinates
+    solving target j with free coordinates zero.  The first pivot among the
+    target columns marks the first target outside span(A); then the result
+    is (rank of A, None, that target's index).
+    """
+    dim = len(pairs)
+    red, pivots = linalg.rref(_basis_matrix([*pairs, *targets]))
+    coords = [[_ZERO] * len(targets) for _ in range(dim)]
+    for rank, (row, col) in enumerate(zip(red, pivots)):
+        if col >= dim:
+            return rank, None, col - dim
+        coords[col] = row[dim:]
+    return len(pivots), coords, None
 
 
 def decompose(pair: PairElement, spec: FamilySpec):
     """Exact coordinates of `pair` in the family basis, or a NotInSpan witness.
 
-    One exact solve of A c = b over the keys of the basis and the target,
-    free coordinates zero.  When the system is inconsistent, b lies outside
-    the column space, so the augmented rank is exactly rank(A) + 1.
+    One elimination of [A | b] (`_solve_over_basis`), free coordinates zero.
+    When b lies outside the column space, the augmented rank is exactly
+    rank(A) + 1.
     """
-    keys, matrix = _basis_matrix(_basis_pairs(spec), (pair,))
-    coords = linalg.solve_linear(matrix, [_entry(pair, key) for key in keys])
-    if coords is None:
-        rank = linalg.rank(matrix)
+    rank, coords, outside = _solve_over_basis(_basis_pairs(spec), (pair,))
+    if outside is not None:
         return NotInSpan(rank, rank + 1, pair)
-    return coords
-
-
-def independence_rank(spec: FamilySpec) -> int:
-    """Column rank of the basis coefficient matrix (should equal the dimension)."""
-    return _integer_rank(_cleared_basis(spec)[1])
-
-
-def _integer_rank(pairs: Sequence[PairElement]) -> int:
-    return linalg.integer_rank(_basis_matrix(pairs, zero=0)[1])
+    return [row[0] for row in coords]
 
 
 def matrix_rep(op: DiffOp, spec: FamilySpec) -> List[List[Fraction]]:
     """Exact matrix of `op` on the family basis; column j expands op(basis_j).
 
-    One elimination of [A | images] solves every column.  The first pivot
-    among the image columns marks the first image outside the span of A.
+    One elimination of [A | images] (`_solve_over_basis`) solves every
+    column, and names the first image outside the span of A.
     """
     pairs = _basis_pairs(spec)
-    dim = len(pairs)
-    images = [apply_op(op, pair) for pair in pairs]
-    keys, matrix = _basis_matrix(pairs, images)
-    red, pivots = linalg.rref([row + [_entry(image, key) for image in images]
-                               for key, row in zip(keys, matrix)])
-    rep = [[_ZERO] * dim for _ in range(dim)]
-    for row, col in zip(red, pivots):
-        if col >= dim:
-            raise FamilyError(
-                f"operator does not preserve the family-{spec.family_id} subspace "
-                f"(failed on basis element {col - dim})")
-        rep[col] = row[dim:]
+    _, rep, outside = _solve_over_basis(pairs, [apply_op(op, pair) for pair in pairs])
+    if outside is not None:
+        raise FamilyError(
+            f"operator does not preserve the family-{spec.family_id} subspace "
+            f"(failed on basis element {outside})")
     return rep
 
 
@@ -388,151 +378,126 @@ def matrix_rep(op: DiffOp, spec: FamilySpec) -> List[List[Fraction]]:
 def action_formula(spec: FamilySpec, raise_op: bool, elem: BasisElement) -> Dict[int, Fraction]:
     """Published closed-form action of J+ (raise_op) or J- on one basis element.
 
-    Returns {basis_index: coefficient}; entries whose ladder coefficient
-    vanishes are omitted, so the cutoff at the subspace edges is visible.
+    Returns {basis_index: coefficient} with the zero coefficients omitted.
+    The cut-off at the subspace edges needs no guard: every coefficient
+    whose target index would leave 0..N carries a factor that vanishes
+    there, b_n = n - N going up from n = N, and n (or n(n - 1) for a step
+    of two) going down from n = 0 (Turbiner's sl(2) structure).  So `put`
+    drops it as a zero, and its range check is the edge check: a nonzero
+    coefficient outside 0..N is a FamilyError.
     """
     fid, n_cap = spec.family_id, spec.n_max
     s, alpha, nu = spec.s, spec.alpha, spec.nu
     n = Fraction(elem.n)
     a_n = n - 2 * n_cap
     b_n = n - n_cap
-    out: Dict[Tuple[Optional[str], int], Fraction] = {}
+    out: Dict[int, Fraction] = {}
+    plus, minus = 0, n_cap + 1  # where each chain starts in the basis order
 
-    def put(sign: Optional[str], m: int, coeff: Fraction) -> None:
+    def put(chain: int, m: int, coeff: Fraction) -> None:
         if coeff == 0:
             return
         if not 0 <= m <= n_cap:
             raise FamilyError(
                 f"ladder coefficient escapes the subspace: target index {m}")
-        out[(sign, m)] = out.get((sign, m), _ZERO) + coeff
+        out[chain + m] = out.get(chain + m, _ZERO) + coeff
 
     m = elem.n
     plus_chain = elem.sign == "+"
     if fid == 1:
         if raise_op:
             if plus_chain:
-                put("+", m, n * (a_n - 1 + s))
-                if b_n:
-                    put("-", m + 1, 2 * b_n / s)
+                put(plus, m, n * (a_n - 1 + s))
+                put(minus, m + 1, 2 * b_n / s)
             else:
-                put("-", m, (n - s) * (a_n - 1))
-                put("+", m, s * (2 * b_n - 1))
+                put(minus, m, (n - s) * (a_n - 1))
+                put(plus, m, s * (2 * b_n - 1))
         else:
             if plus_chain:
-                put("+", m, _ONE)
-                if n:
-                    put("+", m - 1, n * (n + s))
-                put("-", m, (1 + 2 * n) / s)
+                put(plus, m, _ONE)
+                put(plus, m - 1, n * (n + s))
+                put(minus, m, (1 + 2 * n) / s)
             else:
-                put("-", m, _ONE)
-                if n:
-                    put("-", m - 1, n * (n - s))
-                    put("+", m - 1, 2 * n * s)
+                put(minus, m, _ONE)
+                put(minus, m - 1, n * (n - s))
+                put(plus, m - 1, 2 * n * s)
     elif fid == 2:
         if raise_op:
             if plus_chain:
-                put("+", m, n * (a_n - 1 + s))
-                if b_n:
-                    put("+", m + 1, -b_n)
-                    put("-", m + 1, 2 * alpha * b_n / s)
+                put(plus, m, n * (a_n - 1 + s))
+                put(plus, m + 1, -b_n)
+                put(minus, m + 1, 2 * alpha * b_n / s)
             else:
-                put("-", m, (s - n) * (1 - a_n))
-                if b_n:
-                    put("-", m + 1, b_n)
-                put("+", m, s * (2 * b_n - 1))
+                put(minus, m, (s - n) * (1 - a_n))
+                put(minus, m + 1, b_n)
+                put(plus, m, s * (2 * b_n - 1))
         else:
             if plus_chain:
-                put("+", m, alpha - n)
-                if n:
-                    put("+", m - 1, n * (n + s))
-                put("-", m, alpha * (1 + 2 * n) / s)
+                put(plus, m, alpha - n)
+                put(plus, m - 1, n * (n + s))
+                put(minus, m, alpha * (1 + 2 * n) / s)
             else:
-                put("-", m, alpha + n + 1)
-                if n:
-                    put("-", m - 1, n * (n - s))
-                    put("+", m - 1, 2 * n * s)
+                put(minus, m, alpha + n + 1)
+                put(minus, m - 1, n * (n - s))
+                put(plus, m - 1, 2 * n * s)
     elif fid == 3:
         c_n = n_cap - 2 * n
         if raise_op:
-            put(None, m, s * n + (alpha + n) * c_n)
-            if b_n:
-                put(None, m + 1, (alpha + n) * b_n)
-            if n:
-                put(None, m - 1, n * (alpha + n - s))
+            put(plus, m, s * n + (alpha + n) * c_n)
+            put(plus, m + 1, (alpha + n) * b_n)
+            put(plus, m - 1, n * (alpha + n - s))
         else:
-            put(None, m, n + alpha)
+            put(plus, m, n + alpha)
     elif fid == 4:
         if raise_op:
             if plus_chain:
-                if n >= 2:
-                    put("+", m - 2, n * (n - 1))
-                if n:
-                    put("-", m - 1, 2 * n)
+                put(plus, m - 2, n * (n - 1))
+                put(minus, m - 1, 2 * n)
             else:
-                put("+", m, 1 + 2 * n)
-                if n >= 2:
-                    put("-", m - 2, n * (n - 1))
+                put(plus, m, 1 + 2 * n)
+                put(minus, m - 2, n * (n - 1))
         else:
             if plus_chain:
-                if n:
-                    put("+", m - 1, (a_n - 2) * n)
-                put("-", m, 2 * b_n - 1)
+                put(plus, m - 1, (a_n - 2) * n)
+                put(minus, m, 2 * b_n - 1)
             else:
-                if b_n:
-                    put("+", m + 1, 2 * b_n)
-                if n:
-                    put("-", m - 1, (a_n - 2) * n)
+                put(plus, m + 1, 2 * b_n)
+                put(minus, m - 1, (a_n - 2) * n)
     elif fid == 5:
         if raise_op:
             if plus_chain:
-                put("+", m, (nu + n) * (nu + a_n))
-                if b_n:
-                    put("-", m + 1, -2 * b_n)
+                put(plus, m, (nu + n) * (nu + a_n))
+                put(minus, m + 1, -2 * b_n)
             else:
-                put("-", m, (n - 1 - nu) * (a_n - 1 - nu))
-                if b_n:
-                    put("+", m + 1, -2 * b_n)
+                put(minus, m, (n - 1 - nu) * (a_n - 1 - nu))
+                put(plus, m + 1, -2 * b_n)
         else:
             if plus_chain:
-                if n:
-                    put("+", m - 1, n * (1 + n + 2 * nu))
-                put("-", m, -(1 + 2 * n))
+                put(plus, m - 1, n * (1 + n + 2 * nu))
+                put(minus, m, -(1 + 2 * n))
             else:
-                put("+", m, -(1 + 2 * n))
-                if n:
-                    put("-", m - 1, n * (n - 2 * nu - 1))
+                put(plus, m, -(1 + 2 * n))
+                put(minus, m - 1, n * (n - 2 * nu - 1))
     else:
         if raise_op:
             if plus_chain:
-                if b_n:
-                    put("+", m + 1, -2 * b_n)
-                if n:
-                    put("+", m - 1, n * (a_n - 2))
-                put("-", m, 4 * alpha * (2 * b_n - 1))
+                put(plus, m + 1, -2 * b_n)
+                put(plus, m - 1, n * (a_n - 2))
+                put(minus, m, 4 * alpha * (2 * b_n - 1))
             else:
-                if n:
-                    put("-", m - 1, n * (a_n - 2))
-                put("+", m, 2 * b_n - 1)
-                if b_n:
-                    put("-", m + 1, 2 * b_n)
+                put(minus, m - 1, n * (a_n - 2))
+                put(plus, m, 2 * b_n - 1)
+                put(minus, m + 1, 2 * b_n)
         else:
             if plus_chain:
-                put("+", m, 2 * (2 * alpha - n))
-                if n >= 2:
-                    put("+", m - 2, n * n - n)
-                if n:
-                    put("-", m - 1, 8 * alpha * n)
+                put(plus, m, 2 * (2 * alpha - n))
+                put(plus, m - 2, n * n - n)
+                put(minus, m - 1, 8 * alpha * n)
             else:
-                if n:
-                    put("+", m - 1, 2 * n)
-                put("-", m, 2 * (2 * alpha + 1 + n))
-                if n >= 2:
-                    put("-", m - 2, n * n - n)
-
-    indexed: Dict[int, Fraction] = {}
-    for (sign, m_target), coeff in out.items():
-        indexed[BasisElement(spec, m_target, sign).index] = coeff
-    return indexed
+                put(plus, m - 1, 2 * n)
+                put(minus, m, 2 * (2 * alpha + 1 + n))
+                put(minus, m - 2, n * n - n)
+    return out
 
 
 def verify_invariance(spec: FamilySpec) -> Dict[str, object]:
@@ -572,7 +537,7 @@ def verify_invariance(spec: FamilySpec) -> Dict[str, object]:
                         else {i: c for i, c in enumerate(coords) if c != 0})
             mismatches.append({"op": label, "element": idx,
                                "computed": computed, "expected": actions[idx]})
-    rank = _integer_rank(cleared)
+    rank = linalg.integer_rank(_basis_matrix(cleared, zero=0))
     return {"family": spec.family_id, "n_max": spec.n_max,
             "checks": checks, "mismatches": mismatches,
             "ok": not mismatches,

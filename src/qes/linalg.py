@@ -1,9 +1,11 @@
 """Exact linear algebra and univariate polynomials.
 
-Matrix routines are generic over any exact field whose elements support
-+, -, *, / and == 0 (Fraction, QuadScalar), except `integer_rank`, which
-stays on ints by fraction-free elimination; the characteristic polynomial
-is the continuant of a tridiagonal matrix.  Polynomials are ascending
+Matrix routines (RREF, rank, null space) are generic over any exact field
+whose elements support +, -, *, / and == 0 (Fraction, QuadScalar), except
+`integer_rank`, which stays on ints by fraction-free elimination; a linear
+solve is one `rref` of the augmented matrix, which its caller reads
+(`families._solve_over_basis`).  The characteristic polynomial is the
+continuant of a tridiagonal matrix.  Polynomials are ascending
 rational coefficient lists; their real-root machinery clears denominators
 once and runs on integers (a primitive Sturm chain, signs by homogeneous
 integer Horner evaluation).  `LambdaPoly` is a polynomial in lambda as a
@@ -99,33 +101,14 @@ def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
     return r
 
 
-def solve_linear(matrix: Matrix, rhs: Vector) -> Optional[Vector]:
-    """One exact solution of A x = b, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    if not matrix:
-        return [] if all(x == 0 for x in rhs) else None
-    ncols = len(matrix[0])
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    zero = _zero_like(matrix, rhs)
-    solution = [zero] * ncols
-    for i, col in enumerate(pivots):
-        solution[col] = red[i][ncols]
-    return solution
-
-
 def nullspace(matrix: Matrix) -> List[Vector]:
     """Exact basis of the right null space."""
     if not matrix:
         return []
     ncols = len(matrix[0])
     red, pivots = rref(matrix)
-    zero = _zero_like(matrix, [])
     one = _one_like(matrix)
+    zero = one - one
     free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
     for free in free_cols:
@@ -135,15 +118,6 @@ def nullspace(matrix: Matrix) -> List[Vector]:
             vec[col] = -red[i][free]
         basis.append(vec)
     return basis
-
-
-def _zero_like(matrix: Matrix, extra: Sequence[object]):
-    for row in matrix:
-        for x in row:
-            return x - x
-    for x in extra:
-        return x - x
-    return Fraction(0)
 
 
 def _one_like(matrix: Matrix):

@@ -24,8 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .diffop import DiffOp, commutator
-from .families import FamilySpec, family_operators, operators_over
-from .linalg import rank, solve_linear
+from .families import FamilySpec, operators_over
 from .sampling import mix_seed, sample_params
 
 
@@ -148,13 +147,6 @@ class ParamPoly:
         if len(self.terms) == 1 and () in self.terms:
             return self.terms[()]
         return None
-
-    def variables(self) -> Tuple[str, ...]:
-        seen = set()
-        for mono in self.terms:
-            for name, _ in mono:
-                seen.add(name)
-        return tuple(sorted(seen))
 
     def degree_in(self, name: str) -> int:
         best = 0
@@ -300,15 +292,6 @@ def closure_constants(family_id: int) -> CommutatorConstants:
 # the relations themselves
 # ---------------------------------------------------------------------------
 
-def structure_operator(spec: FamilySpec) -> DiffOp:
-    """The bracket S = [J^-, J^+], checked to have order at most 3.
-
-    Its coefficients are Laurent polynomials, not polynomials in general:
-    for family 5 the d^0 coefficient carries an x^-1 term.
-    """
-    return _bracket(*family_operators(spec))
-
-
 def _bracket(jp: DiffOp, jm: DiffOp) -> DiffOp:
     s_op = commutator(jm, jp)
     if s_op.order() > 3:
@@ -418,36 +401,6 @@ def verify_structure_relations(
 # ---------------------------------------------------------------------------
 # independent re-derivation of the coefficients
 # ---------------------------------------------------------------------------
-
-def solve_constants_at(spec: FamilySpec) -> Dict[str, Fraction]:
-    """Fit the closure coefficients at one parameter point, exactly.
-
-    Expands the left side of each relation and every candidate term in the
-    monomial basis x^j d^m and solves the resulting linear system.  Raises
-    if the system is inconsistent (the relation does not close in the
-    claimed span) or if the candidate terms are linearly dependent there.
-    This is a concrete-point cross-check on `derive_constants`, which
-    solves the same relations symbolically.
-    """
-    solved: Dict[str, Fraction] = {}
-    for side in _relation_sides(*family_operators(spec)):
-        names = [name for name, _ in side["terms"]]
-        ops = [op for _, op in side["terms"]]
-        ordered = sorted(set().union(*map(_cells, ops + [side["lhs"]])))
-        matrix = [
-            [op.coeff(order).coeff(exp) for op in ops] for order, exp in ordered
-        ]
-        rhs = [side["lhs"].coeff(order).coeff(exp) for order, exp in ordered]
-        if rank(matrix) != len(ops):
-            raise StructureError(
-                "candidate terms are linearly dependent at this parameter "
-                "point; pick a more generic sample")
-        solution = solve_linear(matrix, rhs)
-        if solution is None:
-            raise StructureError("relations do not close in the claimed span")
-        solved.update(zip(names, solution))
-    return solved
-
 
 def _solve_relation(side) -> Dict[str, ParamPoly]:
     """Solve lhs = sum c_i op_i over Q[s, alpha, nu, n] by forward substitution.

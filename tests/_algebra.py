@@ -1,16 +1,20 @@
 """Small exact helpers that only the tests need: products of polynomials
 and matrices, in the ascending-list and list-of-rows forms of `qes.linalg`,
 the plain reference computations that faster solver paths must match (among
-them the dense Faddeev-LeVerrier characteristic polynomial), and the dense
-numpy Fock blocks that the chain oracle must agree with."""
+them the dense Faddeev-LeVerrier characteristic polynomial, and the basis
+rank, solves and closure fit on `dense_rref`, which share no elimination
+with `qes`), and the dense numpy Fock blocks that the chain oracle must
+agree with."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from qes import families, structure
 from qes.diffop import DiffOp, conjugate_by_gauge
-from qes.families import BasisElement, apply_op, substitute_pair, substituted_context
+from qes.families import (BasisElement, apply_op, family_operators, substitute_pair,
+                          substituted_context)
 from qes.laurent import LaurentPoly
 from qes.linalg import LambdaPoly
 from qes.rabi import fock_truncation_check
@@ -92,6 +96,59 @@ def dense_rref(matrix):
         if r == len(rows):
             break
     return rows, pivots
+
+
+def dense_rank(matrix):
+    return len(dense_rref(matrix)[1])
+
+
+def dense_solve(matrix, rhs):
+    """One solution of A x = b, free coordinates zero, or None if inconsistent."""
+    ncols = len(matrix[0])
+    red, pivots = dense_rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if ncols in pivots:
+        return None
+    solution = [Fraction(0)] * ncols
+    for row, col in zip(red, pivots):
+        solution[col] = row[ncols]
+    return solution
+
+
+def coefficient_matrix(pairs):
+    """One row per (component, exponent) that occurs in `pairs`, one column per pair."""
+    rows = [("r", e) for e in sorted({e for p in pairs for e in p.r.coeffs})]
+    rows += [("s", e) for e in sorted({e for p in pairs for e in p.s.coeffs})]
+    return [[getattr(p, comp).coeff(e) for p in pairs] for comp, e in rows]
+
+
+def independence_rank(spec):
+    """Column rank of the basis coefficient matrix (should equal the dimension)."""
+    return dense_rank(coefficient_matrix(families._basis_pairs(spec)))
+
+
+def structure_operator(spec):
+    """The bracket S = [J^-, J^+] at one point, checked to have order at most 3."""
+    return structure._bracket(*family_operators(spec))
+
+
+def solve_constants_at(spec):
+    """Fit the closure coefficients at one parameter point by `dense_rref`.
+
+    Raises StructureError if the candidate terms are dependent there or the
+    relation does not close in their span.  The concrete-point cross-check
+    on `structure.derive_constants`, which solves the relations symbolically.
+    """
+    solved = {}
+    for side in structure._relation_sides(*family_operators(spec)):
+        ops = [op for _, op in side["terms"]]
+        cells = sorted(set().union(*map(structure._cells, ops + [side["lhs"]])))
+        matrix = [[op.coeff(order).coeff(exp) for op in ops] for order, exp in cells]
+        solution = dense_solve(matrix, [side["lhs"].coeff(k).coeff(j) for k, j in cells])
+        if dense_rank(matrix) != len(ops) or solution is None:
+            raise structure.StructureError(
+                "candidate terms are dependent here, or the relation does not close")
+        solved.update(zip((name for name, _ in side["terms"]), solution))
+    return solved
 
 
 def recovery_in_z(root, config, operator):

@@ -3,15 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from _algebra import mat_commutator, mat_mul
+from _algebra import (coefficient_matrix, dense_rank, dense_solve, independence_rank,
+                      mat_commutator, mat_mul)
 from qes import families
 from qes.diffop import DiffOp, commutator
 from qes.families import (BasisElement, FamilyError, FamilySpec, NotInSpan,
                           PairElement, action_formula, apply_op, decompose,
-                          family_operators, independence_rank, matrix_rep,
-                          operator_in_span, solve_preserving, verify_invariance)
+                          family_operators, matrix_rep, operator_in_span,
+                          solve_preserving, verify_invariance)
 from qes.laurent import LaurentPoly
-from qes.linalg import LambdaPoly, rank, solve_linear
+from qes.linalg import LambdaPoly
 from qes.sampling import random_rational, sample_grid
 from qes.scalars import QuadScalar
 
@@ -95,7 +96,8 @@ def test_operators_preserve_every_sampled_subspace(family_id):
 def test_basis_elements_are_linearly_independent(family_id):
     for params in sample_grid(family_id, 3, count=2, seed=7):
         spec = spec_from(family_id, 3, params)
-        assert independence_rank(spec) == spec.dimension
+        rank = verify_invariance(spec)["basis_rank"]
+        assert rank == independence_rank(spec) == spec.dimension
 
 
 def test_a_nonpreserving_operator_is_reported_with_a_witness():
@@ -176,6 +178,18 @@ def test_matrix_representation_is_multiplicative(family_id):
             == mat_commutator(rep_plus, rep_minus))
 
 
+@pytest.mark.parametrize("op,first", [
+    (DiffOp.mul_by(LaurentPoly.x(2)), 0),  # x^2 f_0^+ lies past f_N^+ = x
+    (DiffOp.mul_by(LaurentPoly.x()), 1),  # x f_0^+ = f_1^+, but x f_1^+ leaves
+    (DiffOp({1: LaurentPoly.const(F(1))}), 2),  # d/dx keeps the plus chain, not f_0^-
+], ids=("times-x2", "times-x", "derivative"))
+def test_matrix_rep_names_the_first_basis_element_whose_image_leaves_the_span(op, first):
+    spec = FamilySpec(1, 1, s=F(5, 2))
+    message = rf"family-1 subspace \(failed on basis element {first}\)$"
+    with pytest.raises(FamilyError, match=message):
+        matrix_rep(op, spec)
+
+
 # -- re-derivation of the preserving operators -----------------------------------
 
 def test_preserving_space_is_two_dimensional_modulo_constants():
@@ -197,27 +211,20 @@ def test_preserving_space_excludes_foreign_operators():
 
 def reference_system(pairs, target):
     """The exact system `pairs @ c = target`, one row per (component, exponent)."""
-    exps_r, exps_s = set(), set()
-    for p in list(pairs) + [target]:
-        exps_r.update(p.r.coeffs)
-        exps_s.update(p.s.coeffs)
-    rows = [("r", e) for e in sorted(exps_r)] + [("s", e) for e in sorted(exps_s)]
-    matrix = [[(p.r if comp == "r" else p.s).coeff(e) for p in pairs]
-              for comp, e in rows]
-    rhs = [(target.r if comp == "r" else target.s).coeff(e) for comp, e in rows]
-    return matrix, rhs
+    augmented = coefficient_matrix([*pairs, target])
+    return [row[:-1] for row in augmented], [row[-1] for row in augmented]
 
 
 def assert_matches_reference(target, spec, pairs):
     matrix, rhs = reference_system(pairs, target)
-    expected = solve_linear(matrix, rhs)
+    expected = dense_solve(matrix, rhs)
     got = decompose(target, spec)
     if expected is not None:
         assert got == expected
         return got
     assert isinstance(got, NotInSpan)
-    assert got.rank_basis == rank(matrix)
-    assert got.rank_augmented == rank([row + [b] for row, b in zip(matrix, rhs)])
+    assert got.rank_basis == dense_rank(matrix)
+    assert got.rank_augmented == dense_rank([row + [b] for row, b in zip(matrix, rhs)])
     assert got.residual is target
     return got
 
@@ -239,7 +246,7 @@ def test_cached_decomposition_equals_a_fresh_solve(spec):
     pairs = [families._element_at(spec, i).to_pair() for i in range(spec.dimension)]
     zero = PairElement(LaurentPoly.zero(), LaurentPoly.zero(), pairs[0].ctx)
     matrix, _ = reference_system(pairs, zero)
-    assert independence_rank(spec) == rank(matrix) == spec.dimension
+    assert dense_rank(matrix) == spec.dimension
 
     for op in family_operators(spec):
         for pair in pairs:

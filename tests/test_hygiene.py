@@ -1,5 +1,6 @@
-"""Source hygiene: no unused imports in `qes`, no numpy anywhere in it, and
-every name the benchmark's tracer wraps still defined."""
+"""Source hygiene: no unused imports in `qes`, no numpy anywhere in it,
+every name the benchmark's tracer wraps still defined, and no function in
+`qes` that only the tests reach."""
 
 import ast
 import importlib
@@ -100,3 +101,47 @@ def test_every_traced_name_exists_in_qes():
     missing = [f"{module}.{name}" for module, name in names
                if not hasattr(importlib.import_module(f"qes.{module}"), name)]
     assert missing == []
+
+
+def names_in(source: str, imports: bool = False) -> set:
+    """What each `ast.Name` and `ast.Attribute` in `source` reads, plus each
+    imported name if `imports`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif imports and isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def unreached_functions(modules: dict, pinned: set) -> list:
+    """`module.name` of each module-level function in `modules` ({file name:
+    source}) that no module reads and `pinned` does not hold.  A module's
+    use of its own function counts; the re-exports of `__init__.py` do not."""
+    read = set().union(*(names_in(source) for name, source in modules.items()
+                         if name != "__init__.py"))
+    return sorted(f"{name[:-3]}.{node.name}" for name, source in modules.items()
+                  for node in ast.parse(source).body
+                  if isinstance(node, ast.FunctionDef) and node.name not in read | pinned)
+
+
+def test_every_function_in_qes_is_reached_from_qes_or_pinned():
+    # Only the benchmark's tracer and the acceptance criteria may pin a name
+    # that no `qes` module uses; what only other tests need lives in
+    # `tests/_algebra.py`.
+    pinned = set().union(*(names_in(path.read_text(), imports=True) for path in (
+        ROOT / "perfbench" / "traced.py", ROOT / "tests" / "test_acceptance.py")))
+    modules = {path.name: path.read_text() for path in SOURCES}
+    assert unreached_functions(modules, pinned) == []
+
+
+def test_the_reach_check_sees_a_function_only_reexported():
+    modules = {"__init__.py": "from .a import f, h\n",
+               "a.py": "def f():\n    return g()\n\n\ndef g():\n    pass\n\n\n"
+                       "def h():\n    pass\n",
+               "b.py": "from . import a\n\na.f()\n"}
+    assert unreached_functions(modules, set()) == ["a.h"]
+    assert unreached_functions(modules, {"h"}) == []

@@ -10,7 +10,7 @@ from _algebra import (dense_rref, faddeev_leverrier, mat_commutator, mat_identit
 from qes import linalg
 from qes.linalg import (LambdaPoly, charpoly, isolate_real_roots, minimal_factors,
                         nullspace, poly_gcd, poly_trim, rank, refine_root, rref,
-                        solve_linear, squarefree_part, sturm_chain)
+                        squarefree_part, sturm_chain)
 from qes.scalars import QuadScalar, SQRT2
 
 F = Fraction
@@ -95,13 +95,6 @@ def test_integer_rank_of_empty_zero_and_rank_deficient_matrices():
     # The second column has no pivot, and rows 1 and 3 are dependent.
     assert linalg.integer_rank([[0, 0, 2], [3, 6, 1], [0, 0, 4], [1, 2, 5]]) == 2
     assert linalg.integer_rank([[2, 4], [3, 6], [5, 10]]) == 1
-
-
-def test_solve_linear_finds_exact_solutions_and_detects_inconsistency():
-    m = [[F(2), F(1)], [F(1), F(3)]]
-    sol = solve_linear(m, [F(5), F(5)])
-    assert sol == [F(2), F(1)]
-    assert solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
 
 
 @given(sizes.flatmap(tridiagonal_matrices))

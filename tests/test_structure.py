@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from _algebra import mat_commutator
+from _algebra import mat_commutator, solve_constants_at, structure_operator
 from qes import structure
 from qes.diffop import DiffOp, commutator
 from qes.families import (FamilySpec, family_operators, matrix_rep,
@@ -12,7 +12,6 @@ from qes.sampling import sample_grid
 from qes.structure import (CONSTANT_NAMES, CommutatorConstants, ParamPoly,
                            StructureError, closure_constants, closure_suite,
                            compare_to_catalog, derive_constants,
-                           solve_constants_at, structure_operator,
                            verify_structure_relations)
 
 F = Fraction
