@@ -37,6 +37,7 @@ COMMANDS = (
     "rabi --n 7 --type II --eigenfunctions --cutoff 100 --json",
     "rabi --n 14 --type I --cutoff 100 --json",
     "rabi --n 2 --type I --eigenfunctions --cutoff 100 --json",
+    "rabi --n 30 --type II --cutoff 100 --json",
 )
 ROOT_FIELDS = ("lambda_interval", "minimal_poly", "multiplicity", "certificate",
                "null_vector_floats")
