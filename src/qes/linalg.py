@@ -5,10 +5,10 @@ whose elements support +, -, *, / and == 0 (Fraction, QuadScalar), except
 `integer_rank`, which stays on ints by fraction-free elimination; a linear
 solve is one `rref` of the augmented matrix, which its caller reads
 (`families._solve_over_basis`).  The characteristic polynomial is the
-continuant of a tridiagonal matrix.  Polynomials are ascending
-rational coefficient lists; their real-root machinery clears denominators
-once and runs on integers (a primitive Sturm chain, signs by homogeneous
-integer Horner evaluation).  `LambdaPoly` is a polynomial in lambda as a
+continuant of a tridiagonal matrix's three diagonals.  Polynomials are
+ascending rational coefficient lists; their real-root machinery refuses a
+repeated root, clears denominators once and runs on integers (a primitive
+Sturm chain, signs by homogeneous integer Horner evaluation).  `LambdaPoly` is a polynomial in lambda as a
 value, the entry type of the Rabi null vector: it adds and multiplies and
 never divides, and membership of a root is a remainder by its polynomial.
 """
@@ -28,10 +28,6 @@ Vector = List[object]
 # ---------------------------------------------------------------------------
 # Generic exact matrix algebra
 # ---------------------------------------------------------------------------
-
-def mat_scale(a: Matrix, s) -> Matrix:
-    return [[s * x for x in row] for row in a]
-
 
 def rref(matrix: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form; returns (R, pivot column indices).
@@ -128,27 +124,22 @@ def _one_like(matrix: Matrix):
     return Fraction(1)
 
 
-def charpoly(matrix: Matrix) -> List[Fraction]:
-    """Monic characteristic polynomial det(xI - A) of a tridiagonal A, ascending.
+def charpoly(diagonal: Sequence, couplings: Sequence) -> List[Fraction]:
+    """Monic det(xI - A), ascending, of the tridiagonal A with diagonal a_kk
+    and couplings[k - 1] = a_{k,k-1} a_{k-1,k}.
 
     Exact over any field of characteristic 0, in O(n^2) operations by the
-    continuant D_k = (x - a_kk) D_{k-1} - a_{k,k-1} a_{k-1,k} D_{k-2}.  An
-    entry off the three diagonals is a ValueError.
+    continuant D_k = (x - a_kk) D_{k-1} - a_{k,k-1} a_{k-1,k} D_{k-2}.
     """
-    for i, row in enumerate(matrix):
-        for j, entry in enumerate(row):
-            if abs(i - j) > 1 and entry != 0:
-                raise ValueError(f"matrix is not tridiagonal: entry ({i}, {j}) is {entry}")
-    one = _one_like(matrix)
+    one = _one_like([diagonal, couplings])
     zero = one - one
     previous: List[Fraction] = []
     current = [one]
-    for k, row in enumerate(matrix):
-        following = [c - row[k] * x for c, x in zip([zero] + current, current + [zero])]
+    for k, entry in enumerate(diagonal):
+        following = [c - entry * x for c, x in zip([zero] + current, current + [zero])]
         if k:
-            coupling = row[k - 1] * matrix[k - 1][k]
             for i, c in enumerate(previous):
-                following[i] = following[i] - coupling * c
+                following[i] = following[i] - couplings[k - 1] * c
         previous, current = current, following
     return current
 
@@ -182,16 +173,6 @@ def poly_divmod(p: Sequence[Fraction], q: Sequence[Fraction]):
             rem[shift + i] -= factor * c
         rem = poly_trim(rem)
     return poly_trim(quot), poly_trim(rem)
-
-
-def poly_gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> List[Fraction]:
-    a, b = poly_trim(list(p)), poly_trim(list(q))
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -269,24 +250,6 @@ def _sign_changes(chain: List[List[int]], x: Fraction) -> int:
     return changes
 
 
-def _squarefree_with_chain(p: Sequence[Fraction]):
-    """(squarefree part of p, the Sturm chain of that part)."""
-    p = poly_trim(list(p))
-    if len(p) <= 1:
-        return p, []
-    chain = sturm_chain(p)
-    gcd = chain[-1]
-    if len(gcd) == 1:
-        return p, chain
-    sq = poly_divmod(p, [Fraction(c, gcd[-1]) for c in gcd])[0]
-    return sq, sturm_chain(sq)
-
-
-def squarefree_part(p: Sequence[Fraction]) -> List[Fraction]:
-    """p divided by the monic gcd(p, p'): the same roots, each simple."""
-    return _squarefree_with_chain(p)[0]
-
-
 def root_bound(p: Sequence[Fraction]) -> Fraction:
     """Cauchy bound: all real roots lie in (-B, B)."""
     p = poly_trim(list(p))
@@ -295,22 +258,23 @@ def root_bound(p: Sequence[Fraction]) -> Fraction:
     return Fraction(1) + m / lead
 
 
-def isolate_real_roots(p: Sequence[Fraction], *, chain: Optional[List[List[int]]] = None
-                       ) -> List[Tuple[Fraction, Fraction]]:
-    """Disjoint open intervals each containing exactly one real root.
+def isolate_real_roots(p: Sequence[Fraction]) -> List[Tuple[Fraction, Fraction]]:
+    """Disjoint open intervals each containing exactly one real root of p.
 
-    Works on the square-free part, so multiple roots are reported once.
-    Bisects (-B, B), B the Cauchy bound of that part, counting roots with
-    its integer Sturm chain; a midpoint that hits a root is nudged right
-    by 1/1000003 of the interval.  A given `chain` is p's, and p squarefree.
+    p must be squarefree: the last member of its integer Sturm chain is
+    gcd(p, p') up to a constant, and a nonconstant one, a repeated root, is
+    a ValueError.  Bisects (-B, B), B the Cauchy bound of p, counting roots
+    with the chain; a midpoint that hits a root is nudged right by
+    1/1000003 of the interval.
     """
-    if chain is None:
-        sq, chain = _squarefree_with_chain(p)
-    else:
-        sq = poly_trim(list(p))
-    if len(sq) <= 1:
+    p = poly_trim(list(p))
+    if len(p) <= 1:
         return []
-    bound = root_bound(sq)
+    chain = sturm_chain(p)
+    if len(chain[-1]) > 1:
+        raise ValueError(f"the polynomial has a repeated root: gcd(p, p') has degree "
+                         f"{len(chain[-1]) - 1}")
+    bound = root_bound(p)
     # Each entry carries the sign changes at both ends; their difference
     # is the number of roots inside, so every point is evaluated once.
     intervals = []
@@ -337,15 +301,11 @@ def refine_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
                 digits: int = 14) -> Tuple[Fraction, Fraction]:
     """Shrink an isolating interval by bisection to ~`digits` significant digits.
 
-    If p changes sign across the interval it is a constant-sign multiple of
-    its squarefree part there, so bisecting p itself picks the same halves;
-    only a root of even multiplicity needs the squarefree part.
+    p must change sign across the interval, as a squarefree p does across
+    each interval of `isolate_real_roots`.
     """
     poly = _integer_multiple(p)
     slo, shi = _sign_at(poly, lo), _sign_at(poly, hi)
-    if slo == shi != 0:
-        poly = _integer_multiple(squarefree_part(p))
-        slo, shi = _sign_at(poly, lo), _sign_at(poly, hi)
     if slo == 0:
         return lo, lo
     if shi == 0:
@@ -370,19 +330,16 @@ def refine_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
 # The real-root step
 # ---------------------------------------------------------------------------
 
-def minimal_factors(p: Sequence[Fraction]
-                    ) -> Tuple[List[Fraction], List[Tuple[Fraction, Fraction]]]:
-    """(squarefree part of p, every real root's refined isolating interval).
+def minimal_factors(p: Sequence[Fraction]) -> List[Tuple[Fraction, Fraction]]:
+    """Every real root of the squarefree p as a refined isolating interval.
 
-    The squarefree part and its integer Sturm chain are built once, the
-    chain isolates the real roots once, and each interval is refined to
-    `refine_root`'s 14-digit default; the intervals come in ascending
-    order.  The name outlives a rational-factor search that is gone:
-    `perfbench/traced.py` times this step under it, so a rename waits for
-    that benchmark's next span list.
+    `isolate_real_roots` isolates the roots once, refusing a repeated one,
+    and each interval is refined to `refine_root`'s 14-digit default; the
+    intervals come in ascending order.  The name outlives a rational-factor
+    search that is gone: `perfbench/traced.py` times this step under it, so
+    a rename waits for that benchmark's next span list.
     """
-    sq, chain = _squarefree_with_chain(p)
-    return sq, [refine_root(sq, lo, hi) for lo, hi in isolate_real_roots(sq, chain=chain)]
+    return [refine_root(p, lo, hi) for lo, hi in isolate_real_roots(p)]
 
 
 # ---------------------------------------------------------------------------

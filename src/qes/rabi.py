@@ -33,8 +33,7 @@ from .families import (BasisElement, FamilySpec, _basis_pairs, action_formula,
                        apply_op, family_operators, substitute_pair,
                        substituted_context)
 from .laurent import LaurentPoly
-from .linalg import (LambdaPoly, charpoly, mat_scale, minimal_factors, poly_divmod,
-                     poly_gcd, poly_trim)
+from .linalg import LambdaPoly, charpoly, minimal_factors, poly_divmod
 from .scalars import SQRT2, SQRT3, SQRT6, QuadScalar, embed_to_float, format_scalar
 
 
@@ -216,26 +215,37 @@ def gauge_identity_residual(config: RabiConfig,
 # the spectral condition
 # ---------------------------------------------------------------------------
 
-def subspace_matrix(config: RabiConfig) -> List[List[Fraction]]:
-    """M0: the ladder combination represented on the invariant subspace.
+Diagonals = Tuple[List[Fraction], List[Fraction], List[Fraction]]
+
+
+def subspace_matrix(config: RabiConfig) -> Diagonals:
+    """M0, the ladder combination on the invariant subspace, as its three
+    diagonals (lower, main, upper): lower[k] = M0[k+1][k], upper[k] = M0[k][k+1].
 
     Representing operators on the basis is a homomorphism, so with
     D = rep(J^-) = diag(n + alpha) and the tridiagonal A = rep(J^+), both
     read from the closed-form `action_formula` (division-free for family 3),
     M0 = 2 D^2 + (A D - D A) - 7 A + a4 D + offset * I.  The generic
     `matrix_rep(ladder_combination(config), config.family())` is the tests'
-    reference for it.
+    reference for it.  The continuant and the null-vector recurrence need M0
+    unreduced tridiagonal, so a J^+ coefficient outside rows j-1..j+1 of
+    column j, or a zero off-diagonal entry, is a RabiError.
     """
     spec = config.family()
     size = config.dimension
-    lower = [action_formula(spec, False, BasisElement(spec, n))[n] for n in range(size)]
-    m0 = [[Fraction(0)] * size for _ in range(size)]
+    down = [action_formula(spec, False, BasisElement(spec, n))[n] for n in range(size)]
+    main = [(2 * d + config.jm_coefficient) * d + config.lambda_offset for d in down]
+    # M0[i][j] is bands[i - j][min(i, j)].
+    bands = {1: [Fraction(0)] * (size - 1), 0: main, -1: [Fraction(0)] * (size - 1)}
     for j in range(size):
         for i, a in action_formula(spec, True, BasisElement(spec, j)).items():
-            m0[i][j] = a * (lower[j] - lower[i] - 7)
-    for n, d in enumerate(lower):
-        m0[n][n] += (2 * d + config.jm_coefficient) * d + config.lambda_offset
-    return m0
+            if i - j not in bands:
+                raise RabiError(f"M0 is not tridiagonal: J^+ maps f_{j} onto f_{i}")
+            bands[i - j][min(i, j)] += a * (down[j] - down[i] - 7)
+    lower, upper = bands[1], bands[-1]
+    if 0 in lower or 0 in upper:
+        raise RabiError("M0 is not unreduced tridiagonal: an off-diagonal entry is 0")
+    return lower, main, upper
 
 
 @dataclass
@@ -249,8 +259,8 @@ class FrequencyRoot:
     ratio: float                      # 2w/w0 = sqrt(3/lambda)
     lambda_float: float
     lambda_interval: Tuple[Fraction, Fraction]
-    # The squarefree part of det(lambda*I + M0), monic, vanishing at lambda;
-    # minimal for N <= 20, where a sympy test proves it irreducible.
+    # det(lambda*I + M0), monic and squarefree, vanishing at lambda; minimal
+    # for N <= 20, where a sympy test proves it irreducible.
     minimal_poly: List[Fraction]
     multiplicity: int                 # 1: the solver refuses repeated roots
     certificate: Dict[str, object]
@@ -267,7 +277,7 @@ class SpectralResult:
     """Exact spectral data for one configuration."""
 
     config: RabiConfig
-    matrix: List[List[Fraction]]
+    diagonals: Diagonals              # M0 as (lower, main, upper)
     lambda_charpoly: List[Fraction]   # det(lambda*I + M0), ascending, monic, squarefree
     roots: List[FrequencyRoot]
     growth: Dict[str, object]
@@ -299,23 +309,24 @@ def bargmann_growth(config: RabiConfig) -> Dict[str, object]:
 def solve_frequencies(config: RabiConfig) -> SpectralResult:
     """All positive-lambda roots of det(M0 + lambda*I) = 0, exactly isolated.
 
-    `charpoly` runs the continuant recurrence on the tridiagonal M0, and
-    `minimal_factors` isolates the real roots of its squarefree part once
-    and refines each to 14 digits.  A repeated root is refused, not given
-    one shared multiplicity, so that part is the characteristic polynomial
-    itself and every positive root carries it as its defining polynomial.
-    The null vector comes from the three-term recurrence over Q[lambda],
-    which divides only by rationals; it is built and certified once
-    (checking that M0 is unreduced tridiagonal) and every root evaluates
-    the same polynomials at its own lambda.
+    `charpoly` runs the continuant recurrence on M0's diagonals, negated,
+    and `minimal_factors` isolates the real roots of the result once and
+    refines each to 14 digits.  A repeated root is refused, not given one
+    shared multiplicity, so every positive root carries the characteristic
+    polynomial itself as its defining polynomial.  The null vector comes
+    from the three-term recurrence over Q[lambda], which divides only by
+    rationals; it is built and certified once and every root evaluates the
+    same polynomials at its own lambda.
     """
-    m0 = subspace_matrix(config)
+    diagonals = subspace_matrix(config)
+    lower, main, upper = diagonals
     size = config.dimension
-    lam_poly = charpoly(mat_scale(m0, Fraction(-1)))
-    squarefree, intervals = minimal_factors(lam_poly)
-    if len(squarefree) != len(lam_poly):
-        raise RabiError("det(lambda*I + M0) has a repeated root")
-    vector = _extension_nullspace(m0, squarefree)
+    lam_poly = charpoly([-d for d in main], [b * a for b, a in zip(lower, upper)])
+    try:
+        intervals = minimal_factors(lam_poly)
+    except ValueError as exc:
+        raise RabiError(f"det(lambda*I + M0): {exc}") from exc
+    vector = _extension_nullspace(diagonals, lam_poly)
 
     roots: List[FrequencyRoot] = []
     for lo, hi in intervals:
@@ -326,7 +337,7 @@ def solve_frequencies(config: RabiConfig) -> SpectralResult:
             ratio=math.sqrt(3.0 / lam_float),
             lambda_float=lam_float,
             lambda_interval=(lo, hi),
-            minimal_poly=squarefree,
+            minimal_poly=lam_poly,
             multiplicity=1,
             certificate={
                 "kind": "extension-nullspace",
@@ -341,44 +352,41 @@ def solve_frequencies(config: RabiConfig) -> SpectralResult:
     roots.sort(key=lambda root: root.ratio)
     return SpectralResult(
         config=config,
-        matrix=m0,
+        diagonals=diagonals,
         lambda_charpoly=lam_poly,
         roots=roots,
         growth=bargmann_growth(config),
     )
 
 
-def _extension_nullspace(m0, modulus: List[Fraction]) -> List[LambdaPoly]:
+def _extension_nullspace(diagonals: Diagonals, modulus: List[Fraction]) -> List[LambdaPoly]:
     """Null vector of M0 + lambda*I at every root of `modulus`, over Q[lambda].
 
-    M0 must be unreduced tridiagonal (no entry off the three diagonals, no
-    zero off-diagonal entry), so the null space has dimension 1 at every
+    M0 comes as the diagonals of an unreduced tridiagonal matrix, which
+    `subspace_matrix` checks, so the null space has dimension 1 at every
     eigenvalue.  With v_N = 1, rows N..1 give v_{N-1}..v_0 by the
     three-term recurrence, dividing only by rational subdiagonal entries,
     so v_k has degree N - k and needs no reduction.  Re-multiplying every
     row certifies the vector: rows 1..N must vanish, and row 0, a rational
-    multiple of det(lambda*I + M0), must leave no remainder by `modulus`.
+    multiple of det(lambda*I + M0), must leave no remainder by `modulus`;
+    the continuant computes that determinant apart, so the check has teeth.
     """
-    size = len(m0)
-    for i, row in enumerate(m0):
-        for j, entry in enumerate(row):
-            offset = abs(i - j)
-            if (offset > 1 and entry != 0) or (offset == 1 and entry == 0):
-                raise RabiError(
-                    f"M0 is not unreduced tridiagonal: entry ({i}, {j}) is {entry}")
+    lower, main, upper = diagonals
+    size = len(main)
     lam = LambdaPoly((Fraction(0), Fraction(1)))
     vector = [LambdaPoly()] * (size - 1) + [LambdaPoly((Fraction(1),))]
 
     def image(k: int):
         # Row k of (M0 + lambda*I) v: at most three products.
-        total = (lam + m0[k][k]) * vector[k]
-        for j in (k - 1, k + 1):
-            if 0 <= j < size:
-                total = total + m0[k][j] * vector[j]
+        total = (lam + main[k]) * vector[k]
+        if k > 0:
+            total = total + lower[k - 1] * vector[k - 1]
+        if k + 1 < size:
+            total = total + upper[k] * vector[k + 1]
         return total
 
     for k in range(size - 1, 0, -1):
-        vector[k - 1] = image(k) * (Fraction(-1) / m0[k][k - 1])
+        vector[k - 1] = image(k) * (Fraction(-1) / lower[k - 1])
     if any(image(k) != 0 for k in range(1, size)) or poly_divmod(image(0).coeffs, modulus)[1]:
         raise RabiError("the recurrence null vector fails re-multiplication")
     return vector
@@ -413,18 +421,18 @@ CLOSED_FORM_LAMBDA = {
 def closed_form_report(result: SpectralResult) -> Dict[str, object]:
     """Membership of the quoted N=2 closed-form lambda in the computed set.
 
-    The quoted values are quadratic surds, so membership reduces to a
-    polynomial gcd over the rationals: the surd is a root of the
-    characteristic polynomial iff its quadratic minimal polynomial shares a
-    factor with it.  The report records the verdict and both floats; it
-    does not try to reconcile a mismatch.
+    The report records the verdict and both floats; it does not try to
+    reconcile a mismatch.
     """
     config = result.config
     rational, coeff, radicand = CLOSED_FORM_LAMBDA[config.sol_type]
     target_poly = _quadratic_minimal(rational, coeff, radicand)
     target_lambda = float(rational) + float(coeff) * math.sqrt(radicand)
-    shared = poly_gcd(result.lambda_charpoly, target_poly)
-    member = len(poly_trim(shared)) > 1
+    # Each target is a surd with a nonzero coefficient on the root of a
+    # non-square, so its minimal polynomial is an irreducible quadratic:
+    # it shares a root with the characteristic polynomial exactly when it
+    # divides it.
+    member = not poly_divmod(result.lambda_charpoly, target_poly)[1]
     report: Dict[str, object] = {
         "applies_to": "N=2",
         "target_lambda_float": target_lambda,

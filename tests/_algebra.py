@@ -1,10 +1,10 @@
 """Small exact helpers that only the tests need: products of polynomials
 and matrices, in the ascending-list and list-of-rows forms of `qes.linalg`,
 the plain reference computations that faster solver paths must match (among
-them the dense Faddeev-LeVerrier characteristic polynomial, and the basis
-rank, solves and closure fit on `dense_rref`, which share no elimination
-with `qes`), and the dense numpy Fock blocks that the chain oracle must
-agree with."""
+them the dense form of a matrix given by its three diagonals, the dense
+Faddeev-LeVerrier characteristic polynomial, and the basis rank, solves and
+closure fit on `dense_rref`, which share no elimination with `qes`), and the
+dense numpy Fock blocks that the chain oracle must agree with."""
 
 import math
 from fractions import Fraction
@@ -45,6 +45,18 @@ def mat_identity(n, one=Fraction(1), zero=Fraction(0)):
 def mat_mul(a, b):
     return [[sum((a[i][t] * b[t][j] for t in range(1, len(b))), a[i][0] * b[0][j])
              for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def dense_tridiagonal(lower, main, upper):
+    """The square matrix with the given three diagonals, zeros elsewhere:
+    lower[k] sits at (k+1, k) and upper[k] at (k, k+1)."""
+    zero = next((x - x for x in main), Fraction(0))
+    rows = [[zero] * len(main) for _ in main]
+    for k, entry in enumerate(main):
+        rows[k][k] = entry
+    for k, (below, above) in enumerate(zip(lower, upper)):
+        rows[k + 1][k], rows[k][k + 1] = below, above
+    return rows
 
 
 def faddeev_leverrier(matrix):

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from _algebra import (dense_rref, faddeev_leverrier, mat_commutator, mat_identity,
-                      mat_mul, poly_eval, poly_mul)
+from _algebra import (dense_rref, dense_tridiagonal, faddeev_leverrier, mat_commutator,
+                      mat_identity, mat_mul, poly_eval, poly_mul)
 from qes import linalg
 from qes.linalg import (LambdaPoly, charpoly, isolate_real_roots, minimal_factors,
-                        nullspace, poly_gcd, poly_trim, rank, refine_root, rref,
-                        squarefree_part, sturm_chain)
+                        nullspace, poly_trim, rank, refine_root, rref, sturm_chain)
 from qes.scalars import QuadScalar, SQRT2
 
 F = Fraction
@@ -18,15 +17,15 @@ F = Fraction
 entries = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
 
-def square_matrices(n):
-    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+def tridiagonals(n):
+    """(lower, main, upper) of an n x n tridiagonal matrix with random entries."""
+    off = st.lists(entries, min_size=max(n - 1, 0), max_size=max(n - 1, 0))
+    return st.tuples(off, st.lists(entries, min_size=n, max_size=n), off)
 
 
-def tridiagonal_matrices(n):
-    """n x n matrices with random entries on the three diagonals, zeros off them."""
-    return square_matrices(n).map(lambda m: [
-        [x if abs(i - j) <= 1 else F(0) for j, x in enumerate(row)]
-        for i, row in enumerate(m)])
+def continuant(lower, main, upper):
+    """`charpoly` of the tridiagonal matrix with these diagonals."""
+    return charpoly(main, [b * a for b, a in zip(lower, upper)])
 
 
 sizes = st.integers(min_value=1, max_value=5)
@@ -97,10 +96,11 @@ def test_integer_rank_of_empty_zero_and_rank_deficient_matrices():
     assert linalg.integer_rank([[2, 4], [3, 6], [5, 10]]) == 1
 
 
-@given(sizes.flatmap(tridiagonal_matrices))
+@given(sizes.flatmap(tridiagonals))
 @settings(max_examples=40)
-def test_charpoly_matches_numpy(m):
-    exact = charpoly(m)
+def test_charpoly_matches_numpy(diagonals):
+    exact = continuant(*diagonals)
+    m = dense_tridiagonal(*diagonals)
     approx = np.poly(np.array(m, dtype=float))[::-1]  # ascending, monic
     assert len(exact) == len(m) + 1
     assert exact[-1] == 1
@@ -108,56 +108,40 @@ def test_charpoly_matches_numpy(m):
         assert float(a) == pytest.approx(b, abs=1e-6 * (1 + abs(b)))
 
 
-@given(sizes.flatmap(tridiagonal_matrices))
+@given(sizes.flatmap(tridiagonals))
 @settings(max_examples=40, deadline=None)
-def test_constant_coefficient_is_signed_determinant(m):
+def test_constant_coefficient_is_signed_determinant(diagonals):
     sympy = pytest.importorskip("sympy")
+    m = dense_tridiagonal(*diagonals)
     det = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                         for row in m]).det()
-    assert charpoly(m)[0] == F(int(det.p), int(det.q)) * (-1) ** len(m)
+    assert continuant(*diagonals)[0] == F(int(det.p), int(det.q)) * (-1) ** len(m)
 
 
-@given(tridiagonal_matrices(3))
+@given(tridiagonals(3))
 @settings(max_examples=20)
-def test_cayley_hamilton_in_dimension_three(m):
+def test_cayley_hamilton_in_dimension_three(diagonals):
+    m = dense_tridiagonal(*diagonals)
     n = len(m)
     acc = [[F(0)] * n for _ in range(n)]
     power = mat_identity(n)
-    for c in charpoly(m):
+    for c in continuant(*diagonals):
         acc = [[acc[i][j] + c * power[i][j] for j in range(n)] for i in range(n)]
         power = mat_mul(power, m)
     assert all(v == 0 for row in acc for v in row)
 
 
-def test_charpoly_refuses_an_entry_off_the_three_diagonals():
-    m = [[F(1), F(2), F(0)], [F(0), F(1, 2), F(1)], [F(3), F(0), F(-1)]]
-    with pytest.raises(ValueError, match=r"entry \(2, 0\)"):
-        charpoly(m)
-    m[2][0] = F(0)
-    assert charpoly(m) == faddeev_leverrier(m)
-
-
-@given(st.integers(min_value=0, max_value=6).flatmap(
-    lambda n: st.tuples(st.lists(entries, min_size=n, max_size=n),
-                        st.lists(entries, min_size=n, max_size=n),
-                        st.lists(entries, min_size=n, max_size=n))))
+@given(st.integers(min_value=0, max_value=6).flatmap(tridiagonals))
 @settings(max_examples=40)
 def test_continuant_equals_the_general_characteristic_polynomial(diagonals):
-    diagonal, upper, lower = diagonals
-    n = len(diagonal)
-    m = [[F(0)] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = diagonal[i]
-        if i + 1 < n:
-            m[i][i + 1], m[i + 1][i] = upper[i], lower[i]
-    assert charpoly(m) == faddeev_leverrier(m)
+    assert continuant(*diagonals) == faddeev_leverrier(dense_tridiagonal(*diagonals))
 
 
 def test_charpoly_of_a_tridiagonal_surd_matrix():
-    m = [[SQRT2, QuadScalar(1), QuadScalar(0)],
-         [QuadScalar(3), QuadScalar(0), SQRT2],
-         [QuadScalar(0), QuadScalar(-1), QuadScalar(2)]]
-    assert charpoly(m) == faddeev_leverrier(m)
+    diagonals = ([QuadScalar(3), QuadScalar(-1)],
+                 [SQRT2, QuadScalar(0), QuadScalar(2)],
+                 [QuadScalar(1), SQRT2])
+    assert continuant(*diagonals) == faddeev_leverrier(dense_tridiagonal(*diagonals))
 
 
 def test_matrix_commutator():
@@ -178,12 +162,19 @@ def test_sturm_isolation_counts_and_separates_real_roots():
     assert roots == pytest.approx([-3.0, 1.0, 2.0], abs=1e-10)
 
 
-def test_sturm_chain_handles_repeated_roots_via_squarefree_part():
-    p = poly_mul([F(-1), F(1)], [F(-1), F(1)])  # (x-1)^2
-    sf = squarefree_part(p)
-    assert poly_trim(sf) == [F(-1), F(1)]
-    assert len(isolate_real_roots(p)) == 1
-    assert len(sturm_chain(sf)) >= 2
+def test_isolation_refuses_a_repeated_root():
+    # (x-1)^2 (x+3): the Sturm chain ends in gcd(p, p') = x - 1, so neither
+    # isolation nor the root step built on it goes on.
+    p = poly_mul(poly_mul([F(-1), F(1)], [F(-1), F(1)]), [F(3), F(1)])
+    assert sturm_chain(p)[-1] == [-1, 1]
+    for step in (isolate_real_roots, minimal_factors):
+        with pytest.raises(ValueError, match=r"repeated root: gcd\(p, p'\) has degree 1"):
+            step(p)
+    # (x^2 - 2)^2 (x - 3): a repeated pair of irrational roots, of even
+    # multiplicity, is refused the same way.
+    p = poly_mul(poly_mul([F(-2), F(0), F(1)], [F(-2), F(0), F(1)]), [F(-3), F(1)])
+    with pytest.raises(ValueError, match="repeated root"):
+        isolate_real_roots(p)
 
 
 small_ints = st.integers(min_value=-6, max_value=6)
@@ -196,7 +187,8 @@ small_ints = st.integers(min_value=-6, max_value=6)
        st.fractions(min_value=-8, max_value=8, max_denominator=7))
 @settings(max_examples=80, deadline=None)
 def test_integer_sturm_counts_match_sympy(base, repeated, power, a, b):
-    # base * repeated^power: repeated factors exercise the squarefree step.
+    # base * repeated^power: the chain counts distinct roots whatever their
+    # multiplicity, and isolation takes p only when it is squarefree.
     sympy = pytest.importorskip("sympy")
     assume(base[-1] != 0 and repeated[-1] != 0)
     p = [F(c) for c in base]
@@ -209,12 +201,13 @@ def test_integer_sturm_counts_match_sympy(base, repeated, power, a, b):
     chain = sturm_chain(p)
     counted = linalg._sign_changes(chain, lo) - linalg._sign_changes(chain, hi)
     assert counted == poly.count_roots(lo, hi)
+    if poly.degree() > 0 and poly.sqf_part().degree() < poly.degree():
+        with pytest.raises(ValueError, match="repeated root"):
+            isolate_real_roots(p)
+        return
     intervals = isolate_real_roots(p)
     assert len(intervals) == poly.count_roots()
     assert all(poly.count_roots(lo, hi) == 1 for lo, hi in intervals)
-    sq = squarefree_part(p)
-    expected = poly.sqf_part().monic().all_coeffs()[::-1]
-    assert [c / sq[-1] for c in sq] == [F(int(c.p), int(c.q)) for c in expected]
 
 
 def test_integer_sturm_chain_members_are_positive_multiples_of_the_rational_ones():
@@ -234,13 +227,6 @@ def test_integer_sturm_chain_members_are_positive_multiples_of_the_rational_ones
         assert ratio > 0 and [ratio * c for c in exact] == member
 
 
-def test_refine_root_handles_a_root_of_even_multiplicity():
-    p = poly_mul(poly_mul([F(-2), F(0), F(1)], [F(-2), F(0), F(1)]), [F(1), F(1)])
-    lo, hi = refine_root(p, F(1), F(2), digits=12)
-    assert lo < hi and abs(float(lo) - math.sqrt(2)) < 1e-11
-    assert (lo, hi) == refine_root(squarefree_part(p), F(1), F(2), digits=12)
-
-
 def test_refine_root_reaches_requested_precision():
     p = [F(-2), F(0), F(1)]  # x^2 - 2
     lo, hi = refine_root(p, F(1), F(2), digits=15)
@@ -248,43 +234,16 @@ def test_refine_root_reaches_requested_precision():
     assert lo <= Fraction(math.sqrt(2)) <= hi or abs(float(lo) - math.sqrt(2)) < 1e-14
 
 
-def test_poly_gcd_recovers_shared_factor():
-    shared = [F(-3), F(1)]
-    g = poly_gcd(poly_mul(shared, [F(1), F(1)]), poly_mul(shared, [F(4), F(1)]))
-    # gcd is monic up to trimming
-    g = poly_trim(g)
-    assert len(g) == 2 and g[0] / g[1] == F(-3)
-
-
-def test_minimal_factors_without_a_search_isolates_the_squarefree_part_once(monkeypatch):
-    # (x^2 - 2)^2 (x - 3): no factor is split off, every real root is refined.
-    p = poly_mul(poly_mul([F(-2), F(0), F(1)], [F(-2), F(0), F(1)]), [F(-3), F(1)])
-    sq = squarefree_part(p)
-    chains = []
-    monkeypatch.setattr(linalg, "sturm_chain",
-                        lambda q: chains.append(q) or sturm_chain(q))
-    part, intervals = minimal_factors(p)
-    assert len(chains) == 2  # one for p, one for its squarefree part
-    assert part == sq
-    assert intervals == [refine_root(sq, lo, hi, digits=14)
-                         for lo, hi in isolate_real_roots(sq)]
-
-
-def test_isolation_reuses_a_given_chain():
-    sq = poly_mul([F(-2), F(0), F(1)], [F(-3), F(1)])
-    assert isolate_real_roots(sq, chain=sturm_chain(sq)) == isolate_real_roots(sq)
-
-
 def test_minimal_factors_keeps_interval_root_pairing():
     # Each refined interval stays inside its own isolating interval, so it
-    # still holds that root and no other; the part changes sign across it.
+    # still holds that root and no other; p changes sign across it.
     p = poly_mul([F(-2), F(0), F(1)], [F(-3), F(1)])
-    part, refined = minimal_factors(p)
+    refined = minimal_factors(p)
     isolating = isolate_real_roots(p)
     assert len(refined) == len(isolating) == 3
     for (lo, hi), (a, b) in zip(refined, isolating):
         assert a <= lo <= hi <= b and hi - lo < F(1, 10 ** 13)
-        assert poly_eval(part, lo) * poly_eval(part, hi) <= 0
+        assert poly_eval(p, lo) * poly_eval(p, hi) <= 0
 
 
 # -- polynomials in lambda ------------------------------------------------------

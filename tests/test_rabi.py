@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import sys
@@ -10,16 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _algebra import (faddeev_leverrier, fock_chains, fock_matrix, mat_vec, poly_mul,
-                      recovery_in_z, truncation_convergence)
+from _algebra import (dense_tridiagonal, faddeev_leverrier, fock_chains, fock_matrix,
+                      mat_vec, poly_mul, recovery_in_z, truncation_convergence)
 from qes import families, linalg, rabi
 from qes.diffop import DiffOp, GaugeFactor, pull_back_square, substitute_square
 from qes.laurent import LaurentPoly
-from qes.linalg import LambdaPoly, isolate_real_roots, mat_scale, poly_divmod
-from qes.rabi import (COS_2T, ETA, REFERENCE_FREQUENCY_RATIOS, SIN_2T, TWO_G,
-                      XI, RabiConfig, RabiError, _apply_recovery_operator,
+from qes.linalg import LambdaPoly, isolate_real_roots, poly_divmod
+from qes.rabi import (CLOSED_FORM_LAMBDA, COS_2T, ETA, REFERENCE_FREQUENCY_RATIOS,
+                      SIN_2T, TWO_G, XI, RabiConfig, RabiError,
+                      _apply_recovery_operator,
                       _extension_nullspace, _fock_gap, _FockChain,
-                      _gauged_recovery_operator,
+                      _gauged_recovery_operator, _quadratic_minimal,
                       assemble_eigenfunctions, assemble_operator,
                       bargmann_growth, build_L,
                       closed_form_report, fock_truncation_check,
@@ -182,7 +184,8 @@ def test_frequency_polynomials_of_the_tabulated_sizes_are_irreducible(n_max):
 def test_continuant_equals_the_general_characteristic_polynomial(sol_type):
     for n_max in range(21):
         result = solved(n_max, sol_type)
-        reference = faddeev_leverrier(mat_scale(result.matrix, F(-1)))
+        m0 = dense_tridiagonal(*result.diagonals)
+        reference = faddeev_leverrier([[-entry for entry in row] for row in m0])
         assert result.lambda_charpoly == reference
 
 
@@ -205,8 +208,8 @@ def test_every_isolating_interval_holds_exactly_one_root(sol_type):
 def test_a_repeated_eigenvalue_is_refused(monkeypatch):
     # A squared characteristic polynomial would make every root's
     # multiplicity 2, which the solver does not report.
-    def squared(matrix):
-        p = linalg.charpoly(matrix)
+    def squared(diagonal, couplings):
+        p = linalg.charpoly(diagonal, couplings)
         return poly_mul(p, p)
 
     monkeypatch.setattr(rabi, "charpoly", squared)
@@ -255,7 +258,7 @@ def test_exact_null_vectors_annihilate_the_shifted_matrix():
     # entry of (M0 + lam I) v must leave no remainder by the defining
     # polynomial, so v is a null vector at each of its roots.
     config = RabiConfig(5, "I")
-    m0 = subspace_matrix(config)
+    m0 = dense_tridiagonal(*subspace_matrix(config))
     lam = LambdaPoly([F(0), F(1)])
     size = len(m0)
     shifted = [[LambdaPoly([m0[i][j]]) + (lam if i == j else 0)
@@ -270,13 +273,36 @@ def test_exact_null_vectors_annihilate_the_shifted_matrix():
 def test_subspace_matrix_is_unreduced_tridiagonal(sol_type):
     # The recurrence for the null vector rests on this shape.
     for n_max in range(13):
-        m0 = subspace_matrix(RabiConfig(n_max, sol_type))
-        for i, row in enumerate(m0):
-            for j, entry in enumerate(row):
-                if abs(i - j) > 1:
-                    assert entry == 0, (n_max, i, j)
-                elif abs(i - j) == 1:
-                    assert entry != 0, (n_max, i, j)
+        lower, main, upper = subspace_matrix(RabiConfig(n_max, sol_type))
+        assert len(main) == n_max + 1 and len(lower) == len(upper) == n_max
+        assert all(entry != 0 for entry in lower + upper), n_max
+
+
+def _bent_action(monkeypatch, bend):
+    """Rebind `rabi.action_formula` so that `bend(n, column)` edits each
+    J^+ column it returns."""
+    real = rabi.action_formula
+
+    def action(spec, raise_op, elem):
+        column = dict(real(spec, raise_op, elem))
+        if raise_op:
+            bend(elem.n, column)
+        return column
+
+    monkeypatch.setattr(rabi, "action_formula", action)
+
+
+def test_subspace_matrix_refuses_a_coefficient_two_rows_away(monkeypatch):
+    _bent_action(monkeypatch, lambda n, column: column.update({2: F(1)}) if n == 0 else None)
+    with pytest.raises(RabiError, match=r"not tridiagonal: J\^\+ maps f_0 onto f_2"):
+        subspace_matrix(RabiConfig(3, "I"))
+
+
+def test_subspace_matrix_refuses_a_zero_off_diagonal_entry(monkeypatch):
+    # Without its coefficient on f_2, J^+ f_1 leaves M0[2][1] zero.
+    _bent_action(monkeypatch, lambda n, column: column.pop(2) if n == 1 else None)
+    with pytest.raises(RabiError, match="not unreduced tridiagonal: an off-diagonal entry is 0"):
+        subspace_matrix(RabiConfig(3, "II"))
 
 
 @pytest.mark.parametrize("sol_type", ["I", "II"])
@@ -286,7 +312,7 @@ def test_closed_form_matrix_equals_the_generic_representation(sol_type):
     for n_max in range(21):
         config = RabiConfig(n_max, sol_type)
         reference = families.matrix_rep(ladder_combination(config), config.family())
-        assert subspace_matrix(config) == reference, n_max
+        assert dense_tridiagonal(*subspace_matrix(config)) == reference, n_max
 
 
 @pytest.mark.parametrize("sol_type", ["I", "II"])
@@ -302,9 +328,9 @@ def test_recurrence_null_vector_equals_the_elimination_one(sol_type):
         result = solve_frequencies(config)
         size = config.dimension
         modulus = sympy_poly(result.lambda_charpoly, lam)
+        m0 = dense_tridiagonal(*result.diagonals)
         shifted = sympy.Matrix(size, size, lambda i, j: sympy.Rational(
-            result.matrix[i][j].numerator, result.matrix[i][j].denominator)
-            + (lam if i == j else 0))
+            m0[i][j].numerator, m0[i][j].denominator) + (lam if i == j else 0))
         column = [sympy.Poly(entry, lam, domain="QQ") for entry in
                   shifted.adjugate(method="berkowitz")[:, size - 1]]
         unit = column[-1].invert(modulus)
@@ -318,27 +344,17 @@ def test_recurrence_null_vector_equals_the_elimination_one(sol_type):
             assert [entry.coeffs for entry in root.null_vector_exact] == expected, n_max
 
 
-def test_extension_nullspace_rejects_a_matrix_that_is_not_unreduced_tridiagonal():
+def test_extension_nullspace_of_the_path_graph():
     # The path graph on three vertices is singular at lambda = 0: lambda is
     # a proper factor of its det(lambda I + M0) = lambda^3 - 2 lambda.
-    tridiagonal = [[F(0), F(1), F(0)], [F(1), F(0), F(1)], [F(0), F(1), F(0)]]
-    minimal = [F(0), F(1)]
-    vector = _extension_nullspace(tridiagonal, minimal)
+    path = ([F(1), F(1)], [F(0), F(0), F(0)], [F(1), F(1)])
+    vector = _extension_nullspace(path, [F(0), F(1)])
     assert [entry.coeffs for entry in vector] == [(F(-1), F(0), F(1)), (F(0), F(-1)), (F(1),)]
-    wide = [list(row) for row in tridiagonal]
-    wide[0][2] = F(1)
-    with pytest.raises(RabiError, match="tridiagonal"):
-        _extension_nullspace(wide, minimal)
-    split = [list(row) for row in tridiagonal]
-    split[2][1] = F(0)
-    with pytest.raises(RabiError, match="tridiagonal"):
-        _extension_nullspace(split, minimal)
 
 
 def test_extension_nullspace_refuses_a_non_eigenvalue():
-    m0 = [[F(-1), F(1)], [F(1), F(-1)]]
     with pytest.raises(RabiError, match="re-multiplication"):
-        _extension_nullspace(m0, [F(-3), F(1)])
+        _extension_nullspace(([F(1)], [F(-1), F(-1)], [F(1)]), [F(-3), F(1)])
 
 
 def _count_calls(monkeypatch, *functions):
@@ -422,7 +438,8 @@ def test_frequency_polynomial_matches_the_ladder_matrix():
     config = RabiConfig(2, "I")
     result = solve_frequencies(config)
     lam = result.roots[0].lambda_float
-    mat = [[float(entry) for entry in row] for row in subspace_matrix(config)]
+    mat = [[float(entry) for entry in row]
+           for row in dense_tridiagonal(*subspace_matrix(config))]
     for i in range(len(mat)):
         mat[i][i] += lam
     import numpy as np
@@ -447,6 +464,18 @@ def test_closed_form_candidates_are_evaluated_and_reported():
     assert report["target_lambda_float"] == pytest.approx(
         math.sqrt(10) - 1.25, abs=1e-12)
     assert "target_ratio_float" in report
+
+
+@pytest.mark.parametrize("sol_type", ["I", "II"])
+def test_closed_form_lambda_is_a_member_when_its_quadratic_divides_the_charpoly(sol_type):
+    # The computed N = 2 polynomials are irreducible cubics, so the report
+    # says False; a characteristic polynomial with the target quadratic as a
+    # factor must say True.
+    result = solved(2, sol_type)
+    assert not closed_form_report(result)["member_of_root_set"]
+    target = _quadratic_minimal(*CLOSED_FORM_LAMBDA[sol_type])
+    holding = dataclasses.replace(result, lambda_charpoly=poly_mul(target, [F(-3), F(1)]))
+    assert closed_form_report(holding)["member_of_root_set"] is True
 
 
 # -- independent numerical oracle ------------------------------------------------------
@@ -587,7 +616,8 @@ def test_eigenfunctions_come_with_exact_coefficients_and_a_partner_component():
 
 def test_eigenfunction_coefficients_solve_the_recurrence_numerically():
     result = solve_frequencies(RabiConfig(5, "II"))
-    m0 = [[float(entry) for entry in row] for row in subspace_matrix(RabiConfig(5, "II"))]
+    m0 = [[float(entry) for entry in row]
+          for row in dense_tridiagonal(*subspace_matrix(RabiConfig(5, "II")))]
     for state, root in zip(assemble_eigenfunctions(result), result.roots):
         values = [coeff["float"] for coeff in state["coefficients"]]
         for i, row in enumerate(m0):
