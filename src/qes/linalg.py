@@ -8,9 +8,10 @@ solve is one `rref` of the augmented matrix, which its caller reads
 continuant of a tridiagonal matrix's three diagonals.  Polynomials are
 ascending rational coefficient lists; their real-root machinery refuses a
 repeated root, clears denominators once and runs on integers (a primitive
-Sturm chain, signs by homogeneous integer Horner evaluation).  `LambdaPoly` is a polynomial in lambda as a
-value, the entry type of the Rabi null vector: it adds and multiplies and
-never divides, and membership of a root is a remainder by its polynomial.
+Sturm chain, signs by homogeneous integer Horner evaluation).  `LambdaPoly`
+is a polynomial in lambda as a value, the entry type of the Rabi null
+vector: it adds and multiplies and never divides, and membership of a root
+is a remainder by its polynomial.
 """
 
 from __future__ import annotations
@@ -138,8 +139,9 @@ def charpoly(diagonal: Sequence, couplings: Sequence) -> List[Fraction]:
     for k, entry in enumerate(diagonal):
         following = [c - entry * x for c, x in zip([zero] + current, current + [zero])]
         if k:
+            coupling = couplings[k - 1]
             for i, c in enumerate(previous):
-                following[i] = following[i] - couplings[k - 1] * c
+                following[i] = following[i] - coupling * c
         previous, current = current, following
     return current
 
