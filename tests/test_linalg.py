@@ -9,7 +9,7 @@ from _algebra import (dense_rref, dense_tridiagonal, faddeev_leverrier, mat_comm
                       mat_identity, mat_mul, poly_eval, poly_mul)
 from qes import linalg
 from qes.linalg import (LambdaPoly, charpoly, isolate_real_roots, minimal_factors,
-                        nullspace, poly_trim, rank, refine_root, rref, sturm_chain)
+                        nullspace, poly_divmod, poly_trim, rank, refine_root, rref, sturm_chain)
 from qes.scalars import QuadScalar, SQRT2
 
 F = Fraction
@@ -162,19 +162,61 @@ def test_sturm_isolation_counts_and_separates_real_roots():
     assert roots == pytest.approx([-3.0, 1.0, 2.0], abs=1e-10)
 
 
-def test_isolation_refuses_a_repeated_root():
-    # (x-1)^2 (x+3): the Sturm chain ends in gcd(p, p') = x - 1, so neither
-    # isolation nor the root step built on it goes on.
+def test_sturm_chain_handles_repeated_roots_via_squarefree_part():
+    # (x-1)^2 (x+3): the Sturm chain ends in gcd(p, p') = x - 1, so isolation
+    # refuses p and takes its squarefree part p / gcd(p, p') instead.
     p = poly_mul(poly_mul([F(-1), F(1)], [F(-1), F(1)]), [F(3), F(1)])
-    assert sturm_chain(p)[-1] == [-1, 1]
-    for step in (isolate_real_roots, minimal_factors):
-        with pytest.raises(ValueError, match=r"repeated root: gcd\(p, p'\) has degree 1"):
-            step(p)
-    # (x^2 - 2)^2 (x - 3): a repeated pair of irrational roots, of even
-    # multiplicity, is refused the same way.
-    p = poly_mul(poly_mul([F(-2), F(0), F(1)], [F(-2), F(0), F(1)]), [F(-3), F(1)])
+    chain = sturm_chain(p)
+    assert chain[-1] == [-1, 1]
+    with pytest.raises(ValueError, match=r"repeated root: gcd\(p, p'\) has degree 1"):
+        isolate_real_roots(p)
+    sf, rem = poly_divmod(p, [F(c) for c in chain[-1]])
+    assert rem == [] and poly_trim(sf) == [F(-3), F(2), F(1)]
+    assert len(isolate_real_roots(sf)) == 2
+    assert len(sturm_chain(sf)[-1]) == 1
+
+
+def test_refine_root_handles_a_root_of_even_multiplicity():
+    # (x^2 - 2)^2 (x + 1): p does not change sign across sqrt2, so isolation
+    # refuses p and refinement of (1, 2) refuses it too; the squarefree part
+    # is refined to the requested precision.
+    p = poly_mul(poly_mul([F(-2), F(0), F(1)], [F(-2), F(0), F(1)]), [F(1), F(1)])
     with pytest.raises(ValueError, match="repeated root"):
         isolate_real_roots(p)
+    with pytest.raises(ValueError, match="do not bracket a sign change"):
+        refine_root(p, F(1), F(2), digits=12)
+    lo, hi = refine_root(poly_mul([F(-2), F(0), F(1)], [F(1), F(1)]), F(1), F(2), digits=12)
+    assert lo < hi and abs(float(lo) - math.sqrt(2)) < 1e-11
+
+
+def test_minimal_factors_without_a_search_isolates_the_squarefree_part_once(monkeypatch):
+    # (x^2 - 2)(x - 3) is squarefree: one Sturm chain, every real root
+    # refined.  (x^2 - 2)^2 (x - 3) is refused before any refinement.
+    sq = poly_mul([F(-2), F(0), F(1)], [F(-3), F(1)])
+    expected = [refine_root(sq, lo, hi, digits=14) for lo, hi in isolate_real_roots(sq)]
+    chains = []
+    monkeypatch.setattr(linalg, "sturm_chain",
+                        lambda q: chains.append(q) or sturm_chain(q))
+    assert minimal_factors(sq) == expected
+    assert len(chains) == 1
+    p = poly_mul(sq, [F(-2), F(0), F(1)])
+    with pytest.raises(ValueError, match=r"repeated root: gcd\(p, p'\) has degree 2"):
+        minimal_factors(p)
+
+
+def test_isolation_reuses_a_given_chain(monkeypatch):
+    # Isolation builds the chain of p once and counts every point with it;
+    # the same chain is what refuses a repeated root.
+    sq = poly_mul([F(-2), F(0), F(1)], [F(-3), F(1)])
+    chains = []
+    monkeypatch.setattr(linalg, "sturm_chain",
+                        lambda q: chains.append(q) or sturm_chain(q))
+    intervals = isolate_real_roots(sq)
+    assert len(chains) == 1 and len(intervals) == 3
+    chains.clear()
+    with pytest.raises(ValueError, match="repeated root"):
+        isolate_real_roots(poly_mul(sq, [F(-3), F(1)]))
+    assert len(chains) == 1
 
 
 small_ints = st.integers(min_value=-6, max_value=6)
