@@ -52,7 +52,7 @@ def rref(matrix: Matrix) -> Tuple[Matrix, List[int]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][col]
+        inv = _reciprocal(rows[r][col])
         pivot = rows[r] = [inv * x for x in rows[r]]
         support = [k for k, x in enumerate(pivot) if x != 0]
         for i, row in enumerate(rows):
@@ -117,11 +117,16 @@ def nullspace(matrix: Matrix) -> List[Vector]:
     return basis
 
 
+def _reciprocal(x):
+    """1 / x, as a Fraction when x is an int."""
+    return Fraction(1, x) if isinstance(x, int) else 1 / x
+
+
 def _one_like(matrix: Matrix):
     for row in matrix:
         for x in row:
             if x != 0:
-                return x / x
+                return _reciprocal(x) * x
     return Fraction(1)
 
 
@@ -168,7 +173,7 @@ def poly_divmod(p: Sequence[Fraction], q: Sequence[Fraction]):
         rem = poly_trim(rem)
         if len(rem) < len(q):
             break
-        factor = rem[-1] / q[-1]
+        factor = rem[-1] * _reciprocal(q[-1])
         shift = len(rem) - len(q)
         quot[shift] = factor
         for i, c in enumerate(q):

@@ -87,6 +87,41 @@ def test_integer_rank_equals_the_rational_rank(nrows, ncols, rank_cap, data):
     assert linalg.integer_rank(matrix) == rank([[F(x) for x in row] for row in matrix])
 
 
+def has_float(value):
+    return isinstance(value, float) or (
+        isinstance(value, (list, tuple)) and any(map(has_float, value)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=3), st.data())
+def test_int_entries_give_the_fraction_results(nrows, ncols, k, data):
+    # The module promises exact results, so an int entry must not turn a
+    # quotient into a float: rank([[9, -7], [-9, 7]]) once came out as 2.
+    ints = st.integers(min_value=-10 ** 18, max_value=10 ** 18)
+    left = data.draw(st.lists(st.lists(ints, min_size=k, max_size=k),
+                              min_size=nrows, max_size=nrows))
+    right = data.draw(st.lists(st.lists(ints, min_size=ncols, max_size=ncols),
+                               min_size=k, max_size=k))
+    matrix = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+    as_fractions = [[F(x) for x in row] for row in matrix]
+    assert rank(matrix) == rank(as_fractions)
+    basis = nullspace(matrix)
+    assert basis == nullspace(as_fractions) and not has_float(basis)
+    diagonal = data.draw(st.lists(ints, min_size=nrows, max_size=nrows))
+    couplings = data.draw(st.lists(ints, min_size=nrows - 1, max_size=nrows - 1))
+    poly = charpoly(diagonal, couplings)
+    assert poly == charpoly([F(x) for x in diagonal], [F(x) for x in couplings])
+    assert not has_float(poly)
+
+
+def test_int_entries_give_the_fraction_results_on_the_seen_cases():
+    assert rank([[9, -7], [-9, 7]]) == 1
+    assert nullspace([[9, -7], [-9, 7]]) == [[F(7, 9), F(1)]]
+    assert charpoly([10 ** 17 + 1, 3], [2]) == [3 * 10 ** 17 + 1, -(10 ** 17 + 4), 1]
+    assert poly_divmod([1, 0, 1], [1, 2]) == ([F(-1, 4), F(1, 2)], [F(5, 4)])
+
+
 def test_integer_rank_of_empty_zero_and_rank_deficient_matrices():
     assert linalg.integer_rank([]) == 0
     assert linalg.integer_rank([[], []]) == 0
