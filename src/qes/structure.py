@@ -11,9 +11,9 @@ s, alpha, nu and n as polynomial variables.  The derivation solves each
 relation over Q[s, alpha, nu, n] by forward substitution and certifies it
 by a zero residual, which proves it at every parameter point at once.  The
 catalog check forms each residual lhs - sum c_i op_i over the same ring
-once, and evaluates it, and S, coefficient by coefficient at each sampled
-parameter point; evaluation is a ring map, so that equals composing the
-concrete operators at the point.
+once and evaluates it coefficient by coefficient at each sampled parameter
+point; evaluation is a ring map, so that equals composing the concrete
+operators at the point.
 """
 
 from __future__ import annotations
@@ -440,19 +440,19 @@ def _solve_relation(side) -> Dict[str, ParamPoly]:
     return solved
 
 
-def derive_constants(family_id: int, sides=None) -> CommutatorConstants:
+def derive_constants(sides) -> CommutatorConstants:
     """Derive the closure coefficients with no catalog input, symbolically.
 
-    J+ and J- are built with s, alpha, nu and n as polynomial variables
-    (or ``sides``, the caller's `symbolic_sides(family_id)`, is used), and
-    each relation is solved over Q[s, alpha, nu, n] by forward substitution
-    on constant pivots (`_solve_relation`).  The result is certified: both
-    residuals lhs - sum c_i op_i are the zero operator as polynomials, so
-    the constants hold at every parameter point.  Raises StructureError
-    when no constant pivot exists or a residual does not vanish.
+    ``sides`` is `symbolic_sides(family_id)`: both relations with J+ and J-
+    built over Q[s, alpha, nu, n].  Each is solved there by forward
+    substitution on constant pivots (`_solve_relation`).  The result is
+    certified: both residuals lhs - sum c_i op_i are the zero operator as
+    polynomials, so the constants hold at every parameter point.  Raises
+    StructureError when no constant pivot exists or a residual does not
+    vanish.
     """
     solved: Dict[str, ParamPoly] = {}
-    for side in sides if sides is not None else symbolic_sides(family_id):
+    for side in sides:
         solved.update(_solve_relation(side))
     return CommutatorConstants(**solved)
 
@@ -468,57 +468,44 @@ def compare_to_catalog(derived: CommutatorConstants, family_id: int) -> Dict[str
 
 def _suite_samples(family_id: int, samples: int, seed: int) -> List[FamilySpec]:
     rng = random.Random(mix_seed(seed, family_id, 131))
-    specs = []
-    for index in range(samples):
-        n_max = index % 4
-        params = sample_params(family_id, n_max, rng)
-        specs.append(FamilySpec(family_id, n_max, **params))
-    return specs
+    return [FamilySpec(family_id, index % 4, **sample_params(family_id, index % 4, rng))
+            for index in range(samples)]
 
 
-def closure_suite(family_id: int, samples: int = 8, seed: int = 0,
-                  derived: Optional[CommutatorConstants] = None,
-                  sides=None) -> Dict[str, object]:
-    """Catalog closure check at seeded random points, with derived fallback.
+def closure_suite(family_id: int, samples: int = 8, seed: int = 0) -> Dict[str, object]:
+    """The `commutators` block of one family: the catalog checked at seeded
+    points beside the coefficients derived from the same symbolic relations.
 
-    The relations are built once over Q[s, alpha, nu, n] (or ``sides``,
-    the caller's `symbolic_sides(family_id)`, is used), and the catalog
-    residual lhs - sum c_i op_i of each is formed once.  That residual and
-    the bracket S are then evaluated at ``samples`` parameter points
-    (subspace sizes cycling over 0..3), which checks the relations as exact
-    operator identities there.  Status is "ok" when the catalog holds
-    everywhere.  Otherwise it is "reference-discrepancy", and the report
-    carries the coefficients re-derived independently (or ``derived``, a
-    set the caller already has from ``derive_constants(family_id)``) and
-    the names where they differ from the catalog.
+    Each catalog residual lhs - sum c_i op_i is formed once over
+    Q[s, alpha, nu, n] and evaluated at ``samples`` points (subspace sizes
+    cycling over 0..3); `catalog_failures` counts the points where one does
+    not vanish.  Status is "ok" when there are none, else
+    "reference-discrepancy", and the block then names the constants where
+    the derived set differs.  `verify_structure_relations` gives the
+    per-point report with its residual cells.
     """
-    if sides is None:
-        sides = symbolic_sides(family_id)
-    bracket = sides[0]["bracket"]
-    specs = _suite_samples(family_id, samples, seed)
+    sides = symbolic_sides(family_id)
     catalog = closure_constants(family_id)
-    residuals = _residuals(sides, catalog)
-    reports = [_report_at(spec, bracket, residuals) for spec in specs]
-    failures = sum(0 if rep["ok"] else 1 for rep in reports)
-    result: Dict[str, object] = {
+    derived = derive_constants(sides)
+    match = compare_to_catalog(derived, family_id)
+    residuals = _residuals(sides, catalog).values()
+    failures = sum(any(not _evaluate(residual, parameter_assignment(spec)).is_zero()
+                       for residual in residuals)
+                   for spec in _suite_samples(family_id, samples, seed))
+    block: Dict[str, object] = {
         "family": family_id,
         "samples": samples,
+        "status": "reference-discrepancy" if failures else "ok",
         "catalog": catalog.as_strings(),
+        "derived": derived.as_strings(),
+        "constants_match": match,
         "catalog_failures": failures,
-        "sample_reports": reports,
     }
-    if failures == 0:
-        result["status"] = "ok"
-        return result
-    if derived is None:
-        derived = derive_constants(family_id, sides)
-    agreement = compare_to_catalog(derived, family_id)
-    result["derived"] = derived.as_strings()
-    result["mismatched_constants"] = sorted(
-        name for name, same in agreement.items() if not same)
-    # derive_constants certifies both residuals as the zero operator over
-    # Q[s, alpha, nu, n], so the derived set closes the relations at every
-    # sample and no sample can fail.  The count stays in the report (schema 1).
-    result["derived_failures"] = 0
-    result["status"] = "reference-discrepancy"
-    return result
+    if failures:
+        # derive_constants certifies both residuals as the zero operator over
+        # Q[s, alpha, nu, n], so the derived set closes the relations at every
+        # sample and no sample can fail.  The count stays in the report (schema 1).
+        block["derived_failures"] = 0
+        block["mismatched_constants"] = sorted(
+            name for name, same in match.items() if not same)
+    return block

@@ -163,16 +163,17 @@ def solve_constants_at(spec):
     return solved
 
 
-def recovery_in_z(root, config, operator):
+def recovery_in_z(result, operator):
     """psi_1's pair recovered wholly in the z coordinate, the solver's reference.
 
     Every basis pair is substituted to z first, the null vector is lifted to
     Q(sqrt2, sqrt3)[lambda], and the gauged recovery operator is applied
     there.
     """
+    config = result.config
     spec = config.family()
     lifted = [LambdaPoly([QuadScalar(c) for c in entry.coeffs])
-              for entry in root.null_vector_exact]
+              for entry in result.null_vector]
     new_ctx = substituted_context(spec, config.stretch)
     combined = None
     for n, coefficient in enumerate(lifted):

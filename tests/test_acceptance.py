@@ -235,7 +235,7 @@ def test_criterion_5_reference_frequency_table():
         for sol_type, quoted in zip(("I", "II"), quoted_columns):
             # The side-by-side table quotes the reference values verbatim.
             assert quoted == REFERENCE_FREQUENCY_RATIOS[(n_max, sol_type)]
-            report = frequency_table_report(RabiConfig(n_max, sol_type))
+            report = frequency_table_report(solve_frequencies(RabiConfig(n_max, sol_type)))
             computed = report["computed_ratios"]
             uncovered.extend((n_max, sol_type, ratio) for ratio in computed
                              if _nearest_gap(ratio, locks) > FREQUENCY_TOLERANCE)

@@ -66,7 +66,9 @@ def test_config_parameters_by_type():
     assert one.alpha == F(-1, 4) - F(3, 2)
     assert two.alpha == F(5, 4) - F(3, 2)
     assert one.dimension == 4 == two.dimension
-    assert one.jm_coefficient == 4 and two.jm_coefficient == -8
+    assert one.combination[:4] == (2, 1, -7, 4) and two.combination[:4] == (2, 1, -7, -8)
+    assert one.combination[4] == -9 - F(3, 4) + F(1, 8)
+    assert two.combination[4] == -9 + F(39, 4) + F(49, 8)
 
 
 def test_energy_ratio_closed_form():
@@ -133,11 +135,9 @@ def test_smallest_lock_has_an_irreducible_cubic_frequency_polynomial():
     result = solve_frequencies(RabiConfig(2, "I"))
     assert len(result.roots) == 1
     root = result.roots[0]
-    assert root.minimal_poly == [F(-6075, 64), F(-101, 16), F(23, 4), F(1)]
-    assert root.multiplicity == 1
-    assert root.certificate["kind"] == "extension-nullspace"
+    assert result.lambda_charpoly == [F(-6075, 64), F(-101, 16), F(23, 4), F(1)]
     assert root.ratio == pytest.approx(0.9190481366, abs=1e-9)
-    assert root.omega0() == pytest.approx(2 / 0.9190481366, abs=1e-8)
+    assert 2 / root.ratio == pytest.approx(2 / 0.9190481366, abs=1e-8)
 
 
 @pytest.mark.parametrize("n_max,expected", [
@@ -166,8 +166,8 @@ def sympy_poly(coeffs, symbol):
 def test_frequency_polynomials_of_the_tabulated_sizes_are_irreducible(n_max):
     # docs/discrepancies.md rules out the quoted quadratic closed forms
     # because these polynomials (dims 3, 5..8) are irreducible over Q.
-    # Over N = 0..20 this is also the proof that the squarefree part each
-    # root reports as `minimal_poly` is its minimal polynomial.
+    # Over N = 0..20 this is also the proof that the squarefree polynomial
+    # every root reports as `minimal_poly` is its minimal polynomial.
     sympy = pytest.importorskip("sympy")
     lam = sympy.Symbol("lam")
     for sol_type in ("I", "II"):
@@ -176,15 +176,13 @@ def test_frequency_polynomials_of_the_tabulated_sizes_are_irreducible(n_max):
         assert len(factors) == 1, factors
         factor, power = factors[0]
         assert power == 1 and factor.degree() == n_max + 1
-        assert all(root.minimal_poly == result.lambda_charpoly
-                   and root.multiplicity == 1 for root in result.roots)
 
 
 @pytest.mark.parametrize("sol_type", ["I", "II"])
 def test_continuant_equals_the_general_characteristic_polynomial(sol_type):
     for n_max in range(21):
         result = solved(n_max, sol_type)
-        m0 = dense_tridiagonal(*result.diagonals)
+        m0 = dense_tridiagonal(*subspace_matrix(result.config))
         reference = faddeev_leverrier([[-entry for entry in row] for row in m0])
         assert result.lambda_charpoly == reference
 
@@ -236,9 +234,9 @@ def test_one_dimensional_lock_is_rational():
     result = solve_frequencies(RabiConfig(0, "I"))
     assert len(result.roots) == 1
     root = result.roots[0]
-    assert root.minimal_poly == [F(-3, 4), F(1)]
+    assert result.lambda_charpoly == [F(-3, 4), F(1)]
     assert root.ratio == pytest.approx(2.0, abs=1e-12)
-    assert root.null_vector_exact is not None
+    assert [entry.coeffs for entry in result.null_vector] == [(F(1),)]
     assert fock_truncation_check(RabiConfig(0, "I"), 2.0, cutoff=150) < 1e-10
 
 
@@ -263,10 +261,10 @@ def test_exact_null_vectors_annihilate_the_shifted_matrix():
     size = len(m0)
     shifted = [[LambdaPoly([m0[i][j]]) + (lam if i == j else 0)
                 for j in range(size)] for i in range(size)]
-    for root in solve_frequencies(config).roots:
-        images = mat_vec(shifted, root.null_vector_exact)
-        assert images[0] != 0  # a multiple of the defining polynomial
-        assert all(poly_divmod(entry.coeffs, root.minimal_poly)[1] == [] for entry in images)
+    result = solve_frequencies(config)
+    images = mat_vec(shifted, result.null_vector)
+    assert images[0] != 0  # a multiple of the defining polynomial
+    assert all(poly_divmod(entry.coeffs, result.lambda_charpoly)[1] == [] for entry in images)
 
 
 @pytest.mark.parametrize("sol_type", ["I", "II"])
@@ -328,7 +326,7 @@ def test_recurrence_null_vector_equals_the_elimination_one(sol_type):
         result = solve_frequencies(config)
         size = config.dimension
         modulus = sympy_poly(result.lambda_charpoly, lam)
-        m0 = dense_tridiagonal(*result.diagonals)
+        m0 = dense_tridiagonal(*subspace_matrix(config))
         shifted = sympy.Matrix(size, size, lambda i, j: sympy.Rational(
             m0[i][j].numerator, m0[i][j].denominator) + (lam if i == j else 0))
         column = [sympy.Poly(entry, lam, domain="QQ") for entry in
@@ -340,8 +338,7 @@ def test_recurrence_null_vector_equals_the_elimination_one(sol_type):
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
             expected.append(tuple(F(int(c.p), int(c.q)) for c in coeffs))
-        for root in result.roots:
-            assert [entry.coeffs for entry in root.null_vector_exact] == expected, n_max
+        assert [entry.coeffs for entry in result.null_vector] == expected, n_max
 
 
 def test_extension_nullspace_of_the_path_graph():
@@ -402,10 +399,8 @@ def test_conjugate_roots_share_one_recovered_partner_component():
     config = RabiConfig(5, "I")
     result = solve_frequencies(config)
     assert len(result.roots) == 2
-    assert result.roots[0].minimal_poly == result.roots[1].minimal_poly
-    operator = build_L(config)
-    for state, root in zip(assemble_eigenfunctions(result), result.roots):
-        chi = _apply_recovery_operator(root, config, operator)
+    chi = _apply_recovery_operator(result, build_L(config))
+    for state in assemble_eigenfunctions(result):
         assert state["psi1"]["f_coefficient"] == repr(chi.r).replace(
             "x^", "z^").replace("*x", "*z")
         assert state["psi1"]["fprime_coefficient"] == repr(chi.s).replace(
@@ -427,11 +422,10 @@ def test_partner_component_equals_the_z_frame_computation(sol_type):
     for n_max in range(11):
         config = RabiConfig(n_max, sol_type)
         operator = build_L(config)
-        # Every root shares the null vector, so one root covers the size.
-        for root in solve_frequencies(config).roots[:1]:
-            chi = _apply_recovery_operator(root, config, operator)
-            reference = recovery_in_z(root, config, operator)
-            assert (repr(chi.r), repr(chi.s)) == (repr(reference.r), repr(reference.s)), n_max
+        result = solve_frequencies(config)
+        chi = _apply_recovery_operator(result, operator)
+        reference = recovery_in_z(result, operator)
+        assert (repr(chi.r), repr(chi.s)) == (repr(reference.r), repr(reference.s)), n_max
 
 
 def test_frequency_polynomial_matches_the_ladder_matrix():
@@ -449,7 +443,7 @@ def test_frequency_polynomial_matches_the_ladder_matrix():
 # -- reference tabulation report -----------------------------------------------------
 
 def test_frequency_report_flags_the_reference_values_and_confirms_energy():
-    report = frequency_table_report(RabiConfig(2, "I"))
+    report = frequency_table_report(solve_frequencies(RabiConfig(2, "I")))
     assert report["status"] == "reference-discrepancy"
     assert report["energy_ok"]
     assert all(not entry["contained"] for entry in report["containment"])

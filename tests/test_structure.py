@@ -12,7 +12,7 @@ from qes.sampling import sample_grid
 from qes.structure import (CONSTANT_NAMES, CommutatorConstants, ParamPoly,
                            StructureError, closure_constants, closure_suite,
                            compare_to_catalog, derive_constants,
-                           verify_structure_relations)
+                           symbolic_sides, verify_structure_relations)
 
 F = Fraction
 
@@ -40,7 +40,8 @@ def test_param_poly_arithmetic_and_evaluation():
 
 @pytest.mark.parametrize("family_id", [1, 2, 3, 4, 5, 6])
 def test_param_poly_coefficients_stay_exact_and_integral_ones_are_ints(family_id):
-    for constants in (closure_constants(family_id), derive_constants(family_id)):
+    derived = derive_constants(symbolic_sides(family_id))
+    for constants in (closure_constants(family_id), derived):
         for name in CONSTANT_NAMES:
             for coeff in getattr(constants, name).terms.values():
                 assert type(coeff) is int or (type(coeff) is F and coeff.denominator > 1)
@@ -107,7 +108,7 @@ def test_tabulated_coefficient_defects_are_reproducible(family_id, broken):
     assert not report["ok"]
     assert report["relations"]["lower"]["ok"]
     assert not report["relations"]["raise"]["ok"]
-    derived = derive_constants(family_id)
+    derived = derive_constants(symbolic_sides(family_id))
     agreement = compare_to_catalog(derived, family_id)
     assert [name for name, same in agreement.items() if not same] == [broken]
     fixed = verify_structure_relations(spec_from(family_id, 2, params), constants=derived)
@@ -116,7 +117,7 @@ def test_tabulated_coefficient_defects_are_reproducible(family_id, broken):
 
 def test_derived_constants_match_catalog_where_catalog_holds():
     for family_id in (1, 4, 5, 6):
-        derived = derive_constants(family_id)
+        derived = derive_constants(symbolic_sides(family_id))
         assert all(compare_to_catalog(derived, family_id).values())
 
 
@@ -124,7 +125,7 @@ def test_direct_solve_agrees_with_interpolated_constants():
     params = sample_grid(2, 3, count=1, seed=9)[0]
     spec = spec_from(2, 3, params)
     direct = solve_constants_at(spec)
-    fitted = constants_at(derive_constants(2), spec)
+    fitted = constants_at(derive_constants(symbolic_sides(2)), spec)
     assert direct == fitted
     assert set(direct) == set(CONSTANT_NAMES)
 
@@ -153,14 +154,14 @@ def specialize(op, assignment):
 
 @pytest.mark.parametrize("family_id", [1, 2, 3, 4, 5, 6])
 def test_derived_constants_zero_both_symbolic_residuals(family_id):
-    residuals = symbolic_residuals(family_id, derive_constants(family_id))
+    residuals = symbolic_residuals(family_id, derive_constants(symbolic_sides(family_id)))
     assert all(residual.is_zero() for residual in residuals.values())
 
 
 @pytest.mark.parametrize("family_id,broken", [(2, "c7p"), (3, "c6p")])
 def test_catalog_defect_leaves_a_symbolic_residual_on_the_raising_side(family_id, broken):
     patched = dataclasses.replace(
-        derive_constants(family_id),
+        derive_constants(symbolic_sides(family_id)),
         **{broken: getattr(closure_constants(family_id), broken)})
     residuals = symbolic_residuals(family_id, patched)
     assert not residuals["raise"].is_zero()
@@ -216,14 +217,14 @@ def composed_report(spec, constants):
 
 @pytest.mark.parametrize("family_id", [2, 3])
 def test_suite_reports_match_composition_at_each_point(family_id):
-    # The suite evaluates symbolic residuals; composing the concrete
-    # operators at each sampled point must give the same verdicts, cells
-    # and bracket order for the failing catalog.
-    suite = closure_suite(family_id, samples=8, seed=4)
-    assert suite["catalog_failures"] > 0
+    # The per-point report evaluates symbolic residuals; composing the
+    # concrete operators at each of the suite's sampled points must give the
+    # same verdicts, cells and bracket order for the failing catalog, and the
+    # suite must count exactly the failing points.
     specs = structure._suite_samples(family_id, 8, 4)
-    reports = suite["sample_reports"]
-    assert len(reports) == len(specs)
+    reports = [verify_structure_relations(spec) for spec in specs]
+    failing = sum(not report["ok"] for report in reports)
+    assert 0 < failing == closure_suite(family_id, samples=8, seed=4)["catalog_failures"]
     for spec, report in zip(specs, reports):
         order, cells = composed_report(spec, closure_constants(family_id))
         assert report["bracket_order"] == order
@@ -283,7 +284,7 @@ def test_derivation_rejects_a_relation_that_cannot_close(monkeypatch):
 
     monkeypatch.setattr(structure, "_relation_sides", without_bracket_term)
     with pytest.raises(StructureError, match="does not close"):
-        derive_constants(1)
+        derive_constants(structure.symbolic_sides(1))
 
 
 def test_derivation_requires_a_constant_pivot():
@@ -311,7 +312,10 @@ def test_suite_reports_clean_families_as_ok():
     report = closure_suite(1, samples=4, seed=2)
     assert report["status"] == "ok"
     assert report["catalog_failures"] == 0
-    assert "derived" not in report
+    assert report["derived"] == report["catalog"]
+    assert set(report["constants_match"]) == set(CONSTANT_NAMES)
+    assert all(report["constants_match"].values())
+    assert "mismatched_constants" not in report
 
 
 def test_suite_documents_the_tabulation_defect_with_a_working_fix():
