@@ -427,18 +427,6 @@ def closed_form_report(result: SpectralResult) -> Dict[str, object]:
     return report
 
 
-def _ratio_membership(ratio_elem: LambdaPoly, target, defining: List[Fraction]) -> bool:
-    """Whether the target surd's minimal polynomial vanishes at ratio_elem
-    at every root of the defining polynomial: a zero remainder by it."""
-    rational, coeff, radicand = target
-    poly = ([-rational, Fraction(1)] if coeff == 0
-            else _quadratic_minimal(rational, coeff, radicand))
-    value = LambdaPoly()
-    for c in reversed(poly):
-        value = value * ratio_elem + c
-    return not poly_divmod(value.coeffs, defining)[1]
-
-
 def assemble_eigenfunctions(result: SpectralResult) -> List[Dict[str, object]]:
     """Explicit two-component states for every root in the result.
 
@@ -500,17 +488,24 @@ def _describe_gauge(gauge: GaugeFactor) -> str:
 def _closed_form_ratio_checks(result: SpectralResult) -> List[Dict[str, object]]:
     """The quoted N=2 coefficient ratios, each with its exact verdict.
 
-    The null vector has last entry 1, so its entries are the ratios; each
-    verdict is a remainder by the shared polynomial, so it holds at every root.
+    The null vector has last entry 1, so its entries are the ratios.  A
+    target matches when its minimal polynomial, evaluated at the ratio entry,
+    leaves no remainder by the shared polynomial, so the verdict holds at
+    every root.
     """
     checks = []
     for index, (target, ratio_elem) in enumerate(
             zip(CLOSED_FORM_RATIOS[result.config.sol_type], result.null_vector)):
         rational, coeff, radicand = target
+        poly = ([-rational, Fraction(1)] if coeff == 0
+                else _quadratic_minimal(rational, coeff, radicand))
+        value = LambdaPoly()
+        for c in reversed(poly):
+            value = value * ratio_elem + c
         checks.append({
             "index": index,
             "target_float": float(rational) + float(coeff) * math.sqrt(radicand),
-            "matches_exactly": _ratio_membership(ratio_elem, target, result.lambda_charpoly),
+            "matches_exactly": not poly_divmod(value.coeffs, result.lambda_charpoly)[1],
         })
     return checks
 

@@ -468,8 +468,12 @@ def compare_to_catalog(derived: CommutatorConstants, family_id: int) -> Dict[str
 
 def _suite_samples(family_id: int, samples: int, seed: int) -> List[FamilySpec]:
     rng = random.Random(mix_seed(seed, family_id, 131))
-    return [FamilySpec(family_id, index % 4, **sample_params(family_id, index % 4, rng))
-            for index in range(samples)]
+    specs = []
+    for index in range(samples):
+        n_max = index % 4
+        params = sample_params(family_id, n_max, rng)
+        specs.append(FamilySpec(family_id, n_max, **params))
+    return specs
 
 
 def closure_suite(family_id: int, samples: int = 8, seed: int = 0) -> Dict[str, object]:
