@@ -262,7 +262,7 @@ def root_bound(p: Sequence[Fraction]) -> Fraction:
     p = poly_trim(list(p))
     lead = abs(p[-1])
     m = max((abs(c) for c in p[:-1]), default=Fraction(0))
-    return Fraction(1) + m / lead
+    return Fraction(1) + m * _reciprocal(lead)
 
 
 def isolate_real_roots(p: Sequence[Fraction]) -> List[Tuple[Fraction, Fraction]]:

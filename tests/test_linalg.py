@@ -120,6 +120,7 @@ def test_int_entries_give_the_fraction_results_on_the_seen_cases():
     assert nullspace([[9, -7], [-9, 7]]) == [[F(7, 9), F(1)]]
     assert charpoly([10 ** 17 + 1, 3], [2]) == [3 * 10 ** 17 + 1, -(10 ** 17 + 4), 1]
     assert poly_divmod([1, 0, 1], [1, 2]) == ([F(-1, 4), F(1, 2)], [F(5, 4)])
+    assert isolate_real_roots([-2, 0, 1]) == isolate_real_roots([F(-2), F(0), F(1)])
 
 
 def test_integer_rank_of_empty_zero_and_rank_deficient_matrices():

@@ -17,7 +17,7 @@ from qes import families, linalg, rabi
 from qes.diffop import DiffOp, GaugeFactor, pull_back_square, substitute_square
 from qes.laurent import LaurentPoly
 from qes.linalg import LambdaPoly, isolate_real_roots, poly_divmod
-from qes.rabi import (CLOSED_FORM_LAMBDA, COS_2T, ETA, REFERENCE_FREQUENCY_RATIOS,
+from qes.rabi import (CLOSED_FORM_LAMBDA, CLOSED_FORM_RATIOS, COS_2T, ETA, REFERENCE_FREQUENCY_RATIOS,
                       SIN_2T, TWO_G, XI, RabiConfig, RabiError,
                       _apply_recovery_operator,
                       _extension_nullspace, _fock_gap, _FockChain,
@@ -470,6 +470,22 @@ def test_closed_form_lambda_is_a_member_when_its_quadratic_divides_the_charpoly(
     target = _quadratic_minimal(*CLOSED_FORM_LAMBDA[sol_type])
     holding = dataclasses.replace(result, lambda_charpoly=poly_mul(target, [F(-3), F(1)]))
     assert closed_form_report(holding)["member_of_root_set"] is True
+
+
+@pytest.mark.parametrize("sol_type", ["I", "II"])
+def test_closed_form_ratio_matches_where_the_shared_polynomial_makes_it_hold(sol_type):
+    # Each ratio verdict is computed once per solve, modulo the shared
+    # polynomial.  With that polynomial replaced by the first target's
+    # minimal polynomial and the first null-vector entry by lambda itself,
+    # the first target is that entry at both roots; the last entry is 1.
+    result = solved(2, sol_type)
+    target = CLOSED_FORM_RATIOS[sol_type][0]
+    holding = dataclasses.replace(
+        result, lambda_charpoly=_quadratic_minimal(*target),
+        null_vector=[LambdaPoly((F(0), F(1)))] + result.null_vector[1:])
+    for state in assemble_eigenfunctions(holding):
+        checks = state["closed_form_ratio_check"]["ratios"]
+        assert [check["matches_exactly"] for check in checks] == [True, False, True]
 
 
 # -- independent numerical oracle ------------------------------------------------------
