@@ -1,8 +1,10 @@
 """`qes` JSON reports against golden files.
 
-`golden/ladder_reports.json` holds, for `verify --n 3` and `commutators
---all` at seed 0, the exit code and the whole report except
-`elapsed_seconds`.
+`golden/ladder_reports.json` holds, for each of `LADDER_COMMANDS`
+(`verify` and `commutators` runs, among them the `verify --n 8` of the
+benchmark's `ladders` workload), the exit code and the whole report except
+`elapsed_seconds`.  They pin the sampler's draw order and the indexing of
+the closed-form ladder actions.
 
 `golden/rabi_reports.json` holds, per command, the exit code and every
 report field that does not come from the Fock oracle: status, computed
@@ -14,9 +16,9 @@ for every grid block.  The Fock gaps are left out because their last bits
 depend on how the oracle's float arithmetic is ordered.
 
 `golden/human_reports.json` holds the exit code and the whole human
-output of a `commutators` and a `rabi` run.  The `rabi` output prints its
-Fock gaps to two digits, so a reordering of the oracle's arithmetic may
-change those lines.
+output of a `commutators`, a `rabi` and a `verify` run.  The `rabi` output
+prints its Fock gaps to two digits, so a reordering of the oracle's
+arithmetic may change those lines.
 
 A change to any kept field is a change of the report contract; rewrite the
 files deliberately with
@@ -40,6 +42,8 @@ HUMAN_GOLDEN = GOLDEN.with_name("human_reports.json")
 LADDER_COMMANDS = (
     "verify --n 3 --seed 0 --json",
     "commutators --all --seed 0 --json",
+    "verify --n 8 --seed 7 --json",
+    "commutators --family 2 --samples 13 --seed 5 --json",
 )
 COMMANDS = (
     "rabi --n 7 --type II --eigenfunctions --cutoff 100 --json",
@@ -52,6 +56,7 @@ COMMANDS = (
 HUMAN_COMMANDS = (
     "commutators --all --seed 0",
     "rabi --n 2 --type I --eigenfunctions --cutoff 100",
+    "verify --n 2 --seed 3",
 )
 ROOT_FIELDS = ("lambda_interval", "minimal_poly", "multiplicity", "certificate",
                "null_vector_floats")
