@@ -13,6 +13,7 @@ from math import comb
 from typing import Dict
 
 from .laurent import LaurentPoly, register_non_scalar
+from .scalars import reciprocal
 
 
 def _as_laurent(value) -> LaurentPoly:
@@ -211,7 +212,7 @@ def substitute_square(op: DiffOp, scale) -> DiffOp:
     """
     if scale == 0:
         raise ValueError("substitution scale must be nonzero")
-    inv = 1 / (2 * scale)
+    inv = reciprocal(2 * scale)
     new_d = DiffOp({1: LaurentPoly({-1: inv})})
     result = DiffOp.zero()
     power = DiffOp.identity()
@@ -245,7 +246,7 @@ def pull_back_square(op: DiffOp, scale) -> DiffOp:
             if exp % 2:
                 raise ValueError(f"term z^{exp - order}*D^{order} is odd in z")
             half = exp // 2
-            coeffs[half] = coeff * ((1 / scale) ** half if half >= 0 else scale ** -half)
+            coeffs[half] = coeff * (reciprocal(scale) ** half if half >= 0 else scale ** -half)
         term = DiffOp({order: LaurentPoly(coeffs)})
         result = result + term
         rest = rest - substitute_square(term, scale)

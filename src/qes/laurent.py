@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict
 
+from .scalars import reciprocal
+
 # Types (registered by other modules) that must NOT be treated as scalar
 # coefficients; products defer to the other operand's __rmul__.
 _NON_SCALAR_TYPES: tuple = ()
@@ -126,7 +128,7 @@ class LaurentPoly:
             if exp >= 0:
                 total = total + coeff * point ** exp
             else:
-                total = total + coeff * (1 / point) ** (-exp)
+                total = total + coeff * reciprocal(point) ** (-exp)
         return total
 
     def map_coeffs(self, fn: Callable) -> "LaurentPoly":
@@ -139,7 +141,7 @@ class LaurentPoly:
             if exp >= 0:
                 factor = scale ** exp
             else:
-                factor = (1 / scale) ** (-exp)
+                factor = reciprocal(scale) ** (-exp)
             out[2 * exp] = coeff * factor
         return LaurentPoly(out)
 

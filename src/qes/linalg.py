@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .scalars import QuadScalar
+from .scalars import QuadScalar, reciprocal
 
 Matrix = List[List[object]]
 Vector = List[object]
@@ -52,7 +52,7 @@ def rref(matrix: Matrix) -> Tuple[Matrix, List[int]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = _reciprocal(rows[r][col])
+        inv = reciprocal(rows[r][col])
         pivot = rows[r] = [inv * x for x in rows[r]]
         support = [k for k, x in enumerate(pivot) if x != 0]
         for i, row in enumerate(rows):
@@ -117,16 +117,11 @@ def nullspace(matrix: Matrix) -> List[Vector]:
     return basis
 
 
-def _reciprocal(x):
-    """1 / x, as a Fraction when x is an int."""
-    return Fraction(1, x) if isinstance(x, int) else 1 / x
-
-
 def _one_like(matrix: Matrix):
     for row in matrix:
         for x in row:
             if x != 0:
-                return _reciprocal(x) * x
+                return reciprocal(x) * x
     return Fraction(1)
 
 
@@ -173,7 +168,7 @@ def poly_divmod(p: Sequence[Fraction], q: Sequence[Fraction]):
         rem = poly_trim(rem)
         if len(rem) < len(q):
             break
-        factor = rem[-1] * _reciprocal(q[-1])
+        factor = rem[-1] * reciprocal(q[-1])
         shift = len(rem) - len(q)
         quot[shift] = factor
         for i, c in enumerate(q):
@@ -262,7 +257,7 @@ def root_bound(p: Sequence[Fraction]) -> Fraction:
     p = poly_trim(list(p))
     lead = abs(p[-1])
     m = max((abs(c) for c in p[:-1]), default=Fraction(0))
-    return Fraction(1) + m * _reciprocal(lead)
+    return Fraction(1) + m * reciprocal(lead)
 
 
 def isolate_real_roots(p: Sequence[Fraction]) -> List[Tuple[Fraction, Fraction]]:

@@ -170,6 +170,11 @@ def embed_to_float(x) -> float:
     return float(x)
 
 
+def reciprocal(x):
+    """1 / x, as a Fraction when x is an int, so an exact scalar stays exact."""
+    return Fraction(1, x) if isinstance(x, int) else 1 / x
+
+
 def format_scalar(x) -> str:
     """Canonical string form, e.g. '3/5+2/7*sqrt2-1*sqrt6'."""
     if not isinstance(x, QuadScalar):

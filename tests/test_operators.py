@@ -179,6 +179,29 @@ def test_pull_back_square_refuses_a_term_odd_in_z():
         pull_back_square(DiffOp.identity(), 0)
 
 
+def exact_values(result):
+    """The scalars of a number, a Laurent polynomial or an operator."""
+    if isinstance(result, DiffOp):
+        return [c for poly in result.coeffs.values() for c in poly.coeffs.values()]
+    if isinstance(result, LaurentPoly):
+        return list(result.coeffs.values())
+    return [result]
+
+
+@given(laurent_polys(), diff_ops(), st.integers(min_value=-4, max_value=4).filter(bool))
+@settings(max_examples=40)
+def test_int_and_fraction_scales_give_the_same_exact_results(p, op, scale):
+    # A negative power of an int scale or point must stay a Fraction.
+    def results(k):
+        return (p.stretch_square(k), p.evaluate(k), substitute_square(op, k),
+                pull_back_square(substitute_square(op, Fraction(scale)), k))
+
+    by_int, by_fraction = results(scale), results(Fraction(scale))
+    assert by_int == by_fraction
+    assert not any(isinstance(value, float)
+                   for result in by_int for value in exact_values(result))
+
+
 def test_substitute_square_first_order_chain_rule():
     # d/dx becomes (1/(2*scale*z)) d/dz under x = scale z^2.
     op = substitute_square(DiffOp.d(), Fraction(2))
