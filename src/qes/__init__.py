@@ -10,34 +10,33 @@ Hamiltonian has elementary eigenstates, cross-checked by an independent
 truncated-Fock eigenvalue search.
 """
 
-from .families import (BasisElement, FamilyError, FamilySpec, NotInSpan,
-                       PairContext, PairElement, action_formula, apply_op,
-                       decompose, family_operators, matrix_rep,
-                       operator_in_span, solve_preserving, substitute_pair,
-                       substituted_context, verify_invariance)
-from .rabi import (RabiConfig, RabiError, RabiOperator, SpectralResult,
-                   FrequencyRoot, assemble_eigenfunctions, bargmann_growth,
-                   build_L, closed_form_report, fock_truncation_check,
+from .families import (FamilyError, FamilySpec, NotInSpan, PairContext,
+                       PairElement, action_formula, apply_op, decompose,
+                       family_operators, matrix_rep, operator_in_span,
+                       solve_preserving, substitute_pair, substituted_context,
+                       verify_invariance)
+from .rabi import (RabiConfig, RabiError, SpectralResult, FrequencyRoot,
+                   assemble_eigenfunctions, bargmann_growth, build_L,
+                   closed_form_report, fock_truncation_check,
                    frequency_table_report, gauge_identity_residual,
                    ladder_combination, solve_frequencies, subspace_matrix)
-from .structure import (CommutatorConstants, ParamPoly, StructureError,
-                        closure_constants, closure_suite, compare_to_catalog,
-                        derive_constants, verify_structure_relations)
+from .structure import (ParamPoly, StructureError, closure_constants,
+                        closure_suite, compare_to_catalog, derive_constants,
+                        verify_structure_relations)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisElement", "FamilyError", "FamilySpec", "NotInSpan", "PairContext",
-    "PairElement", "action_formula", "apply_op", "decompose",
-    "family_operators", "matrix_rep", "operator_in_span", "solve_preserving",
-    "substitute_pair", "substituted_context", "verify_invariance",
-    "RabiConfig", "RabiError", "RabiOperator", "SpectralResult",
-    "FrequencyRoot", "assemble_eigenfunctions", "bargmann_growth", "build_L",
+    "FamilyError", "FamilySpec", "NotInSpan", "PairContext", "PairElement",
+    "action_formula", "apply_op", "decompose", "family_operators",
+    "matrix_rep", "operator_in_span", "solve_preserving", "substitute_pair",
+    "substituted_context", "verify_invariance",
+    "RabiConfig", "RabiError", "SpectralResult", "FrequencyRoot",
+    "assemble_eigenfunctions", "bargmann_growth", "build_L",
     "closed_form_report", "fock_truncation_check", "frequency_table_report",
     "gauge_identity_residual", "ladder_combination", "solve_frequencies",
     "subspace_matrix",
-    "CommutatorConstants", "ParamPoly", "StructureError", "closure_constants",
-    "closure_suite", "compare_to_catalog", "derive_constants",
-    "verify_structure_relations",
+    "ParamPoly", "StructureError", "closure_constants", "closure_suite",
+    "compare_to_catalog", "derive_constants", "verify_structure_relations",
     "__version__",
 ]

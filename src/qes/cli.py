@@ -32,7 +32,7 @@ from .rabi import (REFERENCE_FREQUENCY_RATIOS, TWO_G, RabiConfig,
                    assemble_eigenfunctions, fock_truncation_check,
                    frequency_table_report, solve_frequencies)
 from .sampling import sample_grid
-from .scalars import QuadScalar, embed_to_float, format_scalar
+from .scalars import QuadScalar, format_scalar
 from .structure import closure_suite
 
 SCHEMA_VERSION = 1
@@ -167,7 +167,7 @@ def _rabi_block(n_max: int, sol_type: str, cutoff: int,
     result = solve_frequencies(config)
     report = frequency_table_report(result)
     report["g_ratio_exact"] = format_scalar(TWO_G / 2)
-    report["g_ratio_float"] = embed_to_float(TWO_G) / 2
+    report["g_ratio_float"] = float(TWO_G) / 2
     report["fock_cutoff"] = cutoff
     report["fock_gap_at_computed"] = {
         f"{root.ratio:.6f}": fock_truncation_check(config, root.ratio, cutoff)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .diffop import DiffOp
 from .laurent import LaurentPoly
@@ -91,9 +91,8 @@ class PairElement:
         return self.r.is_zero() and self.s.is_zero()
 
 
-def apply_op(op: DiffOp, elem: Union[PairElement, "BasisElement"]) -> PairElement:
+def apply_op(op: DiffOp, pair: PairElement) -> PairElement:
     """Apply a differential operator to a pair, reducing F'' via the ODE."""
-    pair = elem.to_pair() if isinstance(elem, BasisElement) else elem
     return _combine(op, _derivatives(pair, max(op.coeffs, default=0)))
 
 
@@ -132,6 +131,10 @@ def _add_product(acc: Dict[int, object], factor, shift: int, poly: LaurentPoly) 
 # family definitions
 # ---------------------------------------------------------------------------
 
+# Each family's parameters, in the order `sampling.sample_params` draws them.
+PARAMETERS = {1: ("s",), 2: ("s", "alpha"), 3: ("s", "alpha"), 4: (), 5: ("nu",), 6: ("alpha",)}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """One of the six families, with its parameters pinned to exact rationals."""
@@ -143,29 +146,20 @@ class FamilySpec:
     nu: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        if self.family_id not in (1, 2, 3, 4, 5, 6):
+        if self.family_id not in PARAMETERS:
             raise FamilyError(f"unknown family id {self.family_id}")
         if self.n_max < 0:
             raise FamilyError("subspace size N must be non-negative")
-        needs_s = self.family_id in (1, 2, 3)
-        needs_alpha = self.family_id in (2, 3, 6)
-        needs_nu = self.family_id == 5
-        if needs_s:
-            if self.s is None:
-                raise FamilyError(f"family {self.family_id} requires parameter s")
-            if self.s.denominator == 1 and self.s <= 0:
+        for name in PARAMETERS[self.family_id]:
+            value = getattr(self, name)
+            if value is None:
+                raise FamilyError(f"family {self.family_id} requires parameter {name}")
+            if name == "s" and value.denominator == 1 and value <= 0:
                 raise FamilyError("s must avoid the nonpositive integers")
-        if needs_alpha:
-            if self.alpha is None:
-                raise FamilyError(f"family {self.family_id} requires parameter alpha")
-            if self.family_id in (2, 6) and self.alpha == 0:
+            if name == "alpha" and self.family_id in (2, 6) and value == 0:
                 raise FamilyError("alpha = 0 degenerates the second chain")
-            if self.family_id == 3:
-                for n in range(self.n_max + 1):
-                    if self.alpha + n == 0:
-                        raise FamilyError(f"alpha + {n} = 0 breaks the parameter chain")
-        if needs_nu and self.nu is None:
-            raise FamilyError("family 5 requires parameter nu")
+            if name == "alpha" and self.family_id == 3 and -value in range(self.n_max + 1):
+                raise FamilyError(f"alpha + {-value} = 0 breaks the parameter chain")
 
     @property
     def dimension(self) -> int:
@@ -188,34 +182,6 @@ class FamilySpec:
             u = LaurentPoly.const(4 * self.alpha)
             v = LaurentPoly.x(1, Fraction(2))
         return PairContext(u, v, LaurentPoly.const(_ONE))
-
-
-@dataclass(frozen=True)
-class BasisElement:
-    """f_n^(sign) of a family subspace; family 3 uses sign=None."""
-
-    spec: FamilySpec
-    n: int
-    sign: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.n <= self.spec.n_max:
-            raise FamilyError(f"basis index {self.n} outside 0..{self.spec.n_max}")
-        if self.spec.family_id == 3:
-            if self.sign is not None:
-                raise FamilyError("family 3 has a single chain (sign must be None)")
-        elif self.sign not in ("+", "-"):
-            raise FamilyError("sign must be '+' or '-'")
-
-    @property
-    def index(self) -> int:
-        """Position in the fixed basis order (plus chain first)."""
-        if self.spec.family_id == 3:
-            return self.n
-        return self.n if self.sign == "+" else self.spec.n_max + 1 + self.n
-
-    def to_pair(self) -> PairElement:
-        return _basis_pairs(self.spec)[self.index]
 
 
 def _second_chain_seed(spec: FamilySpec) -> PairElement:
@@ -375,9 +341,13 @@ def matrix_rep(op: DiffOp, spec: FamilySpec) -> List[List[Fraction]]:
 # closed-form ladder actions
 # ---------------------------------------------------------------------------
 
-def action_formula(spec: FamilySpec, raise_op: bool, elem: BasisElement) -> Dict[int, Fraction]:
+def action_formula(spec: FamilySpec, raise_op: bool, index: int) -> Dict[int, Fraction]:
     """Published closed-form action of J+ (raise_op) or J- on one basis element.
 
+    `index` is the element's position in the fixed basis order: n for
+    family 3, whose basis is the single chain f_0..f_N, and for the other
+    families n on the plus chain f_0^+..f_N^+ and N + 1 + n on the minus
+    chain after it.  An index outside 0..dimension - 1 is a FamilyError.
     Returns {basis_index: coefficient} with the zero coefficients omitted.
     The cut-off at the subspace edges needs no guard: every coefficient
     whose target index would leave 0..N carries a factor that vanishes
@@ -386,9 +356,13 @@ def action_formula(spec: FamilySpec, raise_op: bool, elem: BasisElement) -> Dict
     drops it as a zero, and its range check is the edge check: a nonzero
     coefficient outside 0..N is a FamilyError.
     """
+    if not 0 <= index < spec.dimension:
+        raise FamilyError(f"basis index {index} outside 0..{spec.dimension - 1}")
     fid, n_cap = spec.family_id, spec.n_max
     s, alpha, nu = spec.s, spec.alpha, spec.nu
-    n = Fraction(elem.n)
+    # Family 3's one chain has N + 1 elements, so every index is on it.
+    plus_chain, m = index <= n_cap, index % (n_cap + 1)
+    n = Fraction(m)
     a_n = n - 2 * n_cap
     b_n = n - n_cap
     out: Dict[int, Fraction] = {}
@@ -402,8 +376,6 @@ def action_formula(spec: FamilySpec, raise_op: bool, elem: BasisElement) -> Dict
                 f"ladder coefficient escapes the subspace: target index {m}")
         out[chain + m] = out.get(chain + m, _ZERO) + coeff
 
-    m = elem.n
-    plus_chain = elem.sign == "+"
     if fid == 1:
         if raise_op:
             if plus_chain:
@@ -521,8 +493,7 @@ def verify_invariance(spec: FamilySpec) -> Dict[str, object]:
     den = cleared[0].ctx.den
     checked = []
     for label, op in zip(("J+", "J-"), ops):
-        actions = [action_formula(spec, label == "J+", _element_at(spec, idx))
-                   for idx in range(len(pairs))]
+        actions = [action_formula(spec, label == "J+", idx) for idx in range(len(pairs))]
         checked.append((label, op, actions, *_cleared_action(op, actions, den, depth)))
     mismatches: List[Dict[str, object]] = []
     checks = 0
@@ -599,15 +570,6 @@ def _is_combination(image: PairElement, coords: Dict[int, Fraction],
         _add_product(r, -c, 0, pairs[i].r)
         _add_product(s, -c, 0, pairs[i].s)
     return not any(r.values()) and not any(s.values())
-
-
-def _element_at(spec: FamilySpec, index: int) -> BasisElement:
-    if spec.family_id == 3:
-        return BasisElement(spec, index, None)
-    width = spec.n_max + 1
-    if index < width:
-        return BasisElement(spec, index, "+")
-    return BasisElement(spec, index - width, "-")
 
 
 # ---------------------------------------------------------------------------

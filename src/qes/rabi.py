@@ -29,12 +29,11 @@ from typing import Dict, List, Optional, Tuple
 
 from .diffop import (DiffOp, GaugeFactor, commutator, conjugate_by_gauge,
                      pull_back_square, substitute_square)
-from .families import (BasisElement, FamilySpec, _basis_pairs, action_formula,
-                       apply_op, family_operators, substitute_pair,
-                       substituted_context)
+from .families import (FamilySpec, _basis_pairs, action_formula, apply_op,
+                       family_operators, substitute_pair, substituted_context)
 from .laurent import LaurentPoly
 from .linalg import LambdaPoly, charpoly, minimal_factors, poly_divmod
-from .scalars import SQRT2, SQRT3, SQRT6, QuadScalar, embed_to_float, format_scalar
+from .scalars import SQRT2, SQRT3, SQRT6, QuadScalar, format_scalar
 
 
 class RabiError(ValueError):
@@ -135,23 +134,6 @@ class RabiConfig:
 # the fourth-order operator for the surviving component
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RabiOperator:
-    """L split into its lambda-free part and the trivial lambda direction.
-
-    The full operator is base + (lambda/3) * Id: the only w0-dependence of
-    L is the additive constant w0^2/4 = lambda/3.
-    """
-
-    a_hat: DiffOp
-    c_hat: DiffOp
-    base: DiffOp
-
-    def at_lambda(self, lambda_value) -> DiffOp:
-        return self.base + DiffOp({0: LaurentPoly.const(
-            Fraction(1, 3) * lambda_value)})
-
-
 def assemble_operator(two_g, cos_2t, sin_2t, energy) -> Tuple[DiffOp, DiffOp, DiffOp]:
     """Build a_hat, c_hat and the lambda-free part of L from raw constants.
 
@@ -170,13 +152,16 @@ def assemble_operator(two_g, cos_2t, sin_2t, energy) -> Tuple[DiffOp, DiffOp, Di
     return a_hat, c_hat, base
 
 
-def build_L(config: RabiConfig) -> RabiOperator:
-    """The surviving-component operator at the configuration's lock."""
-    a_hat, c_hat, base = assemble_operator(
-        TWO_G, COS_2T, config.sin_2t, config.energy_ratio)
+def build_L(config: RabiConfig) -> DiffOp:
+    """The lambda-free part of the surviving-component operator at the lock.
+
+    The full operator is L = build_L(config) + (lambda/3) * Id: the only
+    w0-dependence of L is the additive constant w0^2/4 = lambda/3.
+    """
+    _, _, base = assemble_operator(TWO_G, COS_2T, config.sin_2t, config.energy_ratio)
     if base.order() != 4:
         raise RabiError(f"expected a fourth-order operator, got order {base.order()}")
-    return RabiOperator(a_hat=a_hat, c_hat=c_hat, base=base)
+    return base
 
 
 def ladder_combination(config: RabiConfig) -> DiffOp:
@@ -204,9 +189,8 @@ def gauge_identity_residual(config: RabiConfig,
     configuration's own (used as a negative control: any other gauge must
     leave a nonzero residual).
     """
-    operator = build_L(config)
     chosen = gauge if gauge is not None else config.gauge
-    lhs = conjugate_by_gauge(operator.base, chosen)
+    lhs = conjugate_by_gauge(build_L(config), chosen)
     rhs = Fraction(1, 3) * substitute_square(ladder_combination(config), config.stretch)
     return lhs - rhs
 
@@ -236,12 +220,12 @@ def subspace_matrix(config: RabiConfig) -> Diagonals:
     k0, k1, k2, k3, k4 = config.combination
     spec = config.family()
     size = config.dimension
-    down = [action_formula(spec, False, BasisElement(spec, n))[n] for n in range(size)]
+    down = [action_formula(spec, False, n)[n] for n in range(size)]
     main = [(k0 * d + k3) * d + k4 for d in down]
     # M0[i][j] is bands[i - j][min(i, j)].
     bands = {1: [Fraction(0)] * (size - 1), 0: main, -1: [Fraction(0)] * (size - 1)}
     for j in range(size):
-        for i, a in action_formula(spec, True, BasisElement(spec, j)).items():
+        for i, a in action_formula(spec, True, j).items():
             if i - j not in bands:
                 raise RabiError(f"M0 is not tridiagonal: J^+ maps f_{j} onto f_{i}")
             bands[i - j][min(i, j)] += a * (k1 * (down[j] - down[i]) + k2)
@@ -295,7 +279,7 @@ def bargmann_growth(config: RabiConfig) -> Dict[str, object]:
     the Bargmann space, so these states are normalizable.
     """
     coefficient = XI - ETA
-    value = embed_to_float(coefficient)
+    value = float(coefficient)
     return {
         "gaussian_type": format_scalar(coefficient),
         "gaussian_type_float": value,
@@ -445,7 +429,7 @@ def assemble_eigenfunctions(result: SpectralResult) -> List[Dict[str, object]]:
     config = result.config
     if not result.roots:
         return []
-    chi = _apply_recovery_operator(result, build_L(config))
+    chi = _apply_recovery_operator(result)
     # The pair lives in the z coordinate after the pullback.
     f_coefficient, fprime_coefficient = (
         repr(part).replace("x^", "z^").replace("*x", "*z") for part in (chi.r, chi.s))
@@ -510,19 +494,19 @@ def _closed_form_ratio_checks(result: SpectralResult) -> List[Dict[str, object]]
     return checks
 
 
-def _gauged_recovery_operator(config: RabiConfig, operator: RabiOperator) -> DiffOp:
+def _gauged_recovery_operator(config: RabiConfig) -> DiffOp:
     """R_z = gauge^-1 (E + a_hat - c_hat) gauge, free of lambda.
 
     psi_1 = (2/w0) (E + a_hat - c_hat) psi_2, so R_z maps psi_2 / gauge to
     (w0/2) psi_1 / gauge.
     """
-    return conjugate_by_gauge(
-        operator.a_hat - operator.c_hat
-        + DiffOp({0: LaurentPoly.const(config.energy_ratio)}),
-        config.gauge)
+    energy = config.energy_ratio
+    a_hat, c_hat, _ = assemble_operator(TWO_G, COS_2T, config.sin_2t, energy)
+    return conjugate_by_gauge(a_hat - c_hat + DiffOp({0: LaurentPoly.const(energy)}),
+                              config.gauge)
 
 
-def _apply_recovery_operator(result: SpectralResult, operator: RabiOperator):
+def _apply_recovery_operator(result: SpectralResult):
     """chi = (E + a_hat - c_hat) psi_2 divided by the gauge factor, as a z pair.
 
     Conjugated by the gauge, the recovery operator R_z is even in z, so it
@@ -535,7 +519,7 @@ def _apply_recovery_operator(result: SpectralResult, operator: RabiOperator):
     """
     config = result.config
     spec = config.family()
-    recovery_z = _gauged_recovery_operator(config, operator)
+    recovery_z = _gauged_recovery_operator(config)
     recovery_x = pull_back_square(recovery_z, config.stretch)
     if substitute_square(recovery_x, config.stretch) != recovery_z:
         raise RabiError("the recovery operator fails its pull-back to the kernel coordinate")
@@ -565,8 +549,8 @@ def fock_truncation_check(config: RabiConfig, root: float, cutoff: int = 300) ->
     """
     if cutoff < 100:
         raise RabiError("cutoff must be at least 100")
-    return _fock_gap(2.0 / float(root), embed_to_float(TWO_G), cutoff,
-                     embed_to_float(config.energy_ratio))
+    return _fock_gap(2.0 / float(root), float(TWO_G), cutoff,
+                     float(config.energy_ratio))
 
 
 @functools.lru_cache(maxsize=64)
@@ -794,7 +778,7 @@ def frequency_table_report(result: SpectralResult) -> Dict[str, object]:
             "nearest_computed_gap": gap,
             "contained": contained,
         })
-    energy_float = embed_to_float(config.energy_ratio)
+    energy_float = float(config.energy_ratio)
     energy_quoted = REFERENCE_ENERGY_RATIOS.get(config.n_max)
     energy_ok = (energy_quoted is None
                  or abs(energy_float - energy_quoted) <= ENERGY_TOLERANCE)

@@ -13,6 +13,8 @@ import random
 from fractions import Fraction
 from typing import Dict, List
 
+from .families import PARAMETERS
+
 
 def mix_seed(*parts: int) -> int:
     """Fold several small integers into one reproducible RNG seed."""
@@ -44,21 +46,20 @@ def _bad_alpha(alpha: Fraction, n_max: int) -> bool:
     return alpha.denominator == 1 and -n_max <= alpha.numerator <= 0
 
 
+_REJECTED = {"s": _bad_s, "alpha": _bad_alpha, "nu": lambda nu, n_max: False}
+
+
 def sample_params(family_id: int, n_max: int, rng: random.Random) -> Dict[str, Fraction]:
-    """One admissible parameter point for the given family at subspace size N = n_max."""
+    """One admissible parameter point for the given family at subspace size N = n_max.
+
+    The parameters are drawn in the order of `families.PARAMETERS`.
+    """
     params: Dict[str, Fraction] = {}
-    if family_id in (1, 2, 3):
-        s = random_rational(rng)
-        while _bad_s(s, n_max):
-            s = random_rational(rng)
-        params["s"] = s
-    if family_id in (2, 3, 6):
-        alpha = random_rational(rng)
-        while _bad_alpha(alpha, n_max):
-            alpha = random_rational(rng)
-        params["alpha"] = alpha
-    if family_id == 5:
-        params["nu"] = random_rational(rng)
+    for name in PARAMETERS.get(family_id, ()):
+        value = random_rational(rng)
+        while _REJECTED[name](value, n_max):
+            value = random_rational(rng)
+        params[name] = value
     return params
 
 

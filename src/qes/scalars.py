@@ -165,11 +165,6 @@ SQRT3 = QuadScalar(0, 0, 1, 0)
 SQRT6 = QuadScalar(0, 0, 0, 1)
 
 
-def embed_to_float(x) -> float:
-    """Embed an exact scalar (or plain number) into a double."""
-    return float(x)
-
-
 def reciprocal(x):
     """1 / x, as a Fraction when x is an int, so an exact scalar stays exact."""
     return Fraction(1, x) if isinstance(x, int) else 1 / x

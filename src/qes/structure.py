@@ -19,7 +19,6 @@ operators at the point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -212,40 +211,20 @@ def parameter_assignment(spec: FamilySpec) -> Dict[str, Fraction]:
 # the coefficient catalog
 # ---------------------------------------------------------------------------
 
+# The coefficients of the two closure relations, by name.  Names suffixed
+# ``p`` multiply terms of the raising-side relation for [J^+, S]; names
+# suffixed ``m`` belong to the lowering side [J^-, S].  The digits index
+# the term carried: 1 for (J^-)^2, 2 for (J^+)^2, 3 for J^+ J^-, 4 for S,
+# 5 for J^+, 6 for J^-, 7 for the identity.
 CONSTANT_NAMES = (
     "c1p", "c1m", "c2m", "c3p", "c4p",
     "c5p", "c5m", "c6p", "c6m", "c7p", "c7m",
 )
 
 
-@dataclass(frozen=True)
-class CommutatorConstants:
-    """Coefficients of the two closure relations.
-
-    Fields suffixed ``p`` multiply terms of the raising-side relation for
-    [J^+, S]; fields suffixed ``m`` belong to the lowering side [J^-, S].
-    The digits index the term carried: 1 for (J^-)^2, 2 for (J^+)^2, 3 for
-    J^+ J^-, 4 for S, 5 for J^+, 6 for J^-, 7 for the identity.
-    """
-
-    c1p: ParamPoly
-    c1m: ParamPoly
-    c2m: ParamPoly
-    c3p: ParamPoly
-    c4p: ParamPoly
-    c5p: ParamPoly
-    c5m: ParamPoly
-    c6p: ParamPoly
-    c6m: ParamPoly
-    c7p: ParamPoly
-    c7m: ParamPoly
-
-    def as_strings(self) -> Dict[str, str]:
-        return {name: str(getattr(self, name)) for name in CONSTANT_NAMES}
-
-
-def closure_constants(family_id: int) -> CommutatorConstants:
-    """The closed-form coefficient catalog for one family."""
+def closure_constants(family_id: int) -> Dict[str, ParamPoly]:
+    """The closed-form coefficient catalog for one family, keyed by
+    `CONSTANT_NAMES`."""
     if family_id not in (1, 2, 3, 4, 5, 6):
         raise StructureError(f"unknown family id {family_id}")
     s = ParamPoly.var("s")
@@ -256,33 +235,33 @@ def closure_constants(family_id: int) -> CommutatorConstants:
     const = ParamPoly.const
     b_n = (2 * n - s) * (s - 2 - 2 * n)
     if family_id == 1:
-        return CommutatorConstants(
+        return dict(
             c1p=zero, c1m=const(2), c2m=zero, c3p=const(-4), c4p=const(-2),
             c5p=const(2), c5m=zero, c6p=b_n, c6m=const(-2),
             c7p=(s + 1) * (s - 2 - 2 * n), c7m=zero)
     if family_id == 2:
         c_n = 2 + 2 * a + s
-        return CommutatorConstants(
+        return dict(
             c1p=zero, c1m=const(2), c2m=zero, c3p=const(-4), c4p=const(-2),
             c5p=c_n, c5m=const(1), c6p=b_n, c6m=-c_n,
             c7p=(a - n) * (s + 1) * c_n, c7m=(a - n) * (s + 1))
     if family_id == 3:
         a_n = s + n + 2 * a
-        return CommutatorConstants(
+        return dict(
             c1p=zero, c1m=const(2), c2m=zero, c3p=const(-4), c4p=const(-2),
             c5p=a_n, c5m=const(1), c6p=s - n, c6m=-a_n,
             c7p=s * a * (s - n - 2), c7m=s * a)
     if family_id == 4:
-        return CommutatorConstants(
+        return dict(
             c1p=zero, c1m=zero, c2m=const(6), c3p=zero, c4p=zero,
             c5p=const(-2), c5m=zero, c6p=zero, c6m=const(2),
             c7p=zero, c7m=zero)
     if family_id == 5:
-        return CommutatorConstants(
+        return dict(
             c1p=zero, c1m=const(2), c2m=zero, c3p=const(-4), c4p=const(-2),
             c5p=zero, c5m=const(4), c6p=1 - 4 * n * n, c6m=zero,
             c7p=zero, c7m=-4 * (1 + nu * nu + 2 * n + nu))
-    return CommutatorConstants(
+    return dict(
         c1p=const(-6), c1m=zero, c2m=zero, c3p=zero, c4p=zero,
         c5p=zero, c5m=const(4), c6p=12 + 32 * a, c6m=zero,
         c7p=-8 * (2 * a - n) * (2 + n + 2 * a), c7m=zero)
@@ -341,13 +320,13 @@ def symbolic_sides(family_id: int):
     return _relation_sides(*operators_over(family_id, n, s, alpha, nu))
 
 
-def _residuals(sides, constants: CommutatorConstants) -> Dict[str, DiffOp]:
+def _residuals(sides, constants: Mapping[str, ParamPoly]) -> Dict[str, DiffOp]:
     """lhs - sum c_i op_i of each relation, over Q[s, alpha, nu, n]."""
     residuals = {}
     for side in sides:
         residual = side["lhs"]
         for name, op in side["terms"]:
-            residual = residual - getattr(constants, name) * op
+            residual = residual - constants[name] * op
         residuals[side["label"]] = residual
     return residuals
 
@@ -382,7 +361,7 @@ def _report_at(spec: FamilySpec, bracket: DiffOp,
 
 def verify_structure_relations(
     spec: FamilySpec,
-    constants: Optional[CommutatorConstants] = None,
+    constants: Optional[Mapping[str, ParamPoly]] = None,
 ) -> Dict[str, object]:
     """Check both closure relations exactly at one parameter point.
 
@@ -440,8 +419,9 @@ def _solve_relation(side) -> Dict[str, ParamPoly]:
     return solved
 
 
-def derive_constants(sides) -> CommutatorConstants:
-    """Derive the closure coefficients with no catalog input, symbolically.
+def derive_constants(sides) -> Dict[str, ParamPoly]:
+    """Derive the closure coefficients with no catalog input, symbolically,
+    keyed by `CONSTANT_NAMES`.
 
     ``sides`` is `symbolic_sides(family_id)`: both relations with J+ and J-
     built over Q[s, alpha, nu, n].  Each is solved there by forward
@@ -454,16 +434,13 @@ def derive_constants(sides) -> CommutatorConstants:
     solved: Dict[str, ParamPoly] = {}
     for side in sides:
         solved.update(_solve_relation(side))
-    return CommutatorConstants(**solved)
+    return dict(**solved)
 
 
-def compare_to_catalog(derived: CommutatorConstants, family_id: int) -> Dict[str, bool]:
+def compare_to_catalog(derived: Mapping[str, ParamPoly], family_id: int) -> Dict[str, bool]:
     """Per-coefficient equality of a derived set against the catalog."""
     catalog = closure_constants(family_id)
-    return {
-        name: getattr(derived, name) == getattr(catalog, name)
-        for name in CONSTANT_NAMES
-    }
+    return {name: derived[name] == catalog[name] for name in CONSTANT_NAMES}
 
 
 def _suite_samples(family_id: int, samples: int, seed: int) -> List[FamilySpec]:
@@ -500,8 +477,8 @@ def closure_suite(family_id: int, samples: int = 8, seed: int = 0) -> Dict[str, 
         "family": family_id,
         "samples": samples,
         "status": "reference-discrepancy" if failures else "ok",
-        "catalog": catalog.as_strings(),
-        "derived": derived.as_strings(),
+        "catalog": {name: str(catalog[name]) for name in CONSTANT_NAMES},
+        "derived": {name: str(derived[name]) for name in CONSTANT_NAMES},
         "constants_match": match,
         "catalog_failures": failures,
     }

@@ -13,11 +13,10 @@ import numpy as np
 
 from qes import families, structure
 from qes.diffop import DiffOp, conjugate_by_gauge
-from qes.families import (BasisElement, apply_op, family_operators, substitute_pair,
-                          substituted_context)
+from qes.families import apply_op, family_operators, substitute_pair, substituted_context
 from qes.laurent import LaurentPoly
 from qes.linalg import LambdaPoly
-from qes.rabi import fock_truncation_check
+from qes.rabi import COS_2T, TWO_G, assemble_operator, fock_truncation_check
 from qes.scalars import QuadScalar
 
 
@@ -163,7 +162,7 @@ def solve_constants_at(spec):
     return solved
 
 
-def recovery_in_z(result, operator):
+def recovery_in_z(result):
     """psi_1's pair recovered wholly in the z coordinate, the solver's reference.
 
     Every basis pair is substituted to z first, the null vector is lifted to
@@ -176,15 +175,12 @@ def recovery_in_z(result, operator):
               for entry in result.null_vector]
     new_ctx = substituted_context(spec, config.stretch)
     combined = None
-    for n, coefficient in enumerate(lifted):
-        pair_z = substitute_pair(
-            BasisElement(spec, n).to_pair(), config.stretch, new_ctx)
-        term = pair_z.scaled(coefficient)
+    for pair, coefficient in zip(families._basis_pairs(spec), lifted):
+        term = substitute_pair(pair, config.stretch, new_ctx).scaled(coefficient)
         combined = term if combined is None else combined + term
+    a_hat, c_hat, _ = assemble_operator(TWO_G, COS_2T, config.sin_2t, config.energy_ratio)
     recovery = conjugate_by_gauge(
-        operator.a_hat - operator.c_hat
-        + DiffOp({0: LaurentPoly.const(config.energy_ratio)}),
-        config.gauge)
+        a_hat - c_hat + DiffOp({0: LaurentPoly.const(config.energy_ratio)}), config.gauge)
     return apply_op(recovery, combined)
 
 

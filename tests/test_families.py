@@ -7,7 +7,7 @@ from _algebra import (coefficient_matrix, dense_rank, dense_solve, independence_
                       mat_commutator, mat_mul)
 from qes import families
 from qes.diffop import DiffOp, commutator
-from qes.families import (BasisElement, FamilyError, FamilySpec, NotInSpan,
+from qes.families import (FamilyError, FamilySpec, NotInSpan,
                           PairElement, action_formula, apply_op, decompose,
                           family_operators, matrix_rep, operator_in_span,
                           solve_preserving, verify_invariance)
@@ -40,6 +40,19 @@ def test_spec_rejects_degenerate_parameters():
         FamilySpec(1, -1, s=F(1, 2))
 
 
+@pytest.mark.parametrize("family_id,params,message", [
+    (1, {}, "family 1 requires parameter s"),
+    (2, {"s": F(7, 2)}, "family 2 requires parameter alpha"),
+    (3, {"s": F(-1)}, "s must avoid the nonpositive integers"),  # s is checked first
+    (3, {"s": F(7, 2), "alpha": F(-2)}, r"alpha \+ 2 = 0 breaks the parameter chain"),
+    (5, {}, "family 5 requires parameter nu"),
+    (6, {"alpha": F(0)}, "alpha = 0 degenerates the second chain"),
+])
+def test_spec_names_the_first_parameter_it_refuses(family_id, params, message):
+    with pytest.raises(FamilyError, match=f"^{message}$"):
+        FamilySpec(family_id, 3, **params)
+
+
 def test_dimension_is_two_chains_except_the_shifted_parameter_family():
     assert FamilySpec(1, 3, s=F(1, 2)).dimension == 8
     assert FamilySpec(3, 3, s=F(1, 2), alpha=F(1, 3)).dimension == 4
@@ -53,7 +66,7 @@ def test_lowering_action_on_the_kernel_itself():
     # With x F'' + s F' = F, applying x d^2 + (s+1) d to F gives F + F'.
     spec = FamilySpec(1, 1, s=F(5, 2))
     _, j_minus = family_operators(spec)
-    coords = decompose(apply_op(j_minus, BasisElement(spec, 0, "+")), spec)
+    coords = decompose(apply_op(j_minus, families._basis_pairs(spec)[0]), spec)
     assert not isinstance(coords, NotInSpan)
     # F itself plus (1/s) times the minus seed s F'.
     expected = [F(1), F(0), F(2, 5), F(0)]
@@ -64,7 +77,7 @@ def test_raising_action_on_the_kernel_is_a_pure_derivative_multiple():
     # x^2 F'' + (s-2)x F' - x F = -2 x F' after eliminating F'' via the ODE.
     spec = FamilySpec(1, 1, s=F(5, 2))
     j_plus, _ = family_operators(spec)
-    pair = apply_op(j_plus, BasisElement(spec, 0, "+"))
+    pair = apply_op(j_plus, families._basis_pairs(spec)[0])
     assert pair.r == LaurentPoly.zero()
     assert pair.s == LaurentPoly.x(1, F(-2))
 
@@ -73,12 +86,22 @@ def test_second_chain_of_the_shifted_parameter_family_is_contiguous():
     # f_{n+1} = f_n + x/(alpha+n) * f_n', the parameter-shift recurrence.
     spec = FamilySpec(3, 3, s=F(9, 2), alpha=F(2, 3))
     x = LaurentPoly.x()
+    pairs = families._basis_pairs(spec)
     for n in range(spec.n_max):
-        f_n = BasisElement(spec, n).to_pair()
+        f_n, f_next = pairs[n], pairs[n + 1]
         shifted = f_n + f_n.derivative().times_poly(
             x.map_coeffs(lambda c: c / (spec.alpha + n)))
-        f_next = BasisElement(spec, n + 1).to_pair()
         assert shifted.r == f_next.r and shifted.s == f_next.s
+
+
+@pytest.mark.parametrize("family_id", [1, 2, 3, 4, 5, 6])
+def test_action_formula_refuses_an_index_outside_the_basis(family_id):
+    spec = spec_from(family_id, 2, sample_grid(family_id, 2, count=1, seed=5)[0])
+    for raise_op in (True, False):
+        action_formula(spec, raise_op, spec.dimension - 1)
+        for index in (-1, spec.dimension):
+            with pytest.raises(FamilyError, match=rf"basis index {index} outside 0\.\."):
+                action_formula(spec, raise_op, index)
 
 
 # -- invariance across sampled parameters --------------------------------------
@@ -103,7 +126,7 @@ def test_basis_elements_are_linearly_independent(family_id):
 def test_a_nonpreserving_operator_is_reported_with_a_witness():
     spec = FamilySpec(1, 1, s=F(5, 2))
     shift = DiffOp.mul_by(LaurentPoly.x())  # multiplication by x escapes the span
-    outcome = decompose(apply_op(shift, BasisElement(spec, 1, "-")), spec)
+    outcome = decompose(apply_op(shift, families._basis_pairs(spec)[3]), spec)  # f_1^-
     assert isinstance(outcome, NotInSpan)
     assert outcome.rank_basis < outcome.rank_augmented
 
@@ -243,7 +266,7 @@ def sampled_specs():
 @pytest.mark.parametrize("spec", list(sampled_specs()),
                          ids=lambda spec: f"f{spec.family_id}-N{spec.n_max}")
 def test_cached_decomposition_equals_a_fresh_solve(spec):
-    pairs = [families._element_at(spec, i).to_pair() for i in range(spec.dimension)]
+    pairs = list(families._basis_pairs(spec))
     zero = PairElement(LaurentPoly.zero(), LaurentPoly.zero(), pairs[0].ctx)
     matrix, _ = reference_system(pairs, zero)
     assert dense_rank(matrix) == spec.dimension
@@ -271,8 +294,7 @@ def test_cached_decomposition_equals_a_fresh_solve(spec):
                        PairElement(LaurentPoly.zero(), unit, zero.ctx)):
             assert_matches_reference(target, spec, pairs)
 
-    top = BasisElement(spec, spec.n_max, None if spec.family_id == 3 else "+")
-    outside = [top.to_pair().times_poly(LaurentPoly.x()),
+    outside = [pairs[spec.n_max].times_poly(LaurentPoly.x()),  # the plus chain's top
                pairs[0] + PairElement(LaurentPoly.x(min(matrix_exponents(pairs)) - 1),
                                       LaurentPoly.zero(), pairs[0].ctx)]
     for target in outside:
@@ -312,10 +334,9 @@ def test_identity_verdict_equals_the_decomposed_comparison(spec):
     # or one term added, and for an image pushed out of the span.
     pairs = families._basis_pairs(spec)
     for idx, pair in enumerate(pairs):
-        elem = families._element_at(spec, idx)
         for raise_op, op in zip((True, False), family_operators(spec)):
             image = apply_op(op, pair)
-            action = action_formula(spec, raise_op, elem)
+            action = action_formula(spec, raise_op, idx)
             other = (idx + 1) % len(pairs)
             moved = {**action, idx: action.get(idx, F(0)) + 1}
             added = {**action, other: action.get(other, F(0)) - F(1, 3)}
@@ -339,8 +360,7 @@ def test_cleared_verdict_equals_the_rational_one(spec):
     den = cleared[0].ctx.den
     dim = len(pairs)
     for raise_op, op in zip((True, False), family_operators(spec)):
-        actions = [action_formula(spec, raise_op, families._element_at(spec, idx))
-                   for idx in range(dim)]
+        actions = [action_formula(spec, raise_op, idx) for idx in range(dim)]
         moved = [{**a, j: a.get(j, F(0)) + 1} for j, a in enumerate(actions)]
         added = [{**a, (j + 1) % dim: a.get((j + 1) % dim, F(0)) - F(1, 3)}
                  for j, a in enumerate(actions)]
@@ -369,10 +389,10 @@ def test_a_failing_action_reports_the_decomposed_image(monkeypatch):
     x_j_minus = DiffOp.mul_by(LaurentPoly.x()) * j_minus
     original = families.action_formula
 
-    def wrong_formula(spec, raise_op, elem):
-        action = original(spec, raise_op, elem)
-        if raise_op and elem.n == 1:
-            action[elem.index] = action.get(elem.index, F(0)) + 1
+    def wrong_formula(spec, raise_op, index):
+        action = original(spec, raise_op, index)
+        if raise_op and index % (spec.n_max + 1) == 1:  # f_1^+ and f_1^-
+            action[index] = action.get(index, F(0)) + 1
         return action
 
     monkeypatch.setattr(families, "action_formula", wrong_formula)
@@ -390,6 +410,6 @@ def test_a_failing_action_reports_the_decomposed_image(monkeypatch):
             assert mismatch["computed"] == {i: c for i, c in enumerate(coords) if c != 0}
         kinds.add((mismatch["op"], isinstance(coords, NotInSpan)))
         assert mismatch["expected"] == wrong_formula(
-            spec, mismatch["op"] == "J+", families._element_at(spec, mismatch["element"]))
+            spec, mismatch["op"] == "J+", mismatch["element"])
     assert [m["element"] for m in report["mismatches"] if m["op"] == "J+"] == [1, 4]
     assert kinds == {("J+", False), ("J-", False), ("J-", True)}

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from _algebra import (dense_tridiagonal, faddeev_leverrier, fock_chains, fock_matrix,
                       mat_vec, poly_mul, recovery_in_z, truncation_convergence)
 from qes import families, linalg, rabi
-from qes.diffop import DiffOp, GaugeFactor, pull_back_square, substitute_square
+from qes.diffop import (DiffOp, GaugeFactor, conjugate_by_gauge, pull_back_square,
+                        substitute_square)
 from qes.laurent import LaurentPoly
 from qes.linalg import LambdaPoly, isolate_real_roots, poly_divmod
 from qes.rabi import (CLOSED_FORM_LAMBDA, CLOSED_FORM_RATIOS, COS_2T, ETA, REFERENCE_FREQUENCY_RATIOS,
@@ -27,7 +28,7 @@ from qes.rabi import (CLOSED_FORM_LAMBDA, CLOSED_FORM_RATIOS, COS_2T, ETA, REFER
                       closed_form_report, fock_truncation_check,
                       frequency_table_report, gauge_identity_residual,
                       ladder_combination, solve_frequencies, subspace_matrix)
-from qes.scalars import QuadScalar, SQRT2, SQRT3, embed_to_float, format_scalar
+from qes.scalars import QuadScalar, SQRT2, SQRT3, format_scalar
 
 F = Fraction
 
@@ -75,7 +76,7 @@ def test_energy_ratio_closed_form():
     for n_max in range(8):
         config = RabiConfig(n_max, "I")
         expected = (n_max + 1) / math.sqrt(3) - 0.5
-        assert embed_to_float(config.energy_ratio) == pytest.approx(expected, rel=1e-15)
+        assert float(config.energy_ratio) == pytest.approx(expected, rel=1e-15)
     assert format_scalar(RabiConfig(2, "I").energy_ratio) == "-1/2+1*sqrt3"
 
 
@@ -93,17 +94,21 @@ def test_zero_coupling_zero_angle_control():
 
 
 def test_operator_is_fourth_order_with_the_expected_leading_coefficient():
-    operator = build_L(RabiConfig(2, "I"))
-    lead = operator.base.coeff(4)
+    lead = build_L(RabiConfig(2, "I")).coeff(4)
     # (2g)^2 - sin^2(2t)/4 = 1/6 - 1/54 = 4/27.
     assert lead == LaurentPoly.const(QuadScalar(F(4, 27)))
 
 
 def test_lambda_term_is_a_scalar_shift():
-    operator = build_L(RabiConfig(2, "I"))
+    # L = build_L(config) + (lambda/3) Id, and the spectral condition is on
+    # M0 + lambda I: with lambda restored on both sides, the gauge identity
+    # holds at any lambda.
+    config = RabiConfig(2, "I")
     lam = F(7, 2)
-    assert operator.at_lambda(lam) - operator.base == DiffOp.mul_by(
-        LaurentPoly.const(QuadScalar(lam) * F(1, 3)))
+    operator = build_L(config) + DiffOp.mul_by(LaurentPoly.const(QuadScalar(lam) * F(1, 3)))
+    combination = ladder_combination(config) + DiffOp.mul_by(LaurentPoly.const(lam))
+    assert conjugate_by_gauge(operator, config.gauge) == F(1, 3) * substitute_square(
+        combination, config.stretch)
 
 
 # -- gauge identities -------------------------------------------------------------
@@ -281,10 +286,10 @@ def _bent_action(monkeypatch, bend):
     J^+ column it returns."""
     real = rabi.action_formula
 
-    def action(spec, raise_op, elem):
-        column = dict(real(spec, raise_op, elem))
+    def action(spec, raise_op, index):
+        column = dict(real(spec, raise_op, index))
         if raise_op:
-            bend(elem.n, column)
+            bend(index, column)
         return column
 
     monkeypatch.setattr(rabi, "action_formula", action)
@@ -399,7 +404,7 @@ def test_conjugate_roots_share_one_recovered_partner_component():
     config = RabiConfig(5, "I")
     result = solve_frequencies(config)
     assert len(result.roots) == 2
-    chi = _apply_recovery_operator(result, build_L(config))
+    chi = _apply_recovery_operator(result)
     for state in assemble_eigenfunctions(result):
         assert state["psi1"]["f_coefficient"] == repr(chi.r).replace(
             "x^", "z^").replace("*x", "*z")
@@ -411,7 +416,7 @@ def test_conjugate_roots_share_one_recovered_partner_component():
 def test_recovery_operator_pulls_back_to_the_kernel_coordinate(sol_type):
     for n_max in range(8):
         config = RabiConfig(n_max, sol_type)
-        recovery_z = _gauged_recovery_operator(config, build_L(config))
+        recovery_z = _gauged_recovery_operator(config)
         recovery_x = pull_back_square(recovery_z, config.stretch)
         assert substitute_square(recovery_x, config.stretch) == recovery_z, n_max
         assert all(poly.is_polynomial() for poly in recovery_x.coeffs.values())
@@ -421,10 +426,9 @@ def test_recovery_operator_pulls_back_to_the_kernel_coordinate(sol_type):
 def test_partner_component_equals_the_z_frame_computation(sol_type):
     for n_max in range(11):
         config = RabiConfig(n_max, sol_type)
-        operator = build_L(config)
         result = solve_frequencies(config)
-        chi = _apply_recovery_operator(result, operator)
-        reference = recovery_in_z(result, operator)
+        chi = _apply_recovery_operator(result)
+        reference = recovery_in_z(result)
         assert (repr(chi.r), repr(chi.s)) == (repr(reference.r), repr(reference.s)), n_max
 
 
@@ -527,7 +531,7 @@ def _chain_order(length: int):
 
 def _dense_block_gap(omega0: float, energy: float, cutoff: int) -> float:
     return min(float(np.min(np.abs(np.linalg.eigvalsh(
-        fock_matrix(omega0, embed_to_float(TWO_G), cutoff, parity)) - energy)))
+        fock_matrix(omega0, float(TWO_G), cutoff, parity)) - energy)))
         for parity in (0, 1))
 
 
@@ -538,7 +542,7 @@ _CHAIN_OMEGA0 = 2.0 / 0.919048136607348
 @pytest.mark.parametrize("cutoff", [100, 101, 300])
 @pytest.mark.parametrize("parity", [0, 1])
 def test_permuted_fock_block_is_exactly_the_two_chains(cutoff, parity):
-    two_g = embed_to_float(TWO_G)
+    two_g = float(TWO_G)
     chains = fock_chains(_CHAIN_OMEGA0, two_g, cutoff, parity)
     length = chains.shape[1]
     dense = fock_matrix(_CHAIN_OMEGA0, two_g, cutoff, parity)
@@ -556,7 +560,7 @@ def test_permuted_fock_block_is_exactly_the_two_chains(cutoff, parity):
 def test_chain_spectra_equal_the_dense_block_spectra(cutoff, omega0, index):
     # w0 spans 2w/w0 in [0.1, 5], criterion 6's search range.  The memo is
     # bypassed so that every call runs the chain search.
-    two_g = embed_to_float(TWO_G)
+    two_g = float(TWO_G)
     blocks = [np.linalg.eigvalsh(fock_matrix(omega0, two_g, cutoff, parity))
               for parity in (0, 1)]
     spectrum = np.sort(np.concatenate(blocks))
@@ -594,7 +598,7 @@ def test_chain_oracle_locks_every_computed_root_at_cutoff_300(config):
 
 @pytest.mark.parametrize("config", _TABLE_CONFIGS, ids=lambda c: f"{c.n_max}{c.sol_type}")
 def test_chain_oracle_matches_the_dense_gap_at_every_quoted_ratio(config):
-    energy = embed_to_float(config.energy_ratio)
+    energy = float(config.energy_ratio)
     for listed in REFERENCE_FREQUENCY_RATIOS[(config.n_max, config.sol_type)]:
         dense = _dense_block_gap(2.0 / listed, energy, 300)
         assert abs(fock_truncation_check(config, listed, cutoff=300) - dense) <= 1e-11

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qes.scalars import (QuadScalar, SQRT2, SQRT3, SQRT6, embed_to_float,
-                         format_scalar)
+from qes.scalars import QuadScalar, SQRT2, SQRT3, SQRT6, format_scalar
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -24,7 +23,7 @@ def test_surd_squares():
 def test_embedding_matches_floating_surds():
     x = QuadScalar(Fraction(1, 2), Fraction(-3, 4), 2, Fraction(5, 7))
     expected = 0.5 - 0.75 * math.sqrt(2) + 2 * math.sqrt(3) + (5 / 7) * math.sqrt(6)
-    assert embed_to_float(x) == pytest.approx(expected, rel=1e-15)
+    assert float(x) == pytest.approx(expected, rel=1e-15)
 
 
 @given(quad_scalars(), quad_scalars(), quad_scalars())
@@ -48,8 +47,8 @@ def test_multiplicative_inverse(x):
 @given(quad_scalars())
 def test_embedding_is_a_homomorphism(x):
     two = QuadScalar(2)
-    assert embed_to_float(x + two) == pytest.approx(embed_to_float(x) + 2, abs=1e-9)
-    assert embed_to_float(x * two) == pytest.approx(2 * embed_to_float(x), abs=1e-9)
+    assert float(x + two) == pytest.approx(float(x) + 2, abs=1e-9)
+    assert float(x * two) == pytest.approx(2 * float(x), abs=1e-9)
 
 
 def test_canonical_strings():
