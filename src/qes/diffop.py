@@ -131,17 +131,6 @@ class DiffOp:
     def coeff(self, order: int) -> LaurentPoly:
         return self.coeffs.get(order, LaurentPoly.zero())
 
-    # -- action -------------------------------------------------------------
-
-    def apply_to(self, f: LaurentPoly) -> LaurentPoly:
-        result = LaurentPoly.zero()
-        for order, poly in self.coeffs.items():
-            df = f
-            for _ in range(order):
-                df = df.derivative()
-            result = result + poly * df
-        return result
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -178,9 +167,6 @@ class GaugeFactor:
         if self.gauss_coeff != 0:
             terms[1] = 2 * self.gauss_coeff
         return LaurentPoly(terms)
-
-    def inverse(self) -> "GaugeFactor":
-        return GaugeFactor(-self.z_power, -self.gauss_coeff)
 
 
 def conjugate_by_gauge(op: DiffOp, gauge: GaugeFactor) -> DiffOp:

@@ -109,19 +109,6 @@ class LaurentPoly:
     def coeff(self, exp: int):
         return self.coeffs.get(exp, Fraction(0))
 
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return max(self.coeffs)
-
-    def valuation(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no valuation")
-        return min(self.coeffs)
-
-    def is_polynomial(self) -> bool:
-        return all(e >= 0 for e in self.coeffs)
-
     def evaluate(self, point):
         total = 0
         for exp, coeff in self.coeffs.items():

@@ -147,14 +147,6 @@ class ParamPoly:
             return self.terms[()]
         return None
 
-    def degree_in(self, name: str) -> int:
-        best = 0
-        for mono in self.terms:
-            for var, exp in mono:
-                if var == name:
-                    best = max(best, exp)
-        return best
-
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
         total = Fraction(0)
         for mono, coeff in self.terms.items():

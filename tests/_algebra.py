@@ -2,9 +2,10 @@
 and matrices, in the ascending-list and list-of-rows forms of `qes.linalg`,
 the plain reference computations that faster solver paths must match (among
 them the dense form of a matrix given by its three diagonals, the dense
-Faddeev-LeVerrier characteristic polynomial, and the basis rank, solves and
-closure fit on `dense_rref`, which share no elimination with `qes`), and the
-dense numpy Fock blocks that the chain oracle must agree with."""
+Faddeev-LeVerrier characteristic polynomial, an operator applied to a
+Laurent polynomial term by term, and the basis rank, solves and closure fit
+on `dense_rref`, which share no elimination with `qes`), and the dense numpy
+Fock blocks that the chain oracle must agree with."""
 
 import math
 from fractions import Fraction
@@ -35,6 +36,18 @@ def poly_eval(p, x):
     for c in reversed(p):
         total = total * x + c
     return total
+
+
+def apply_to(op, f):
+    """op applied to the Laurent polynomial f, one derivative order at a time:
+    the reference for operator composition."""
+    result = LaurentPoly.zero()
+    for order, poly in op.coeffs.items():
+        df = f
+        for _ in range(order):
+            df = df.derivative()
+        result = result + poly * df
+    return result
 
 
 def mat_identity(n, one=Fraction(1), zero=Fraction(0)):

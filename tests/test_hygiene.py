@@ -1,6 +1,6 @@
 """Source hygiene: no unused imports in `qes`, no numpy anywhere in it,
-every name the benchmark's tracer wraps still defined, and no function in
-`qes` that only the tests reach."""
+every name the benchmark's tracer wraps still defined, and no function or
+method in `qes` that only the tests reach."""
 
 import ast
 import importlib
@@ -117,15 +117,31 @@ def names_in(source: str, imports: bool = False) -> set:
     return names
 
 
+def definitions(source: str) -> list:
+    """(qualified name, name) of each module-level function and of each
+    method of a module-level class other than a dunder."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            found.append((node.name, node.name))
+        elif isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{item.name}", item.name) for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return found
+
+
 def unreached_functions(modules: dict, pinned: set) -> list:
-    """`module.name` of each module-level function in `modules` ({file name:
-    source}) that no module reads and `pinned` does not hold.  A module's
-    use of its own function counts; the re-exports of `__init__.py` do not."""
+    """`module.name` of each function and `module.Class.name` of each method
+    (`definitions`) in `modules` ({file name: source}) that no module reads
+    and `pinned` does not hold.  A module's use of its own function counts;
+    the re-exports of `__init__.py` do not.  A method counts as read when any
+    module reads an attribute of its name."""
     read = set().union(*(names_in(source) for name, source in modules.items()
                          if name != "__init__.py"))
-    return sorted(f"{name[:-3]}.{node.name}" for name, source in modules.items()
-                  for node in ast.parse(source).body
-                  if isinstance(node, ast.FunctionDef) and node.name not in read | pinned)
+    return sorted(f"{name[:-3]}.{qualified}" for name, source in modules.items()
+                  for qualified, short in definitions(source)
+                  if short not in read | pinned)
 
 
 def test_every_function_in_qes_is_reached_from_qes_or_pinned():
@@ -145,3 +161,9 @@ def test_the_reach_check_sees_a_function_only_reexported():
                "b.py": "from . import a\n\na.f()\n"}
     assert unreached_functions(modules, set()) == ["a.h"]
     assert unreached_functions(modules, {"h"}) == []
+
+
+def test_the_reach_check_sees_a_method_no_module_reads():
+    modules = {"a.py": "class C:\n    def __init__(self):\n        self.f()\n\n"
+                       "    def f(self):\n        pass\n\n    def g(self):\n        pass\n"}
+    assert unreached_functions(modules, set()) == ["a.C.g"]

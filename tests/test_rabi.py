@@ -419,7 +419,7 @@ def test_recovery_operator_pulls_back_to_the_kernel_coordinate(sol_type):
         recovery_z = _gauged_recovery_operator(config)
         recovery_x = pull_back_square(recovery_z, config.stretch)
         assert substitute_square(recovery_x, config.stretch) == recovery_z, n_max
-        assert all(poly.is_polynomial() for poly in recovery_x.coeffs.values())
+        assert all(exp >= 0 for poly in recovery_x.coeffs.values() for exp in poly.coeffs)
 
 
 @pytest.mark.parametrize("sol_type", ["I", "II"])
