@@ -549,8 +549,7 @@ def fock_truncation_check(config: RabiConfig, root: float, cutoff: int = 300) ->
     """
     if cutoff < 100:
         raise RabiError("cutoff must be at least 100")
-    return _fock_gap(2.0 / float(root), float(TWO_G), cutoff,
-                     float(config.energy_ratio))
+    return _fock_gap(2.0 / float(root), float(TWO_G), cutoff, float(config.energy_ratio))
 
 
 @functools.lru_cache(maxsize=64)
