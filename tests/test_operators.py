@@ -202,6 +202,21 @@ def test_int_and_fraction_scales_give_the_same_exact_results(p, op, scale):
                    for result in by_int for value in exact_values(result))
 
 
+def test_int_scales_keep_the_seen_cases_exact():
+    # Each gave a float before the shared reciprocal.  With a float residue
+    # pull_back_square could also loop for ever, as it did on the last case.
+    seen = [(LaurentPoly.x(-1).stretch_square(2), LaurentPoly.x(-2, Fraction(1, 2))),
+            (LaurentPoly.x(-1).evaluate(2), Fraction(1, 2)),
+            (substitute_square(DiffOp.d(), 2), DiffOp({1: LaurentPoly.x(-1, Fraction(1, 4))})),
+            (pull_back_square(substitute_square(DiffOp.d(), Fraction(2)), 2), DiffOp.d())]
+    for got, expected in seen:
+        assert got == expected
+        assert not any(isinstance(value, float) for value in exact_values(got))
+    op = DiffOp({1: LaurentPoly({-1: Fraction(-1, 4), 4: Fraction(1, 2)}),
+                 0: LaurentPoly({-2: Fraction(-1, 2), 3: Fraction(1)})})
+    assert pull_back_square(substitute_square(op, Fraction(-3)), -3) == op
+
+
 def test_substitute_square_first_order_chain_rule():
     # d/dx becomes (1/(2*scale*z)) d/dz under x = scale z^2.
     op = substitute_square(DiffOp.d(), Fraction(2))
