@@ -7,7 +7,7 @@ Subcommands:
   table1       the full frequency grid (dims 3, 5, 6, 7, 8, both types)
 
 Every subcommand accepts --json for a machine-readable report carrying
-"schema": 1; for a fixed seed the JSON is byte-identical between runs
+"schema": 2; for a fixed seed the JSON is byte-identical between runs
 except for the elapsed-time field.  Exit status: 0 when every check
 passes, 1 when any check fails or a reference value disagrees with the
 computed result, 2 for usage errors.  The sampling seed defaults to 0,
@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .families import FamilySpec, verify_invariance
+from .linalg import SQUAREFREE_PRIME
 from .rabi import (REFERENCE_FREQUENCY_RATIOS, TWO_G, RabiConfig,
                    assemble_eigenfunctions, fock_truncation_check,
                    frequency_table_report, solve_frequencies)
@@ -35,12 +36,13 @@ from .sampling import sample_grid
 from .scalars import QuadScalar, format_scalar
 from .structure import closure_suite
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 _TABLE_SIZES = (2, 4, 5, 6, 7)
 # Each Fock-oracle probe is one pass over a chain of cutoff/2 entries;
 # table1 --cutoff 2000 takes about 0.26 s on a 2-vCPU host.
 _CUTOFF_RANGE = (100, 2000)
-# rabi --n 40 --type I --eigenfunctions takes 6.1-6.3 s on a 2-vCPU host, growing like N^3.
+# rabi --n 40 --type I --eigenfunctions takes 1.0-1.3 s on a 2-vCPU host, most of it
+# the partner component; without --eigenfunctions it takes 0.2 s.
 _RABI_N_CAP = 40
 # verify --n 8 takes 0.29-0.34 s on a 2-vCPU host, growing like N^2 and
 # linearly in --samples: verify --n 8 --samples 64 takes 1.1-1.6 s.
@@ -177,11 +179,15 @@ def _rabi_block(n_max: int, sol_type: str, cutoff: int,
         f"{value:.5f}": fock_truncation_check(config, value, cutoff)
         for value in REFERENCE_FREQUENCY_RATIOS.get((n_max, sol_type), ())
     }
-    # Schema 1 repeats the solve's shared data in every root: the defining
-    # polynomial, multiplicity 1 and the null vector's certificate.
+    # Schema 2 reports each exact object once, in `exact`; `minimal_poly`
+    # stays in every root only while the benchmark's counters read it there.
     minimal_poly = [str(c) for c in result.lambda_charpoly]
-    certificate = {"kind": "extension-nullspace", "rank": n_max,
-                   "dimension": n_max + 1, "nullity": 1}
+    report["exact"] = {
+        "defining_poly": minimal_poly,
+        "squarefree_modulo": SQUAREFREE_PRIME,
+        "null_vector_certificate": {"kind": "three-term-recurrence", "rank": n_max,
+                                    "dimension": n_max + 1, "nullity": 1},
+    }
     report["roots"] = [
         {
             "ratio": root.ratio,
@@ -189,14 +195,13 @@ def _rabi_block(n_max: int, sol_type: str, cutoff: int,
             "lambda_interval": [str(root.lambda_interval[0]),
                                 str(root.lambda_interval[1])],
             "minimal_poly": minimal_poly,
-            "multiplicity": 1,
-            "certificate": certificate,
             "null_vector_floats": root.null_vector_floats,
         }
         for root in result.roots
     ]
     if eigenfunctions:
-        report["eigenfunctions"] = assemble_eigenfunctions(result)
+        shared, report["eigenfunctions"] = assemble_eigenfunctions(result)
+        report["exact"].update(shared)
     return report
 
 
@@ -227,16 +232,34 @@ def _rabi_lines(report: Dict[str, object]) -> List[str]:
         lines.append(
             f"  closed-form lambda {closed['target_lambda_float']:.6f}: "
             f"member of root set: {closed['member_of_root_set']}")
-    for fn in report.get("eigenfunctions", ()):  # type: ignore[union-attr]
-        lines.append(f"  eigenstate at 2w/w0 = {fn['ratio']:.6f}:")
-        lines.append(f"    psi2 = {fn['gauge']} * sum_n c_n K_n({fn['kernel_argument']})")
-        for n, coeff in enumerate(fn["coefficients"]):
-            lines.append(f"      c_{n} = {coeff['value']} = {coeff['float']:.6f}")
-        psi1 = fn["psi1"]
-        lines.append(
-            f"    psi1 = {psi1['prefactor_float']:.6f} * [({psi1['f_coefficient']}) F"
-            f" + ({psi1['fprime_coefficient']}) F']")
+    states = report.get("eigenfunctions")
+    if states:
+        exact = report["exact"]
+        lines.append(f"  eigenstates: psi2 = {exact['gauge']} * sum_n c_n "
+                     f"K_n({exact['kernel_argument']})")
+        for n, coeffs in enumerate(exact["null_vector"]):
+            lines.append(f"      c_{n} = {_lambda_text(coeffs)}")
+        psi1 = exact["psi1"]
+        lines.append(f"    psi1 = (2w/w0) * [({_z_text(psi1['f'])}) F"
+                     f" + ({_z_text(psi1['fprime'])}) F']")
+        for state in states:
+            values = ", ".join(f"{value:.6f}" for value in state["coefficient_floats"])
+            lines.append(f"  eigenstate at 2w/w0 = {state['ratio']:.6f}: c = [{values}]")
     return lines
+
+
+def _lambda_text(coeffs: List[str]) -> str:
+    """An ascending coefficient list as a polynomial in lam, e.g. '1 + (2)*lam^2'."""
+    terms = [c if i == 0 else f"({c})*lam" + (f"^{i}" if i > 1 else "")
+             for i, c in enumerate(coeffs) if c != "0"]
+    return " + ".join(terms) or "0"
+
+
+def _z_text(terms: Dict[str, List[str]]) -> str:
+    """A map from z exponent to coefficient list as a polynomial in z."""
+    parts = [f"({_lambda_text(terms[exp])})" + {"0": "", "1": "*z"}.get(exp, f"*z^{exp}")
+             for exp in sorted(terms, key=int)]
+    return " + ".join(parts) or "0"
 
 
 def _cmd_rabi(args) -> int:

@@ -178,16 +178,7 @@ def conjugate_by_gauge(op: DiffOp, gauge: GaugeFactor) -> DiffOp:
     """
     shifted_d = DiffOp({1: LaurentPoly.const(Fraction(1)),
                         0: gauge.log_derivative()})
-    result = DiffOp.zero()
-    power = DiffOp.identity()
-    max_order = max(op.coeffs, default=0)
-    powers = []
-    for _ in range(max_order + 1):
-        powers.append(power)
-        power = power * shifted_d
-    for order, poly in op.coeffs.items():
-        result = result + poly * powers[order]
-    return result
+    return _replace_d(op, shifted_d, lambda poly: poly)
 
 
 def substitute_square(op: DiffOp, scale) -> DiffOp:
@@ -198,17 +189,19 @@ def substitute_square(op: DiffOp, scale) -> DiffOp:
     """
     if scale == 0:
         raise ValueError("substitution scale must be nonzero")
-    inv = reciprocal(2 * scale)
-    new_d = DiffOp({1: LaurentPoly({-1: inv})})
-    result = DiffOp.zero()
-    power = DiffOp.identity()
-    max_order = max(op.coeffs, default=0)
-    powers = []
-    for _ in range(max_order + 1):
-        powers.append(power)
-        power = power * new_d
-    for order, poly in op.coeffs.items():
-        result = result + poly.stretch_square(scale) * powers[order]
+    new_d = DiffOp({1: LaurentPoly({-1: reciprocal(2 * scale)})})
+    return _replace_d(op, new_d, lambda poly: poly.stretch_square(scale))
+
+
+def _replace_d(op: DiffOp, new_d: DiffOp, coefficient) -> DiffOp:
+    """sum_k coefficient(p_k) * new_d^k for op = sum_k p_k D^k: D replaced by
+    the first-order new_d, and each coefficient mapped."""
+    result, power = DiffOp.zero(), DiffOp.identity()
+    for order in range(max(op.coeffs, default=0) + 1):
+        if order:
+            power = power * new_d
+        if order in op.coeffs:
+            result = result + coefficient(op.coeffs[order]) * power
     return result
 
 

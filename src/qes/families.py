@@ -87,9 +87,6 @@ class PairElement:
         r, s = self.ctx.derive(self.r, self.s)
         return PairElement(r, s, self.ctx)
 
-    def is_zero(self) -> bool:
-        return self.r.is_zero() and self.s.is_zero()
-
 
 def apply_op(op: DiffOp, pair: PairElement) -> PairElement:
     """Apply a differential operator to a pair, reducing F'' via the ODE."""
@@ -150,6 +147,10 @@ class FamilySpec:
             raise FamilyError(f"unknown family id {self.family_id}")
         if self.n_max < 0:
             raise FamilyError("subspace size N must be non-negative")
+        extra = [name for name in ("s", "alpha", "nu")
+                 if getattr(self, name) is not None and name not in PARAMETERS[self.family_id]]
+        if extra:
+            raise FamilyError(f"family {self.family_id} takes no parameter {', '.join(extra)}")
         for name in PARAMETERS[self.family_id]:
             value = getattr(self, name)
             if value is None:

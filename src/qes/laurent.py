@@ -109,15 +109,6 @@ class LaurentPoly:
     def coeff(self, exp: int):
         return self.coeffs.get(exp, Fraction(0))
 
-    def evaluate(self, point):
-        total = 0
-        for exp, coeff in self.coeffs.items():
-            if exp >= 0:
-                total = total + coeff * point ** exp
-            else:
-                total = total + coeff * reciprocal(point) ** (-exp)
-        return total
-
     def map_coeffs(self, fn: Callable) -> "LaurentPoly":
         return LaurentPoly({e: fn(c) for e, c in self.coeffs.items()})
 

@@ -6,9 +6,10 @@ whose elements support +, -, *, / and == 0 (Fraction, QuadScalar), except
 solve is one `rref` of the augmented matrix, which its caller reads
 (`families._solve_over_basis`).  The characteristic polynomial is the
 continuant of a tridiagonal matrix's three diagonals.  Polynomials are
-ascending rational coefficient lists; their real-root machinery refuses a
-repeated root, clears denominators once and runs on integers (a primitive
-Sturm chain, signs by homogeneous integer Horner evaluation).  `LambdaPoly`
+ascending rational coefficient lists; their root step clears denominators
+once, proves the polynomial squarefree by one gcd modulo a prime, and
+isolates and refines its positive roots on integers (Descartes' rule of
+signs on dyadic intervals, signs by integer Horner).  `LambdaPoly`
 is a polynomial in lambda as a value, the entry type of the Rabi null
 vector: it adds and multiplies and never divides, and membership of a root
 is a remainder by its polynomial.
@@ -178,12 +179,11 @@ def poly_divmod(p: Sequence[Fraction], q: Sequence[Fraction]):
 
 
 # ---------------------------------------------------------------------------
-# Integer polynomials behind the real-root machinery
+# The real-root step on integer polynomials
 # ---------------------------------------------------------------------------
 
-def _content_free(p: List[int]) -> List[int]:
-    content = math.gcd(*p)
-    return p if content <= 1 else [c // content for c in p]
+# A prime whose gcd test proves a polynomial squarefree over Q.
+SQUAREFREE_PRIME = 2 ** 61 - 1
 
 
 def _integer_multiple(p: Sequence[Fraction]) -> List[int]:
@@ -192,154 +192,143 @@ def _integer_multiple(p: Sequence[Fraction]) -> List[int]:
     if not p:
         return []
     den = math.lcm(*(c.denominator for c in p))
-    return _content_free([c.numerator * (den // c.denominator) for c in p])
+    p = [c.numerator * (den // c.denominator) for c in p]
+    content = math.gcd(*p)
+    return [c // content for c in p]
 
 
-def _positive_remainder(a: List[int], b: List[int]) -> List[int]:
-    """|lc(b)|^k times the remainder of a by b: each step scales by |lc(b)|."""
-    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
-    rem = list(a)
-    while len(rem) >= len(b):
-        if rem[-1]:
-            shift, factor = len(rem) - len(b), sign * rem[-1]
-            rem = [scale * c for c in rem]
+def _gcd_mod(a: List[int], b: List[int], prime: int) -> List[int]:
+    """gcd of two polynomials over GF(prime), ascending, up to a unit."""
+    a, b = poly_trim([c % prime for c in a]), poly_trim([c % prime for c in b])
+    while b:
+        inverse = pow(b[-1], -1, prime)
+        while len(a) >= len(b):
+            factor, shift = a[-1] * inverse % prime, len(a) - len(b)
             for i, c in enumerate(b):
-                rem[shift + i] -= factor * c
-        rem.pop()
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return rem
+                a[shift + i] = (a[shift + i] - factor * c) % prime
+            a = poly_trim(a)
+        a, b = b, a
+    return a
 
 
-def _sign_at(p: List[int], x: Fraction, powers: Optional[List[int]] = None) -> int:
-    """Sign of p(x) from q^d p(a/q), x = a/q, q > 0; `powers` holds q^0..q^d."""
-    if powers is None:
-        powers = [x.denominator ** k for k in range(len(p))]
+def squarefree_modulo(p: List[int]) -> bool:
+    """Whether `SQUAREFREE_PRIME` proves the integer polynomial p squarefree over Q.
+
+    It does when lc(p) is nonzero modulo the prime and gcd(p, p') is a
+    constant there: a square factor f^2 of p over Z keeps its degree
+    modulo the prime, since lc(f) divides lc(p), and so divides both.
+    """
+    derivative = [i * c for i, c in enumerate(p)][1:]
+    return (p[-1] % SQUAREFREE_PRIME != 0
+            and len(_gcd_mod(p, derivative, SQUAREFREE_PRIME)) == 1)
+
+
+def _sign_at(p: List[int], a: int, e: int) -> int:
+    """Sign of p(a / 2^e), from 2^(e d) p(a / 2^e) by integer Horner."""
     total = p[-1]
     for k, c in enumerate(reversed(p[:-1]), 1):
-        total = total * x.numerator + c * powers[k]
+        total = total * a + (c << (e * k))
     return (total > 0) - (total < 0)
 
 
-def sturm_chain(p: Sequence[Fraction]) -> List[List[int]]:
-    """Sturm chain of p as a primitive pseudo-remainder sequence over Z.
-
-    Member k is a positive integer multiple of the k-th member of the
-    classical rational chain p, p', -rem(p, p'), ..., so the two give the
-    same sign counts at every point.  Each pseudo-remainder is negated and
-    divided by its content (Collins, J. ACM 14 (1967) 128), which keeps the
-    coefficients small without any rational arithmetic.  The last member
-    is gcd(p, p') up to a constant.
-    """
-    first = _integer_multiple(p)
-    chain = [first, _content_free([i * c for i, c in enumerate(first)][1:])]
-    while chain[-1]:
-        rem = _positive_remainder(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(_content_free([-c for c in rem]))
-    return [c for c in chain if c]
+def _taylor_shift(p: List[int]) -> List[int]:
+    """p(x + 1)."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for j in range(len(p) - 2, i - 1, -1):
+            p[j] += p[j + 1]
+    return p
 
 
-def _sign_changes(chain: List[List[int]], x: Fraction) -> int:
-    powers = [x.denominator ** k for k in range(len(chain[0]))]
-    changes = last = 0
-    for poly in chain:
-        sign = _sign_at(poly, x, powers)
-        if sign:
-            changes += last == -sign
-            last = sign
-    return changes
-
-
-def root_bound(p: Sequence[Fraction]) -> Fraction:
-    """Cauchy bound: all real roots lie in (-B, B)."""
-    p = poly_trim(list(p))
-    lead = abs(p[-1])
-    m = max((abs(c) for c in p[:-1]), default=Fraction(0))
-    return Fraction(1) + m * reciprocal(lead)
+def _roots_in_unit_interval(q: List[int]) -> int:
+    """Descartes' bound on the roots of q in (0, 1): the sign variations of
+    (x + 1)^d q(1 / (x + 1)).  It is exact when it is 0 or 1."""
+    signs = [c > 0 for c in _taylor_shift(q[::-1]) if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def isolate_real_roots(p: Sequence[Fraction]) -> List[Tuple[Fraction, Fraction]]:
-    """Disjoint open intervals each containing exactly one real root of p.
+    """Disjoint intervals, ascending, each holding exactly one positive root of p.
 
-    p must be squarefree: the last member of its integer Sturm chain is
-    gcd(p, p') up to a constant, and a nonconstant one, a repeated root, is
-    a ValueError.  Bisects (-B, B), B the Cauchy bound of p, counting roots
-    with the chain; a midpoint that hits a root is nudged right by
-    1/1000003 of the interval.
-    """
-    p = poly_trim(list(p))
-    if len(p) <= 1:
-        return []
-    chain = sturm_chain(p)
-    if len(chain[-1]) > 1:
-        raise ValueError(f"the polynomial has a repeated root: gcd(p, p') has degree "
-                         f"{len(chain[-1]) - 1}")
-    bound = root_bound(p)
-    # Each entry carries the sign changes at both ends; their difference
-    # is the number of roots inside, so every point is evaluated once.
-    intervals = []
-    stack = [(-bound, bound, _sign_changes(chain, -bound), _sign_changes(chain, bound))]
-    while stack:
-        a, b, va, vb = stack.pop()
-        if va - vb == 0:
-            continue
-        if va - vb == 1:
-            intervals.append((a, b))
-            continue
-        mid = (a + b) / 2
-        # Nudge off a root of the chain's first polynomial.
-        while _sign_at(chain[0], mid) == 0:
-            mid = mid + (b - a) / 1000003
-        vmid = _sign_changes(chain, mid)
-        stack.append((a, mid, va, vmid))
-        stack.append((mid, b, vmid, vb))
-    intervals.sort()
-    return intervals
-
-
-def refine_root(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
-                digits: int = 14) -> Tuple[Fraction, Fraction]:
-    """Shrink an isolating interval by bisection to ~`digits` significant digits.
-
-    p must change sign across the interval, as a squarefree p does across
-    each interval of `isolate_real_roots`.
+    p must be squarefree, which `squarefree_modulo` proves once; an unproved
+    p is a ValueError.  p becomes the primitive integer q(x) = p(2^k x),
+    with 2^k above Fujiwara's bound on the roots (Tohoku Math. J. 10 (1916)
+    167), so its positive roots lie in (0, 1).  Collins-Akritas bisection
+    (SYMSAC 1976, as in Rouillier & Zimmermann, J. Comput. Appl. Math. 162
+    (2004) 33) then halves each dyadic interval (c/2^e, (c+1)/2^e), carried
+    as the integer polynomial whose roots in (0, 1) are q's in it, until
+    Descartes' rule counts 0 or 1 roots inside.  An interval is kept only
+    if neither end is a root, so p changes sign across it; a midpoint that
+    is a root comes back as (r, r), and a zero root is never reported.
     """
     poly = _integer_multiple(p)
-    slo, shi = _sign_at(poly, lo), _sign_at(poly, hi)
-    if slo == 0:
+    if len(poly) <= 1:
+        return []
+    if not squarefree_modulo(poly):
+        raise ValueError(f"the polynomial may have a repeated root: gcd(p, p') "
+                         f"modulo {SQUAREFREE_PRIME} is not a constant")
+    degree, lead = len(poly) - 1, poly[-1].bit_length()
+    # |a_i / a_d|^(1/(d-i)) < 2^m_i, so every root lies below 2^(1 + max m_i).
+    k = max(0, 1 + max((-((lead - 1 - abs(c).bit_length()) // (degree - i))
+                        for i, c in enumerate(poly[:-1]) if c), default=-1))
+    scale = Fraction(2 ** k)
+    found = []
+    stack = [(0, 0, [c << (k * i) for i, c in enumerate(poly)])]
+    while stack:
+        c, e, q = stack.pop()
+        count = _roots_in_unit_interval(q)
+        if count == 0:
+            continue
+        if count == 1 and q[0] and sum(q):
+            found.append((scale * Fraction(c, 2 ** e), scale * Fraction(c + 1, 2 ** e)))
+            continue
+        left = [coeff << (len(q) - 1 - i) for i, coeff in enumerate(q)]
+        right = _taylor_shift(left)
+        if right[0] == 0:
+            root = scale * Fraction(2 * c + 1, 2 ** (e + 1))
+            found.append((root, root))
+        stack += [(2 * c + 1, e + 1, right), (2 * c, e + 1, left)]
+    return sorted(found)
+
+
+def refine_root(p: Sequence[Fraction], lo: Fraction,
+                hi: Fraction) -> Tuple[Fraction, Fraction]:
+    """Bisect a dyadic interval across which p changes sign down to a
+    relative width of 2^-50; an end that is a root r gives (r, r).
+
+    p changes sign across each interval of `isolate_real_roots`, and every
+    midpoint is a/2^e, at which p's sign comes from integer Horner.
+    """
+    poly = _integer_multiple(p)
+    if any(x.denominator & (x.denominator - 1) for x in (lo, hi)):
+        raise ValueError("interval endpoints must be dyadic")
+    e = max(lo.denominator, hi.denominator).bit_length() - 1
+    a, b = (int(x * 2 ** e) for x in (lo, hi))
+    sa, sb = _sign_at(poly, a, e), _sign_at(poly, b, e)
+    if sa == 0:
         return lo, lo
-    if shi == 0:
+    if sb == 0:
         return hi, hi
-    if slo == shi:
+    if sa == sb:
         raise ValueError("interval endpoints do not bracket a sign change")
-    scale = max(abs(lo), abs(hi), Fraction(1))
-    target = scale / Fraction(10) ** digits
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        smid = _sign_at(poly, mid)
-        if smid == 0:
-            return mid, mid
-        if smid == slo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    while (b - a) << 50 > max(abs(a), abs(b)):
+        a, b, e, mid = 2 * a, 2 * b, e + 1, a + b
+        sign = _sign_at(poly, mid, e)
+        if sign == 0:
+            return Fraction(mid, 2 ** e), Fraction(mid, 2 ** e)
+        a, b = (mid, b) if sign == sa else (a, mid)
+    return Fraction(a, 2 ** e), Fraction(b, 2 ** e)
 
-
-# ---------------------------------------------------------------------------
-# The real-root step
-# ---------------------------------------------------------------------------
 
 def minimal_factors(p: Sequence[Fraction]) -> List[Tuple[Fraction, Fraction]]:
-    """Every real root of the squarefree p as a refined isolating interval.
+    """Every positive root of the squarefree p as a refined dyadic interval.
 
-    `isolate_real_roots` isolates the roots once, refusing a repeated one,
-    and each interval is refined to `refine_root`'s 14-digit default; the
-    intervals come in ascending order.  The name outlives a rational-factor
-    search that is gone: `perfbench/traced.py` times this step under it, so
-    a rename waits for that benchmark's next span list.
+    `isolate_real_roots` proves p squarefree with one gcd modulo
+    `SQUAREFREE_PRIME` and isolates the positive roots once, and each
+    interval is refined by `refine_root`; the intervals come in ascending
+    order.  The name outlives a rational-factor search that is gone:
+    `perfbench/traced.py` times this step under it, so a rename waits for
+    that benchmark's next span list.
     """
     return [refine_root(p, lo, hi) for lo, hi in isolate_real_roots(p)]
 

@@ -291,10 +291,11 @@ def solve_frequencies(config: RabiConfig) -> SpectralResult:
     """All positive-lambda roots of det(M0 + lambda*I) = 0, exactly isolated.
 
     `charpoly` runs the continuant recurrence on M0's diagonals, negated,
-    and `minimal_factors` isolates the real roots of the result once and
-    refines each to 14 digits.  A repeated root is refused, not given one
-    shared multiplicity, so every positive root carries the characteristic
-    polynomial itself as its defining polynomial.  The null vector comes
+    and `minimal_factors` proves the result squarefree, isolates its
+    positive roots once and refines each to a relative width of 2^-50.  A
+    repeated root is refused, not given one shared multiplicity, so every
+    root has the characteristic polynomial itself as its defining
+    polynomial.  The null vector comes
     from the three-term recurrence over Q[lambda], which divides only by
     rationals; it is built and certified once and every root evaluates the
     same polynomials at its own lambda.
@@ -310,8 +311,6 @@ def solve_frequencies(config: RabiConfig) -> SpectralResult:
 
     roots: List[FrequencyRoot] = []
     for lo, hi in intervals:
-        if hi <= 0:
-            continue
         lam_float = float((lo + hi) / 2)
         roots.append(FrequencyRoot(
             ratio=math.sqrt(3.0 / lam_float),
@@ -411,7 +410,8 @@ def closed_form_report(result: SpectralResult) -> Dict[str, object]:
     return report
 
 
-def assemble_eigenfunctions(result: SpectralResult) -> List[Dict[str, object]]:
+def assemble_eigenfunctions(result: SpectralResult) -> Tuple[Dict[str, object],
+                                                             List[Dict[str, object]]]:
     """Explicit two-component states for every root in the result.
 
     psi_2 is the gauge factor times the null-vector combination of the
@@ -422,46 +422,46 @@ def assemble_eigenfunctions(result: SpectralResult) -> List[Dict[str, object]]:
     equals the reported frequency ratio and is attached as a float).  For
     N=2 the coefficient ratios are additionally tested, exactly, against
     the quoted closed-form surds; the verdict is reported, not enforced.
+
     Every root shares the defining polynomial and hence the symbolic null
-    vector, so the coefficient strings, the closed-form verdicts and psi_1
-    are computed once, and each state carries a copy.
+    vector, so the exact data is computed and returned once, beside one
+    entry of floats per root.  Each polynomial in lambda is its ascending
+    coefficient list, and psi_1's F and F' coefficients map each z exponent
+    to one.  Without roots both parts are empty.
     """
     config = result.config
     if not result.roots:
-        return []
+        return {}, []
     chi = _apply_recovery_operator(result)
-    # The pair lives in the z coordinate after the pullback.
-    f_coefficient, fprime_coefficient = (
-        repr(part).replace("x^", "z^").replace("*x", "*z") for part in (chi.r, chi.s))
-    values = [repr(element) for element in result.null_vector]
-    checks = _closed_form_ratio_checks(result) if config.n_max == 2 else None
-    descriptions: List[Dict[str, object]] = []
+    shared: Dict[str, object] = {
+        "gauge": _describe_gauge(config.gauge),
+        "kernel_argument": f"({format_scalar(config.stretch)})*z^2",
+        "kernel_parameters": [
+            (str(config.alpha + n), str(config.s)) for n in range(config.dimension)
+        ],
+        "null_vector": [_coefficient_list(entry) for entry in result.null_vector],
+        "psi1": {name: {str(exp): _coefficient_list(coeff) for exp, coeff in part.coeffs.items()}
+                 for name, part in (("f", chi.r), ("fprime", chi.s))},
+    }
+    if config.n_max == 2:
+        shared["closed_form_ratio_check"] = _closed_form_ratio_checks(result)
+    states: List[Dict[str, object]] = []
     for root in result.roots:
         entry: Dict[str, object] = {
             "ratio": root.ratio,
             "lambda": root.lambda_float,
-            "gauge": _describe_gauge(config.gauge),
-            "kernel_argument": f"({format_scalar(config.stretch)})*z^2",
-            "kernel_parameters": [
-                (str(config.alpha + n), str(config.s)) for n in range(config.dimension)
-            ],
+            "exact": True,
+            "coefficient_floats": root.null_vector_floats,
+            "psi1_prefactor_float": root.ratio,
         }
-        entry["exact"] = True
-        entry["coefficients"] = [
-            {"value": value, "float": number}
-            for value, number in zip(values, root.null_vector_floats)
-        ]
-        if checks is not None:
-            entry["closed_form_ratio_check"] = {"ratios": [
-                dict(check, computed_float=computed)
-                for check, computed in zip(checks, root.null_vector_floats)]}
-        entry["psi1"] = {
-            "prefactor_float": root.ratio,
-            "f_coefficient": f_coefficient,
-            "fprime_coefficient": fprime_coefficient,
-        }
-        descriptions.append(entry)
-    return descriptions
+        if config.n_max == 2:
+            entry["closed_form_computed_floats"] = root.null_vector_floats
+        states.append(entry)
+    return shared, states
+
+
+def _coefficient_list(value: LambdaPoly) -> List[str]:
+    return [format_scalar(c) for c in value.coeffs]
 
 
 def _describe_gauge(gauge: GaugeFactor) -> str:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .diffop import DiffOp, commutator
-from .families import FamilySpec, operators_over
+from .families import PARAMETERS, FamilySpec, operators_over
 from .sampling import mix_seed, sample_params
 
 
@@ -192,10 +192,7 @@ class ParamPoly:
 def parameter_assignment(spec: FamilySpec) -> Dict[str, Fraction]:
     """The family's concrete parameter values, keyed by variable name."""
     assignment = {"n": Fraction(spec.n_max)}
-    for key in ("s", "alpha", "nu"):
-        value = getattr(spec, key)
-        if value is not None:
-            assignment[key] = value
+    assignment.update((name, getattr(spec, name)) for name in PARAMETERS[spec.family_id])
     return assignment
 
 

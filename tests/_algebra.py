@@ -18,7 +18,7 @@ from qes.families import apply_op, family_operators, substitute_pair, substitute
 from qes.laurent import LaurentPoly
 from qes.linalg import LambdaPoly
 from qes.rabi import COS_2T, TWO_G, assemble_operator, fock_truncation_check
-from qes.scalars import QuadScalar
+from qes.scalars import QuadScalar, reciprocal
 
 
 def poly_mul(p, q):
@@ -35,6 +35,14 @@ def poly_eval(p, x):
     total = Fraction(0)
     for c in reversed(p):
         total = total * x + c
+    return total
+
+
+def laurent_at(poly, point):
+    """The Laurent polynomial's value at a nonzero point."""
+    total = 0
+    for exp, coeff in poly.coeffs.items():
+        total = total + coeff * (point ** exp if exp >= 0 else reciprocal(point) ** -exp)
     return total
 
 

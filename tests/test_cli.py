@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,7 +120,7 @@ def test_rabi_reports_discrepancy_with_exit_one(capsys):
 def test_verify_json_layout(capsys):
     code, payload = run_json(capsys, "verify", "--family", "1", "--n", "1")
     assert code == 0
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["command"] == "verify"
     assert payload["status"] == "ok"
     assert payload["inputs"]["family"] == 1
@@ -150,9 +152,34 @@ def test_rabi_json_with_eigenfunctions(capsys):
     assert block["computed_ratios"] == pytest.approx([0.9190481366], abs=1e-9)
     states = block["eigenfunctions"]
     assert len(states) == 1 and states[0]["exact"] is True
-    assert all("value" in c and "float" in c for c in states[0]["coefficients"])
-    roots = block["roots"]
-    assert roots[0]["certificate"]["kind"] == "extension-nullspace"
+    exact = block["exact"]
+    assert len(exact["null_vector"]) == len(states[0]["coefficient_floats"]) == 3
+    assert exact["null_vector_certificate"]["kind"] == "three-term-recurrence"
+    assert block["roots"][0]["minimal_poly"] == exact["defining_poly"]
+    assert "multiplicity" not in block["roots"][0] and "certificate" not in block["roots"][0]
+
+
+def readme_keys():
+    """{object: key names} from the README's schema-2 table."""
+    rows = {}
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[0].strip("`") in ("block", "exact", "roots[*]",
+                                                        "eigenfunctions[*]"):
+            rows[cells[0].strip("`")] = set(re.findall(r"`([a-z_0-9]+)`", cells[1]))
+    return rows
+
+
+def test_readme_lists_the_schema_2_keys(capsys):
+    # The N = 2 run with eigenfunctions carries every optional key.
+    _, payload = run_json(capsys, "rabi", "--n", "2", "--type", "I", "--eigenfunctions")
+    block = payload["report"]
+    assert readme_keys() == {
+        "block": set(block),
+        "exact": set(block["exact"]),
+        "roots[*]": set(block["roots"][0]),
+        "eigenfunctions[*]": set(block["eigenfunctions"][0]),
+    }
 
 
 def test_json_output_is_deterministic(capsys):

@@ -7,7 +7,7 @@ from _algebra import (coefficient_matrix, dense_rank, dense_solve, independence_
                       mat_commutator, mat_mul)
 from qes import families
 from qes.diffop import DiffOp, commutator
-from qes.families import (FamilyError, FamilySpec, NotInSpan,
+from qes.families import (PARAMETERS, FamilyError, FamilySpec, NotInSpan,
                           PairElement, action_formula, apply_op, decompose,
                           family_operators, matrix_rep, operator_in_span,
                           solve_preserving, verify_invariance)
@@ -51,6 +51,20 @@ def test_spec_rejects_degenerate_parameters():
 def test_spec_names_the_first_parameter_it_refuses(family_id, params, message):
     with pytest.raises(FamilyError, match=f"^{message}$"):
         FamilySpec(family_id, 3, **params)
+
+
+@pytest.mark.parametrize("family_id,params,message", [
+    (4, {"s": F(-3)}, "family 4 takes no parameter s"),
+    (1, {"s": F(1, 2), "alpha": F(1), "nu": F(2)}, "family 1 takes no parameter alpha, nu"),
+    (5, {"nu": F(1, 4), "s": F(1, 2)}, "family 5 takes no parameter s"),
+    (6, {"alpha": F(1, 3), "nu": F(1)}, "family 6 takes no parameter nu"),
+])
+def test_spec_refuses_a_parameter_outside_the_family_table(family_id, params, message):
+    # Every parameter a spec holds is one its family takes, so nothing that
+    # reads the spec's fields can pick up a stray value.
+    assert set(params) - set(PARAMETERS[family_id])
+    with pytest.raises(FamilyError, match=f"^{message}$"):
+        FamilySpec(family_id, 0, **params)
 
 
 def test_dimension_is_two_chains_except_the_shifted_parameter_family():

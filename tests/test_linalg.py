@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 from _algebra import (dense_rref, dense_tridiagonal, faddeev_leverrier, mat_commutator,
                       mat_identity, mat_mul, poly_eval, poly_mul)
 from qes import linalg
-from qes.linalg import (LambdaPoly, charpoly, isolate_real_roots, minimal_factors,
-                        nullspace, poly_divmod, poly_trim, rank, refine_root, rref, sturm_chain)
+from qes.linalg import (SQUAREFREE_PRIME, LambdaPoly, charpoly, isolate_real_roots,
+                        minimal_factors, nullspace, poly_divmod, poly_trim, rank, refine_root,
+                        rref, squarefree_modulo)
 from qes.scalars import QuadScalar, SQRT2
 
 F = Fraction
@@ -188,71 +189,83 @@ def test_matrix_commutator():
 
 # -- univariate polynomial tools ----------------------------------------------
 
-def test_sturm_isolation_counts_and_separates_real_roots():
-    # (x-1)(x-2)(x+3) = x^3 - 7x + 6
-    p = [F(6), F(-7), F(0), F(1)]
+def test_descartes_isolation_counts_and_separates_positive_roots():
+    # (x-1)(x-2)(x+3)(x^2-5): the positive roots 1, 2 and sqrt5 are isolated,
+    # 1 and 2 as dyadic midpoints (r, r); -3 and -sqrt5 are not.
+    p = poly_mul(poly_mul(poly_mul([F(-1), F(1)], [F(-2), F(1)]), [F(3), F(1)]),
+                 [F(-5), F(0), F(1)])
     intervals = isolate_real_roots(p)
-    assert len(intervals) == 3
-    roots = sorted(float(sum(refine_root(p, lo, hi, digits=12))) / 2
-                   for lo, hi in intervals)
-    assert roots == pytest.approx([-3.0, 1.0, 2.0], abs=1e-10)
+    assert len(intervals) == 3 and intervals == sorted(intervals)
+    assert intervals[:2] == [(F(1), F(1)), (F(2), F(2))]
+    lo, hi = intervals[2]
+    assert 2 < lo < hi and lo * lo < 5 < hi * hi
+    roots = [float(sum(refine_root(p, lo, hi))) / 2 for lo, hi in intervals]
+    assert roots == pytest.approx([1.0, 2.0, math.sqrt(5)], abs=1e-14)
 
 
-def test_sturm_chain_handles_repeated_roots_via_squarefree_part():
-    # (x-1)^2 (x+3): the Sturm chain ends in gcd(p, p') = x - 1, so isolation
-    # refuses p and takes its squarefree part p / gcd(p, p') instead.
+def test_isolation_skips_a_zero_root_and_keeps_dyadic_ends():
+    # x (x + 1) (3x - 1) (x - 5): the zero root and -1 are dropped.
+    p = poly_mul(poly_mul([F(0), F(1)], [F(1), F(1)]), poly_mul([F(-1), F(3)], [F(-5), F(1)]))
+    intervals = isolate_real_roots(p)
+    assert len(intervals) == 2
+    for (lo, hi), root in zip(intervals, (F(1, 3), F(5))):
+        assert lo < root < hi or lo == root == hi
+        assert all(x.denominator & (x.denominator - 1) == 0 for x in (lo, hi))
+    assert isolate_real_roots([F(0), F(2)]) == [] and isolate_real_roots([F(3)]) == []
+    assert minimal_factors([F(-3, 4), F(1)]) == [(F(3, 4), F(3, 4))]
+
+
+def test_modular_gcd_refuses_a_repeated_root_and_passes_the_squarefree_part():
+    # (x-1)^2 (x+3): gcd(p, p') = x - 1 modulo the prime as over Q, so
+    # isolation refuses p; its squarefree part p / (x - 1) passes.
     p = poly_mul(poly_mul([F(-1), F(1)], [F(-1), F(1)]), [F(3), F(1)])
-    chain = sturm_chain(p)
-    assert chain[-1] == [-1, 1]
-    with pytest.raises(ValueError, match=r"repeated root: gcd\(p, p'\) has degree 1"):
+    assert not squarefree_modulo([3, -5, 1, 1])
+    with pytest.raises(ValueError, match=r"repeated root: gcd\(p, p'\) modulo "
+                                         r"2305843009213693951 is not a constant"):
         isolate_real_roots(p)
-    sf, rem = poly_divmod(p, [F(c) for c in chain[-1]])
-    assert rem == [] and poly_trim(sf) == [F(-3), F(2), F(1)]
-    assert len(isolate_real_roots(sf)) == 2
-    assert len(sturm_chain(sf)[-1]) == 1
+    sf, rem = poly_divmod(p, [F(-1), F(1)])
+    assert rem == [] and sf == [F(-3), F(2), F(1)]
+    assert squarefree_modulo([-3, 2, 1])
+    assert len(isolate_real_roots(sf)) == 1
+
+
+def test_a_leading_coefficient_that_the_prime_divides_proves_nothing():
+    # P x^2 - 1 is squarefree, but modulo P it drops to degree 0.
+    assert SQUAREFREE_PRIME == 2 ** 61 - 1
+    assert not squarefree_modulo([-1, 0, SQUAREFREE_PRIME])
+    assert squarefree_modulo([-1, 0, SQUAREFREE_PRIME + 1])
 
 
 def test_refine_root_handles_a_root_of_even_multiplicity():
     # (x^2 - 2)^2 (x + 1): p does not change sign across sqrt2, so isolation
     # refuses p and refinement of (1, 2) refuses it too; the squarefree part
-    # is refined to the requested precision.
+    # is refined to a relative width of 2^-50.
     p = poly_mul(poly_mul([F(-2), F(0), F(1)], [F(-2), F(0), F(1)]), [F(1), F(1)])
     with pytest.raises(ValueError, match="repeated root"):
         isolate_real_roots(p)
     with pytest.raises(ValueError, match="do not bracket a sign change"):
-        refine_root(p, F(1), F(2), digits=12)
-    lo, hi = refine_root(poly_mul([F(-2), F(0), F(1)], [F(1), F(1)]), F(1), F(2), digits=12)
-    assert lo < hi and abs(float(lo) - math.sqrt(2)) < 1e-11
+        refine_root(p, F(1), F(2))
+    lo, hi = refine_root(poly_mul([F(-2), F(0), F(1)], [F(1), F(1)]), F(1), F(2))
+    assert lo < hi and abs(float(lo) - math.sqrt(2)) < 1e-15
 
 
 def test_minimal_factors_without_a_search_isolates_the_squarefree_part_once(monkeypatch):
-    # (x^2 - 2)(x - 3) is squarefree: one Sturm chain, every real root
-    # refined.  (x^2 - 2)^2 (x - 3) is refused before any refinement.
+    # (x^2 - 2)(x - 3) is squarefree: one modular gcd proves it, and every
+    # positive root is refined.  (x^2 - 2)^2 (x - 3) is refused after one
+    # gcd, before any isolation or refinement; isolation alone proves once.
     sq = poly_mul([F(-2), F(0), F(1)], [F(-3), F(1)])
-    expected = [refine_root(sq, lo, hi, digits=14) for lo, hi in isolate_real_roots(sq)]
-    chains = []
-    monkeypatch.setattr(linalg, "sturm_chain",
-                        lambda q: chains.append(q) or sturm_chain(q))
-    assert minimal_factors(sq) == expected
-    assert len(chains) == 1
-    p = poly_mul(sq, [F(-2), F(0), F(1)])
-    with pytest.raises(ValueError, match=r"repeated root: gcd\(p, p'\) has degree 2"):
-        minimal_factors(p)
-
-
-def test_isolation_reuses_a_given_chain(monkeypatch):
-    # Isolation builds the chain of p once and counts every point with it;
-    # the same chain is what refuses a repeated root.
-    sq = poly_mul([F(-2), F(0), F(1)], [F(-3), F(1)])
-    chains = []
-    monkeypatch.setattr(linalg, "sturm_chain",
-                        lambda q: chains.append(q) or sturm_chain(q))
-    intervals = isolate_real_roots(sq)
-    assert len(chains) == 1 and len(intervals) == 3
-    chains.clear()
-    with pytest.raises(ValueError, match="repeated root"):
-        isolate_real_roots(poly_mul(sq, [F(-3), F(1)]))
-    assert len(chains) == 1
+    expected = [refine_root(sq, lo, hi) for lo, hi in isolate_real_roots(sq)]
+    proofs = []
+    monkeypatch.setattr(linalg, "squarefree_modulo",
+                        lambda q: proofs.append(q) or squarefree_modulo(q))
+    assert minimal_factors(sq) == expected and len(expected) == 2
+    assert proofs == [[6, -2, -3, 1]]
+    proofs.clear()
+    assert len(isolate_real_roots(sq)) == 2 and len(proofs) == 1
+    proofs.clear()
+    with pytest.raises(ValueError, match="may have a repeated root"):
+        minimal_factors(poly_mul(sq, [F(-2), F(0), F(1)]))
+    assert len(proofs) == 1
 
 
 small_ints = st.integers(min_value=-6, max_value=6)
@@ -260,13 +273,11 @@ small_ints = st.integers(min_value=-6, max_value=6)
 
 @given(st.lists(small_ints, min_size=2, max_size=6),
        st.lists(small_ints, min_size=2, max_size=3),
-       st.integers(min_value=0, max_value=3),
-       st.fractions(min_value=-8, max_value=8, max_denominator=7),
-       st.fractions(min_value=-8, max_value=8, max_denominator=7))
+       st.integers(min_value=0, max_value=3))
 @settings(max_examples=80, deadline=None)
-def test_integer_sturm_counts_match_sympy(base, repeated, power, a, b):
-    # base * repeated^power: the chain counts distinct roots whatever their
-    # multiplicity, and isolation takes p only when it is squarefree.
+def test_descartes_isolation_matches_sympy(base, repeated, power):
+    # base * repeated^power: the prime proves p squarefree exactly when it
+    # is, and isolation then finds every positive root, one per interval.
     sympy = pytest.importorskip("sympy")
     assume(base[-1] != 0 and repeated[-1] != 0)
     p = [F(c) for c in base]
@@ -274,53 +285,58 @@ def test_integer_sturm_counts_match_sympy(base, repeated, power, a, b):
         p = poly_mul(p, [F(c) for c in repeated])
     x = sympy.Symbol("x")
     poly = sympy.Poly([int(c) for c in reversed(p)], x)
-    lo, hi = min(a, b), max(a, b)
-    assume(lo < hi and poly.eval(lo) != 0 and poly.eval(hi) != 0)
-    chain = sturm_chain(p)
-    counted = linalg._sign_changes(chain, lo) - linalg._sign_changes(chain, hi)
-    assert counted == poly.count_roots(lo, hi)
-    if poly.degree() > 0 and poly.sqf_part().degree() < poly.degree():
+    assume(poly.degree() > 0)
+    squarefree = poly.sqf_part().degree() == poly.degree()
+    assert squarefree_modulo([int(c) for c in p]) == squarefree
+    if not squarefree:
         with pytest.raises(ValueError, match="repeated root"):
             isolate_real_roots(p)
         return
     intervals = isolate_real_roots(p)
-    assert len(intervals) == poly.count_roots()
-    assert all(poly.count_roots(lo, hi) == 1 for lo, hi in intervals)
+    assert len(intervals) == poly.count_roots(0) - (poly.eval(0) == 0)
+    for lo, hi in intervals:
+        assert poly.eval(lo) == 0 if lo == hi else (
+            poly.count_roots(lo, hi) == 1 and poly.eval(lo) * poly.eval(hi) < 0)
 
 
-def test_integer_sturm_chain_members_are_positive_multiples_of_the_rational_ones():
-    # x^4 - 5x^2 + x/2 + 3/4, chain built over Q by plain remainders.
-    p = [F(3, 4), F(1, 2), F(-5), F(0), F(1)]
-    rational = [p, [i * c for i, c in enumerate(p)][1:]]
-    while True:
-        remainder = linalg.poly_divmod(rational[-2], rational[-1])[1]
-        if not remainder:
-            break
-        rational.append([-c for c in remainder])
-    chain = sturm_chain(p)
-    assert len(chain) == len(rational)
-    for member, exact in zip(chain, rational):
-        assert all(isinstance(c, int) for c in member)
-        ratio = member[-1] / exact[-1]
-        assert ratio > 0 and [ratio * c for c in exact] == member
+@given(st.lists(small_ints, min_size=1, max_size=5),
+       st.lists(small_ints, min_size=1, max_size=4),
+       st.lists(small_ints, min_size=1, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_modular_gcd_has_the_degree_of_the_rational_gcd(common, a, b):
+    # gcd(common * a, common * b) over Q by Euclid's remainders, against the
+    # gcd of the integer polynomials modulo the prime.
+    assume(common[-1] and a[-1] and b[-1])
+    x, y = poly_mul(common, a), poly_mul(common, b)
+    p, q = [int(c) for c in x], [int(c) for c in y]
+    while y:
+        x, y = y, poly_divmod(x, y)[1]
+    assert len(linalg._gcd_mod(p, q, SQUAREFREE_PRIME)) == len(x)
 
 
 def test_refine_root_reaches_requested_precision():
+    # The requested precision is a relative width of 2^-50.
     p = [F(-2), F(0), F(1)]  # x^2 - 2
-    lo, hi = refine_root(p, F(1), F(2), digits=15)
-    assert lo <= hi and float(hi - lo) < 1e-14
-    assert lo <= Fraction(math.sqrt(2)) <= hi or abs(float(lo) - math.sqrt(2)) < 1e-14
+    lo, hi = refine_root(p, F(1), F(2))
+    assert lo * lo < 2 < hi * hi
+    assert 0 < (hi - lo) / hi <= F(1, 2 ** 50)
+    assert (hi - lo) / hi > F(1, 2 ** 51)
+    assert hi.denominator & (hi.denominator - 1) == 0
+    # 3/4 is a dyadic root: the bisection lands on it and returns (r, r).
+    assert refine_root([F(-3), F(4)], F(0), F(2)) == (F(3, 4), F(3, 4))
+    with pytest.raises(ValueError, match="dyadic"):
+        refine_root(p, F(1), F(5, 3))
 
 
 def test_minimal_factors_keeps_interval_root_pairing():
     # Each refined interval stays inside its own isolating interval, so it
     # still holds that root and no other; p changes sign across it.
-    p = poly_mul([F(-2), F(0), F(1)], [F(-3), F(1)])
+    p = poly_mul(poly_mul([F(-2), F(0), F(1)], [F(-3), F(1)]), [F(-7, 5), F(1)])
     refined = minimal_factors(p)
     isolating = isolate_real_roots(p)
     assert len(refined) == len(isolating) == 3
     for (lo, hi), (a, b) in zip(refined, isolating):
-        assert a <= lo <= hi <= b and hi - lo < F(1, 10 ** 13)
+        assert a <= lo <= hi <= b and hi - lo <= hi / 2 ** 50
         assert poly_eval(p, lo) * poly_eval(p, hi) <= 0
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from _algebra import (dense_tridiagonal, faddeev_leverrier, fock_chains, fock_matrix,
                       mat_vec, poly_mul, recovery_in_z, truncation_convergence)
 from qes import families, linalg, rabi
+from qes.cli import _RABI_N_CAP, _lambda_text, _z_text
 from qes.diffop import (DiffOp, GaugeFactor, conjugate_by_gauge, pull_back_square,
                         substitute_square)
 from qes.laurent import LaurentPoly
@@ -200,12 +201,26 @@ def test_every_isolating_interval_holds_exactly_one_root(sol_type):
         result = solved(n_max, sol_type)
         poly = sympy_poly(result.lambda_charpoly, lam)
         intervals = isolate_real_roots(result.lambda_charpoly)
-        assert len(intervals) == poly.count_roots(), n_max
         refined = [root.lambda_interval for root in result.roots]
         positive = poly.count_roots(0) - (1 if poly.eval(0) == 0 else 0)
-        assert len(refined) == positive, n_max
+        assert len(intervals) == len(refined) == positive, n_max
         for lo, hi in intervals + refined:
-            assert poly.count_roots(lo, hi) == 1, (n_max, lo, hi)
+            if lo == hi:  # an exact dyadic root
+                assert poly.eval(lo) == 0, (n_max, lo)
+            else:
+                assert poly.count_roots(lo, hi) == 1, (n_max, lo, hi)
+                assert poly.eval(lo) * poly.eval(hi) < 0, (n_max, lo, hi)
+
+
+@pytest.mark.parametrize("sol_type", ["I", "II"])
+def test_the_prime_proves_every_accepted_polynomial_squarefree(sol_type):
+    # The CLI accepts N up to `_RABI_N_CAP`; for each of those the one gcd
+    # modulo the prime must succeed, so no accepted input reaches the
+    # repeated-root refusal.
+    for n_max in range(_RABI_N_CAP + 1):
+        lower, main, upper = subspace_matrix(RabiConfig(n_max, sol_type))
+        p = linalg.charpoly([-d for d in main], [b * a for b, a in zip(lower, upper)])
+        assert linalg.squarefree_modulo(linalg._integer_multiple(p)), n_max
 
 
 def test_a_repeated_eigenvalue_is_refused(monkeypatch):
@@ -221,15 +236,13 @@ def test_a_repeated_eigenvalue_is_refused(monkeypatch):
 
 
 def test_lambda_intervals_at_n7_type_one_are_pinned():
-    # Captured before the integer Sturm core replaced the rational one: the
-    # bisection must pick the same midpoints, so the strings stay identical.
+    # Dyadic intervals of relative width at most 2^-50 from the Descartes
+    # bisection and `refine_root`: a change of either changes the strings.
     intervals = [(str(lo), str(hi))
                  for lo, hi in (root.lambda_interval for root in solved(7, "I").roots)]
     assert intervals == [
-        ("1966310562672166648925271737567/39614081257132168796771975168",
-         "61447205083506050217537570429/1237940039285380274899124224"),
-        ("2005512248634373305944902677587/79228162514264337593543950336",
-         "501378062158600065995208298437/19807040628566084398385987584"),
+        ("1746434608193837/35184372088832", "873217304096919/17592186044416"),
+        ("890626349840661/35184372088832", "1781252699681323/70368744177664"),
     ]
 
 
@@ -240,7 +253,7 @@ def test_one_dimensional_lock_is_rational():
     assert len(result.roots) == 1
     root = result.roots[0]
     assert result.lambda_charpoly == [F(-3, 4), F(1)]
-    assert root.ratio == pytest.approx(2.0, abs=1e-12)
+    assert root.lambda_interval == (F(3, 4), F(3, 4)) and root.ratio == 2.0
     assert [entry.coeffs for entry in result.null_vector] == [(F(1),)]
     assert fock_truncation_check(RabiConfig(0, "I"), 2.0, cutoff=150) < 1e-10
 
@@ -382,34 +395,36 @@ def _count_calls(monkeypatch, *functions):
 def test_one_solve_runs_each_timed_root_step(monkeypatch):
     sympy = pytest.importorskip("sympy")
     counts = _count_calls(monkeypatch, linalg.charpoly, linalg.minimal_factors,
-                          linalg.sturm_chain, linalg.isolate_real_roots,
+                          linalg.squarefree_modulo, linalg.isolate_real_roots,
                           linalg.refine_root, rabi._extension_nullspace)
     result = solve_frequencies(RabiConfig(7, "I"))
-    real_roots = sympy_poly(result.lambda_charpoly, sympy.Symbol("lam")).count_roots()
-    assert real_roots == len(result.roots) == 2  # every real root is positive here
-    assert counts == {"charpoly": 1, "minimal_factors": 1, "sturm_chain": 1,
-                      "isolate_real_roots": 1, "refine_root": real_roots,
+    positive = sympy_poly(result.lambda_charpoly, sympy.Symbol("lam")).count_roots(0)
+    assert positive == len(result.roots) == 2
+    assert counts == {"charpoly": 1, "minimal_factors": 1, "squarefree_modulo": 1,
+                      "isolate_real_roots": 1, "refine_root": positive,
                       "_extension_nullspace": 1}
 
 
 def test_eigenfunction_assembly_reaches_apply_op(monkeypatch):
     result = solved(5, "I")
     counts = _count_calls(monkeypatch, families.apply_op)
-    assemble_eigenfunctions(result)
+    _, states = assemble_eigenfunctions(result)
     # psi_1 is recovered once for the polynomial both roots share.
-    assert len(result.roots) == 2 and counts == {"apply_op": 1}
+    assert len(result.roots) == len(states) == 2 and counts == {"apply_op": 1}
 
 
 def test_conjugate_roots_share_one_recovered_partner_component():
+    # The structured psi_1, rendered, is the recovered pair written in z.
     config = RabiConfig(5, "I")
     result = solve_frequencies(config)
     assert len(result.roots) == 2
     chi = _apply_recovery_operator(result)
-    for state in assemble_eigenfunctions(result):
-        assert state["psi1"]["f_coefficient"] == repr(chi.r).replace(
-            "x^", "z^").replace("*x", "*z")
-        assert state["psi1"]["fprime_coefficient"] == repr(chi.s).replace(
-            "x^", "z^").replace("*x", "*z")
+    shared, states = assemble_eigenfunctions(result)
+    assert len(states) == 2 and "psi1" not in states[0]
+    for name, part in (("f", chi.r), ("fprime", chi.s)):
+        assert _z_text(shared["psi1"][name]) == repr(part).replace("x^", "z^").replace("*x", "*z")
+    assert [_lambda_text(entry) for entry in shared["null_vector"]] == [
+        repr(entry) for entry in result.null_vector]
 
 
 @pytest.mark.parametrize("sol_type", ["I", "II"])
@@ -487,9 +502,11 @@ def test_closed_form_ratio_matches_where_the_shared_polynomial_makes_it_hold(sol
     holding = dataclasses.replace(
         result, lambda_charpoly=_quadratic_minimal(*target),
         null_vector=[LambdaPoly((F(0), F(1)))] + result.null_vector[1:])
-    for state in assemble_eigenfunctions(holding):
-        checks = state["closed_form_ratio_check"]["ratios"]
-        assert [check["matches_exactly"] for check in checks] == [True, False, True]
+    shared, states = assemble_eigenfunctions(holding)
+    checks = shared["closed_form_ratio_check"]
+    assert [check["matches_exactly"] for check in checks] == [True, False, True]
+    assert [state["closed_form_computed_floats"] for state in states] == [
+        root.null_vector_floats for root in holding.roots]
 
 
 # -- independent numerical oracle ------------------------------------------------------
@@ -616,24 +633,25 @@ def test_truncation_error_does_not_grow_with_the_cutoff():
 
 def test_eigenfunctions_come_with_exact_coefficients_and_a_partner_component():
     result = solve_frequencies(RabiConfig(2, "I"))
-    states = assemble_eigenfunctions(result)
+    shared, states = assemble_eigenfunctions(result)
     assert len(states) == 1
     state = states[0]
     assert state["exact"]
-    assert len(state["coefficients"]) == 3
+    assert len(state["coefficient_floats"]) == len(shared["null_vector"]) == 3
     # Leading coefficient is normalized to 1.
-    assert state["coefficients"][-1]["float"] == pytest.approx(1.0)
-    assert state["psi1"]["prefactor_float"] == pytest.approx(state["ratio"])
-    assert "z^2" in state["kernel_argument"]
-    assert state["gauge"].startswith("exp(")
+    assert state["coefficient_floats"][-1] == 1.0 and shared["null_vector"][-1] == ["1"]
+    assert state["psi1_prefactor_float"] == state["ratio"]
+    assert "z^2" in shared["kernel_argument"]
+    assert shared["gauge"].startswith("exp(")
+    assert assemble_eigenfunctions(solve_frequencies(RabiConfig(1, "I"))) == ({}, [])
 
 
 def test_eigenfunction_coefficients_solve_the_recurrence_numerically():
     result = solve_frequencies(RabiConfig(5, "II"))
     m0 = [[float(entry) for entry in row]
           for row in dense_tridiagonal(*subspace_matrix(RabiConfig(5, "II")))]
-    for state, root in zip(assemble_eigenfunctions(result), result.roots):
-        values = [coeff["float"] for coeff in state["coefficients"]]
+    for state, root in zip(assemble_eigenfunctions(result)[1], result.roots):
+        values = state["coefficient_floats"]
         for i, row in enumerate(m0):
             acc = sum(a * b for a, b in zip(row, values)) + root.lambda_float * values[i]
             assert abs(acc) < 1e-8

@@ -5,7 +5,7 @@ import pytest
 from _algebra import mat_commutator, solve_constants_at, structure_operator
 from qes import structure
 from qes.diffop import DiffOp, commutator
-from qes.families import (FamilySpec, family_operators, matrix_rep,
+from qes.families import (PARAMETERS, FamilySpec, family_operators, matrix_rep,
                           operators_over)
 from qes.sampling import sample_grid
 from qes.structure import (CONSTANT_NAMES, ParamPoly,
@@ -24,6 +24,14 @@ def constants_at(constants, spec):
     """Every closure coefficient evaluated at the parameters of `spec`."""
     assignment = structure.parameter_assignment(spec)
     return {name: constants[name].evaluate(assignment) for name in CONSTANT_NAMES}
+
+
+@pytest.mark.parametrize("family_id", [1, 2, 3, 4, 5, 6])
+def test_parameter_assignment_holds_n_and_the_family_table(family_id):
+    spec = sample_grid(family_id, 2, 1, seed=11)[0]
+    assignment = structure.parameter_assignment(spec_from(family_id, 2, spec))
+    assert list(assignment) == ["n", *PARAMETERS[family_id]]
+    assert assignment == {"n": F(2), **spec}
 
 
 # -- polynomial bookkeeping ----------------------------------------------------
