@@ -252,7 +252,7 @@ def test_refine_root_handles_a_root_of_even_multiplicity():
 def test_minimal_factors_without_a_search_isolates_the_squarefree_part_once(monkeypatch):
     # (x^2 - 2)(x - 3) is squarefree: one modular gcd proves it, and every
     # positive root is refined.  (x^2 - 2)^2 (x - 3) is refused after one
-    # gcd, before any isolation or refinement; isolation alone proves once.
+    # gcd, before any isolation or refinement.
     sq = poly_mul([F(-2), F(0), F(1)], [F(-3), F(1)])
     expected = [refine_root(sq, lo, hi) for lo, hi in isolate_real_roots(sq)]
     proofs = []
@@ -261,10 +261,24 @@ def test_minimal_factors_without_a_search_isolates_the_squarefree_part_once(monk
     assert minimal_factors(sq) == expected and len(expected) == 2
     assert proofs == [[6, -2, -3, 1]]
     proofs.clear()
-    assert len(isolate_real_roots(sq)) == 2 and len(proofs) == 1
-    proofs.clear()
     with pytest.raises(ValueError, match="may have a repeated root"):
         minimal_factors(poly_mul(sq, [F(-2), F(0), F(1)]))
+    assert len(proofs) == 1
+
+
+def test_isolation_reuses_a_given_chain(monkeypatch):
+    # Isolation called alone proves p squarefree with one gcd modulo the
+    # prime and bisects on that proof; the same single gcd is what refuses
+    # a repeated root.  The name is kept from the Sturm chain it replaced.
+    sq = poly_mul([F(-2), F(0), F(1)], [F(-3), F(1)])
+    proofs = []
+    monkeypatch.setattr(linalg, "squarefree_modulo",
+                        lambda q: proofs.append(q) or squarefree_modulo(q))
+    intervals = isolate_real_roots(sq)
+    assert proofs == [[6, -2, -3, 1]] and len(intervals) == 2
+    proofs.clear()
+    with pytest.raises(ValueError, match="repeated root"):
+        isolate_real_roots(poly_mul(sq, [F(-3), F(1)]))
     assert len(proofs) == 1
 
 
