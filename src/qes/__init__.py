@@ -13,8 +13,7 @@ truncated-Fock eigenvalue search.
 from .families import (FamilyError, FamilySpec, NotInSpan, PairContext,
                        PairElement, action_formula, apply_op, decompose,
                        family_operators, matrix_rep, operator_in_span,
-                       solve_preserving, substitute_pair, substituted_context,
-                       verify_invariance)
+                       solve_preserving, verify_invariance)
 from .rabi import (RabiConfig, RabiError, SpectralResult, FrequencyRoot,
                    assemble_eigenfunctions, bargmann_growth, build_L,
                    closed_form_report, fock_truncation_check,
@@ -29,8 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FamilyError", "FamilySpec", "NotInSpan", "PairContext", "PairElement",
     "action_formula", "apply_op", "decompose", "family_operators",
-    "matrix_rep", "operator_in_span", "solve_preserving", "substitute_pair",
-    "substituted_context", "verify_invariance",
+    "matrix_rep", "operator_in_span", "solve_preserving", "verify_invariance",
     "RabiConfig", "RabiError", "SpectralResult", "FrequencyRoot",
     "assemble_eigenfunctions", "bargmann_growth", "build_L",
     "closed_form_report", "fock_truncation_check", "frequency_table_report",

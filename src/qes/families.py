@@ -34,30 +34,26 @@ class FamilyError(ValueError):
 
 @dataclass(frozen=True)
 class PairContext:
-    """Differentiation rule for R*F + S*F' in the working coordinate.
+    """Differentiation rule for R*F + S*F' in the kernel's own coordinate x.
 
-    `u` and `v` give the ODE rewrite F'' = u*F + v*F' composed with the
-    coordinate map, and `scale` is the derivative of that map (1 when the
-    working coordinate is the kernel's own argument).  With w = map(z):
+    `u` and `v` give the ODE rewrite F'' = u*F + v*F', so
 
-        d/dz [R*F(w) + S*F'(w)] = (R' + S*scale*u)*F + (R*scale + S' + S*scale*v)*F'
+        d/dx [R*F + S*F'] = (R' + S*u)*F + (R + S' + S*v)*F'
 
     A context with `den` = D > 1 stores D*u and D*v in `u` and `v`, and
-    `derive` computes D*d/dz: clearing the denominators of the rewrite once
+    `derive` computes D*d/dx: clearing the denominators of the rewrite once
     keeps pairs with integer coefficients on integers (`_cleared_basis`).
     """
 
     u: LaurentPoly
     v: LaurentPoly
-    scale: LaurentPoly
     den: int = 1
 
     def derive(self, r: LaurentPoly, s: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
-        s_scaled = s * self.scale
-        r_part, s_part = r.derivative(), r * self.scale + s.derivative()
+        r_part, s_part = r.derivative(), r + s.derivative()
         if self.den != 1:
             r_part, s_part = r_part * self.den, s_part * self.den
-        return r_part + s_scaled * self.u, s_part + s_scaled * self.v
+        return r_part + s * self.u, s_part + s * self.v
 
 
 @dataclass(frozen=True)
@@ -76,9 +72,6 @@ class PairElement:
 
     def __neg__(self) -> "PairElement":
         return PairElement(-self.r, -self.s, self.ctx)
-
-    def scaled(self, c) -> "PairElement":
-        return PairElement(self.r * c, self.s * c, self.ctx)
 
     def times_poly(self, p: LaurentPoly) -> "PairElement":
         return PairElement(p * self.r, p * self.s, self.ctx)
@@ -182,7 +175,7 @@ class FamilySpec:
         else:
             u = LaurentPoly.const(4 * self.alpha)
             v = LaurentPoly.x(1, Fraction(2))
-        return PairContext(u, v, LaurentPoly.const(_ONE))
+        return PairContext(u, v)
 
 
 def _second_chain_seed(spec: FamilySpec) -> PairElement:
@@ -537,7 +530,7 @@ def _cleared_basis(spec: FamilySpec) -> Tuple[Tuple[PairElement, ...], Tuple[Pai
     pairs = _basis_pairs(spec)
     ctx = spec.context()
     den = _denominator(ctx.u, ctx.v)
-    ctx = PairContext(_times(ctx.u, den), _times(ctx.v, den), LaurentPoly.const(1), den)
+    ctx = PairContext(_times(ctx.u, den), _times(ctx.v, den), den)
     d = _denominator(*(poly for pair in pairs for poly in (pair.r, pair.s)))
     return pairs, tuple(PairElement(_times(p.r, d), _times(p.s, d), ctx) for p in pairs)
 
@@ -664,18 +657,3 @@ def operator_in_span(result: Dict[str, object], op: DiffOp,
     base_rank = linalg.rank(rows)
     return linalg.rank(rows + [target]) == base_rank
 
-
-# ---------------------------------------------------------------------------
-# the coordinate substitution used by the spectral reduction
-# ---------------------------------------------------------------------------
-
-def substituted_context(spec: FamilySpec, scale: Fraction) -> PairContext:
-    """Differentiation rule for pairs whose argument is scale * z**2."""
-    ctx = spec.context()
-    return PairContext(ctx.u.stretch_square(scale), ctx.v.stretch_square(scale),
-                       LaurentPoly.x(1, 2 * scale))
-
-
-def substitute_pair(pair: PairElement, scale: Fraction, new_ctx: PairContext) -> PairElement:
-    """Rewrite an x-coordinate pair as a z-coordinate pair via x = scale * z**2."""
-    return PairElement(pair.r.stretch_square(scale), pair.s.stretch_square(scale), new_ctx)

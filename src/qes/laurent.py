@@ -1,8 +1,10 @@
 """Laurent polynomials in one variable with exact duck-typed coefficients.
 
-Coefficients may be Fraction, QuadScalar, or any field element supporting
-+, -, *, / and equality with 0. Stored as {exponent: coefficient} with no
-explicit zeros, so equality is plain dict equality.
+Coefficients may be Fraction, QuadScalar, or any ring element supporting
++, -, * and equality with 0, such as `structure.ParamPoly`, which has no
+division; only `stretch_square` divides, by its scale. Stored as
+{exponent: coefficient} with no explicit zeros, so equality is plain dict
+equality.
 """
 
 from __future__ import annotations

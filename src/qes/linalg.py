@@ -9,19 +9,18 @@ continuant of a tridiagonal matrix's three diagonals.  Polynomials are
 ascending rational coefficient lists; their root step clears denominators
 once, proves the polynomial squarefree by one gcd modulo a prime, and
 isolates and refines its positive roots on integers (Descartes' rule of
-signs on dyadic intervals, signs by integer Horner).  `LambdaPoly`
-is a polynomial in lambda as a value, the entry type of the Rabi null
-vector: it adds and multiplies and never divides, and membership of a root
-is a remainder by its polynomial.
+signs on dyadic intervals, signs by integer Horner).  A polynomial in
+lambda, such as an entry of the Rabi null vector, is such a list too:
+membership of a root is a remainder by its polynomial.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .scalars import QuadScalar, reciprocal
+from .scalars import reciprocal
 
 Matrix = List[List[object]]
 Vector = List[object]
@@ -156,6 +155,26 @@ def poly_trim(p: List[Fraction]) -> List[Fraction]:
     while p and p[-1] == 0:
         p.pop()
     return p
+
+
+def poly_mul(p: Sequence, q: Sequence) -> List:
+    """The product of two ascending coefficient lists, trimmed."""
+    out: List = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return poly_trim(out)
+
+
+def poly_float(p: Sequence, point: float) -> float:
+    """The value of p at a float point, summed term by term in ascending order."""
+    total = 0.0
+    power = 1.0
+    for c in p:
+        total += float(c) * power
+        power *= point
+    return total
 
 
 def poly_divmod(p: Sequence[Fraction], q: Sequence[Fraction]):
@@ -331,102 +350,3 @@ def minimal_factors(p: Sequence[Fraction]) -> List[Tuple[Fraction, Fraction]]:
     that benchmark's next span list.
     """
     return [refine_root(p, lo, hi) for lo, hi in isolate_real_roots(p)]
-
-
-# ---------------------------------------------------------------------------
-# Polynomials in lambda with exact coefficients
-# ---------------------------------------------------------------------------
-
-_CONSTANTS = (int, Fraction, QuadScalar)
-
-
-class LambdaPoly:
-    """An immutable polynomial in lambda over Q or Q(sqrt2, sqrt3), ascending.
-
-    Coefficients are stored without trailing zeros.  It adds, subtracts and
-    multiplies, with Fraction, QuadScalar and int taken as constants, and has
-    no division and no modulus; a caller that needs a value at a root of p
-    evaluates it there, or divides by p with `poly_divmod`.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[object] = ()) -> None:
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LambdaPoly is immutable")
-
-    @staticmethod
-    def _operand(other) -> Optional[Tuple[object, ...]]:
-        if isinstance(other, LambdaPoly):
-            return other.coeffs
-        return (other,) if isinstance(other, _CONSTANTS) else None
-
-    def __add__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        a = self.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return LambdaPoly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LambdaPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        return self + -LambdaPoly(b)
-
-    def __mul__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        if not self.coeffs or not b:
-            return LambdaPoly()
-        raw: List[object] = [0] * (len(self.coeffs) + len(b) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y != 0:
-                    raw[i + j] = raw[i + j] + x * y
-        return LambdaPoly(raw)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        return self.coeffs == LambdaPoly(b).coeffs
-
-    def to_float(self, point: float) -> float:
-        """The value at `point`, summed term by term in ascending order."""
-        total = 0.0
-        power = 1.0
-        for c in self.coeffs:
-            total += float(c) * power
-            power *= point
-        return total
-
-    def __repr__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(f"{c}")
-            elif i == 1:
-                parts.append(f"({c})*lam")
-            else:
-                parts.append(f"({c})*lam^{i}")
-        return " + ".join(parts) if parts else "0"

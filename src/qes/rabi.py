@@ -29,10 +29,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .diffop import (DiffOp, GaugeFactor, commutator, conjugate_by_gauge,
                      pull_back_square, substitute_square)
-from .families import (FamilySpec, _basis_pairs, action_formula, apply_op,
-                       family_operators, substitute_pair, substituted_context)
+from .families import (FamilySpec, PairElement, _add_product, _basis_pairs, action_formula,
+                       apply_op, family_operators)
 from .laurent import LaurentPoly
-from .linalg import LambdaPoly, charpoly, minimal_factors, poly_divmod
+from .linalg import charpoly, minimal_factors, poly_divmod, poly_float, poly_mul, poly_trim
 from .scalars import SQRT2, SQRT3, SQRT6, QuadScalar, format_scalar
 
 
@@ -254,14 +254,14 @@ class SpectralResult:
     Every root is a simple root of `lambda_charpoly` (the solver refuses a
     repeated one), which is therefore each root's defining polynomial; a
     sympy test proves it irreducible, hence minimal, for N <= 20.  The null
-    vector's entries are polynomials in lambda that annihilate M0 + lambda*I
-    at every root of it.
+    vector's entries are polynomials in lambda, each an ascending list of
+    rationals, that annihilate M0 + lambda*I at every root of it.
     """
 
     config: RabiConfig
-    lambda_charpoly: List[Fraction]   # det(lambda*I + M0), ascending, monic, squarefree
+    lambda_charpoly: List[Fraction]      # det(lambda*I + M0), ascending, monic, squarefree
     roots: List[FrequencyRoot]
-    null_vector: List[LambdaPoly]     # entry k of degree N - k, last entry 1
+    null_vector: List[List[Fraction]]    # entry k of degree N - k, last entry [1]
 
     def ratios(self) -> List[float]:
         return [root.ratio for root in self.roots]
@@ -316,7 +316,7 @@ def solve_frequencies(config: RabiConfig) -> SpectralResult:
             ratio=math.sqrt(3.0 / lam_float),
             lambda_float=lam_float,
             lambda_interval=(lo, hi),
-            null_vector_floats=[entry.to_float(lam_float) for entry in vector],
+            null_vector_floats=[poly_float(entry, lam_float) for entry in vector],
         ))
 
     roots.sort(key=lambda root: root.ratio)
@@ -324,35 +324,41 @@ def solve_frequencies(config: RabiConfig) -> SpectralResult:
                           null_vector=vector)
 
 
-def _extension_nullspace(diagonals: Diagonals, modulus: List[Fraction]) -> List[LambdaPoly]:
+def _extension_nullspace(diagonals: Diagonals,
+                         modulus: List[Fraction]) -> List[List[Fraction]]:
     """Null vector of M0 + lambda*I at every root of `modulus`, over Q[lambda].
 
-    M0 comes as the diagonals of an unreduced tridiagonal matrix, which
-    `subspace_matrix` checks, so the null space has dimension 1 at every
-    eigenvalue.  With v_N = 1, rows N..1 give v_{N-1}..v_0 by the
-    three-term recurrence, dividing only by rational subdiagonal entries,
-    so v_k has degree N - k and needs no reduction.  Re-multiplying every
-    row certifies the vector: rows 1..N must vanish, and row 0, a rational
-    multiple of det(lambda*I + M0), must leave no remainder by `modulus`;
-    the continuant computes that determinant apart, so the check has teeth.
+    Each entry is an ascending, trimmed list of rationals.  M0 comes as the
+    diagonals of an unreduced tridiagonal matrix, which `subspace_matrix`
+    checks, so the null space has dimension 1 at every eigenvalue.  With
+    v_N = [1], rows N..1 give v_{N-1}..v_0 by the three-term recurrence,
+    dividing only by rational subdiagonal entries, so v_k has degree N - k
+    and needs no reduction.  Re-multiplying every row certifies the vector:
+    rows 1..N must trim to empty, and row 0, a rational multiple of
+    det(lambda*I + M0), must leave no remainder by `modulus`; the continuant
+    computes that determinant apart, so the check has teeth.
     """
     lower, main, upper = diagonals
     size = len(main)
-    lam = LambdaPoly((Fraction(0), Fraction(1)))
-    vector = [LambdaPoly()] * (size - 1) + [LambdaPoly((Fraction(1),))]
+    vector: List[List[Fraction]] = [[] for _ in range(size - 1)] + [[Fraction(1)]]
 
-    def image(k: int):
-        # Row k of (M0 + lambda*I) v: at most three products.
-        total = (lam + main[k]) * vector[k]
+    def image(k: int) -> List[Fraction]:
+        # Row k of (M0 + lambda*I) v: lambda v_k plus at most three multiples.
+        total = [Fraction(0)] + vector[k]
+        terms = [(main[k], vector[k])]
         if k > 0:
-            total = total + lower[k - 1] * vector[k - 1]
+            terms.append((lower[k - 1], vector[k - 1]))
         if k + 1 < size:
-            total = total + upper[k] * vector[k + 1]
-        return total
+            terms.append((upper[k], vector[k + 1]))
+        for c, entry in terms:
+            for i, x in enumerate(entry):
+                total[i] += c * x
+        return poly_trim(total)
 
     for k in range(size - 1, 0, -1):
-        vector[k - 1] = image(k) * (Fraction(-1) / lower[k - 1])
-    if any(image(k) != 0 for k in range(1, size)) or poly_divmod(image(0).coeffs, modulus)[1]:
+        factor = Fraction(-1) / lower[k - 1]
+        vector[k - 1] = [c * factor for c in image(k)]
+    if any(image(k) for k in range(1, size)) or poly_divmod(image(0), modulus)[1]:
         raise RabiError("the recurrence null vector fails re-multiplication")
     return vector
 
@@ -424,15 +430,16 @@ def assemble_eigenfunctions(result: SpectralResult) -> Tuple[Dict[str, object],
     the quoted closed-form surds; the verdict is reported, not enforced.
 
     Every root shares the defining polynomial and hence the symbolic null
-    vector, so the exact data is computed and returned once, beside one
-    entry of floats per root.  Each polynomial in lambda is its ascending
-    coefficient list, and psi_1's F and F' coefficients map each z exponent
-    to one.  Without roots both parts are empty.
+    vector, so the exact data is computed once, beside one entry of floats
+    per root.  This only formats it: each polynomial in lambda is its
+    ascending coefficient list of strings, and psi_1's F and F'
+    coefficients map each z exponent to one.  Without roots both parts are
+    empty.
     """
     config = result.config
     if not result.roots:
         return {}, []
-    chi = _apply_recovery_operator(result)
+    psi1 = _apply_recovery_operator(result)
     shared: Dict[str, object] = {
         "gauge": _describe_gauge(config.gauge),
         "kernel_argument": f"({format_scalar(config.stretch)})*z^2",
@@ -440,8 +447,8 @@ def assemble_eigenfunctions(result: SpectralResult) -> Tuple[Dict[str, object],
             (str(config.alpha + n), str(config.s)) for n in range(config.dimension)
         ],
         "null_vector": [_coefficient_list(entry) for entry in result.null_vector],
-        "psi1": {name: {str(exp): _coefficient_list(coeff) for exp, coeff in part.coeffs.items()}
-                 for name, part in (("f", chi.r), ("fprime", chi.s))},
+        "psi1": {name: {str(exp): _coefficient_list(coeffs) for exp, coeffs in part.items()}
+                 for name, part in psi1.items()},
     }
     if config.n_max == 2:
         shared["closed_form_ratio_check"] = _closed_form_ratio_checks(result)
@@ -460,8 +467,8 @@ def assemble_eigenfunctions(result: SpectralResult) -> Tuple[Dict[str, object],
     return shared, states
 
 
-def _coefficient_list(value: LambdaPoly) -> List[str]:
-    return [format_scalar(c) for c in value.coeffs]
+def _coefficient_list(coeffs: List) -> List[str]:
+    return [format_scalar(c) for c in coeffs]
 
 
 def _describe_gauge(gauge: GaugeFactor) -> str:
@@ -483,13 +490,14 @@ def _closed_form_ratio_checks(result: SpectralResult) -> List[Dict[str, object]]
         rational, coeff, radicand = target
         poly = ([-rational, Fraction(1)] if coeff == 0
                 else _quadratic_minimal(rational, coeff, radicand))
-        value = LambdaPoly()
+        value: List[Fraction] = []
         for c in reversed(poly):
-            value = value * ratio_elem + c
+            value = poly_mul(value, ratio_elem) or [Fraction(0)]
+            value[0] += c
         checks.append({
             "index": index,
             "target_float": float(rational) + float(coeff) * math.sqrt(radicand),
-            "matches_exactly": not poly_divmod(value.coeffs, result.lambda_charpoly)[1],
+            "matches_exactly": not poly_divmod(value, result.lambda_charpoly)[1],
         })
     return checks
 
@@ -506,29 +514,46 @@ def _gauged_recovery_operator(config: RabiConfig) -> DiffOp:
                               config.gauge)
 
 
-def _apply_recovery_operator(result: SpectralResult):
-    """chi = (E + a_hat - c_hat) psi_2 divided by the gauge factor, as a z pair.
+def _apply_recovery_operator(result: SpectralResult) -> Dict[str, Dict[int, List]]:
+    """chi = (E + a_hat - c_hat) psi_2 divided by the gauge factor, in z.
 
     Conjugated by the gauge, the recovery operator R_z is even in z, so it
     pulls back to an operator R_x in the kernel coordinate x = stretch * z^2;
-    substituting R_x back must give R_z exactly, which is checked.  R_x is
-    applied once to sum_n c_n f_n, whose coefficients c_n are the null
-    vector's polynomials in lambda over Q, so every derivative stays
-    rational, and x = stretch * z^2 is substituted into the result.  psi_1
-    equals the gauge factor times chi times 2/w0.
+    substituting R_x back must give R_z exactly, which is checked.  R_x does
+    not depend on lambda, so it acts on each lambda-power of
+    psi_2 / gauge = sum_n v_n f_n apart: the slice sum_n v_n[i] f_n is a
+    pair over Q, and R_x is applied to it once.  Substituting
+    x = stretch * z^2 then maps x^e to stretch^e z^(2e).  The result maps
+    "f" and "fprime", chi's coefficients of F and F', to {z exponent:
+    ascending lambda coefficients}; psi_1 equals the gauge factor times chi
+    times 2/w0.
     """
     config = result.config
-    spec = config.family()
     recovery_z = _gauged_recovery_operator(config)
     recovery_x = pull_back_square(recovery_z, config.stretch)
     if substitute_square(recovery_x, config.stretch) != recovery_z:
         raise RabiError("the recovery operator fails its pull-back to the kernel coordinate")
-    combined = None
-    for coefficient, pair in zip(result.null_vector, _basis_pairs(spec)):
-        term = pair.scaled(coefficient)
-        combined = term if combined is None else combined + term
-    chi = apply_op(recovery_x, combined)
-    return substitute_pair(chi, config.stretch, substituted_context(spec, config.stretch))
+    pairs = _basis_pairs(config.family())
+    by_power: Dict[str, Dict[int, Dict[int, object]]] = {"f": {}, "fprime": {}}
+    for i in range(max(map(len, result.null_vector))):
+        r: Dict[int, object] = {}
+        s: Dict[int, object] = {}
+        for entry, pair in zip(result.null_vector, pairs):
+            if i < len(entry) and entry[i]:
+                _add_product(r, entry[i], 0, pair.r)
+                _add_product(s, entry[i], 0, pair.s)
+        chi = apply_op(recovery_x, PairElement(LaurentPoly(r), LaurentPoly(s), pairs[0].ctx))
+        for name, part in (("f", chi.r), ("fprime", chi.s)):
+            for exp, c in part.coeffs.items():
+                by_power[name].setdefault(exp, {})[i] = c
+    exps = [exp for part in by_power.values() for exp in part] or [0]
+    low = min(exps)
+    powers = [config.stretch ** low]  # powers[k] = stretch^(low + k)
+    for _ in range(low, max(exps)):
+        powers.append(powers[-1] * config.stretch)
+    return {name: {2 * exp: [column.get(i, 0) * powers[exp - low] for i in range(max(column) + 1)]
+                   for exp, column in part.items()}
+            for name, part in by_power.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,34 +1,25 @@
-"""Small exact helpers that only the tests need: products of polynomials
-and matrices, in the ascending-list and list-of-rows forms of `qes.linalg`,
-the plain reference computations that faster solver paths must match (among
-them the dense form of a matrix given by its three diagonals, the dense
-Faddeev-LeVerrier characteristic polynomial, an operator applied to a
-Laurent polynomial term by term, and the basis rank, solves and closure fit
-on `dense_rref`, which share no elimination with `qes`), and the dense numpy
-Fock blocks that the chain oracle must agree with."""
+"""Small exact helpers that only the tests need: products of matrices, in
+the list-of-rows form of `qes.linalg`, the plain reference computations that
+faster solver paths must match (among them the dense form of a matrix given
+by its three diagonals, the dense Faddeev-LeVerrier characteristic
+polynomial, an operator applied to a Laurent polynomial term by term, the
+basis rank, solves and closure fit on `dense_rref`, which share no
+elimination with `qes`, and psi_1 recovered in the z frame over a ring of
+polynomials in lambda), and the dense numpy Fock blocks that the chain
+oracle must agree with."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from qes import families, structure
 from qes.diffop import DiffOp, conjugate_by_gauge
-from qes.families import apply_op, family_operators, substitute_pair, substituted_context
+from qes.families import PairElement, apply_op, family_operators
 from qes.laurent import LaurentPoly
-from qes.linalg import LambdaPoly
 from qes.rabi import COS_2T, TWO_G, assemble_operator, fock_truncation_check
-from qes.scalars import QuadScalar, reciprocal
-
-
-def poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+from qes.scalars import reciprocal
 
 
 def poly_eval(p, x):
@@ -183,21 +174,86 @@ def solve_constants_at(spec):
     return solved
 
 
+class LambdaPolynomial:
+    """A polynomial in lambda as a ring element, ascending and trimmed: it
+    adds and multiplies, with any exact scalar taken as a constant.  Used as
+    a coefficient inside `LaurentPoly` and `PairElement`."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+
+    @staticmethod
+    def of(value):
+        return value.coeffs if isinstance(value, LambdaPolynomial) else (value,)
+
+    def __add__(self, other):
+        a, b = self.coeffs, self.of(other)
+        if len(a) < len(b):
+            a, b = b, a
+        return LambdaPolynomial([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        b = self.of(other)
+        out = [0] * max(len(self.coeffs) + len(b) - 1, 0)
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+        return LambdaPolynomial(out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return self.coeffs == LambdaPolynomial(self.of(other)).coeffs
+
+    def __repr__(self):
+        return f"LambdaPolynomial({list(self.coeffs)})"
+
+
+@dataclass(frozen=True)
+class StretchedContext:
+    """d/dz of R*F(w) + S*F'(w) with w = scale * z^2, for the kernel whose
+    ODE rewrite in w is `ctx`: with w' = 2 scale z and u, v read at w,
+
+        (R' + S*w'*u)*F + (R*w' + S' + S*w'*v)*F'
+    """
+
+    u: LaurentPoly
+    v: LaurentPoly
+    w_prime: LaurentPoly
+
+    @classmethod
+    def of(cls, ctx, scale):
+        return cls(ctx.u.stretch_square(scale), ctx.v.stretch_square(scale),
+                   LaurentPoly.x(1, 2 * scale))
+
+    def derive(self, r, s):
+        s_w = s * self.w_prime
+        return r.derivative() + s_w * self.u, r * self.w_prime + s.derivative() + s_w * self.v
+
+
 def recovery_in_z(result):
     """psi_1's pair recovered wholly in the z coordinate, the solver's reference.
 
-    Every basis pair is substituted to z first, the null vector is lifted to
-    Q(sqrt2, sqrt3)[lambda], and the gauged recovery operator is applied
-    there.
+    Every basis pair is substituted to z first, the null vector becomes
+    `LambdaPolynomial` coefficients, and the gauged recovery operator R_z
+    is applied once to their combination: no pull-back to x and no slicing
+    by powers of lambda.
     """
     config = result.config
     spec = config.family()
-    lifted = [LambdaPoly([QuadScalar(c) for c in entry.coeffs])
-              for entry in result.null_vector]
-    new_ctx = substituted_context(spec, config.stretch)
+    ctx = StretchedContext.of(spec.context(), config.stretch)
     combined = None
-    for pair, coefficient in zip(families._basis_pairs(spec), lifted):
-        term = substitute_pair(pair, config.stretch, new_ctx).scaled(coefficient)
+    for pair, entry in zip(families._basis_pairs(spec), result.null_vector):
+        coefficient = LaurentPoly.const(LambdaPolynomial(entry))
+        term = PairElement(pair.r.stretch_square(config.stretch),
+                           pair.s.stretch_square(config.stretch), ctx).times_poly(coefficient)
         combined = term if combined is None else combined + term
     a_hat, c_hat, _ = assemble_operator(TWO_G, COS_2T, config.sin_2t, config.energy_ratio)
     recovery = conjugate_by_gauge(

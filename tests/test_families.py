@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from _algebra import (coefficient_matrix, dense_rank, dense_solve, independence_rank,
-                      mat_commutator, mat_mul)
+from _algebra import (LambdaPolynomial, coefficient_matrix, dense_rank, dense_solve,
+                      independence_rank, mat_commutator, mat_mul)
 from qes import families
 from qes.diffop import DiffOp, commutator
 from qes.families import (PARAMETERS, FamilyError, FamilySpec, NotInSpan,
@@ -12,7 +12,6 @@ from qes.families import (PARAMETERS, FamilyError, FamilySpec, NotInSpan,
                           family_operators, matrix_rep, operator_in_span,
                           solve_preserving, verify_invariance)
 from qes.laurent import LaurentPoly
-from qes.linalg import LambdaPoly
 from qes.sampling import random_rational, sample_grid
 from qes.scalars import QuadScalar
 
@@ -168,10 +167,20 @@ def per_order_sum(op, chain):
     return total
 
 
+def at_power(pair, i):
+    """The coefficient of lambda^i in a pair over `LambdaPolynomial`."""
+    def part(poly):
+        return LaurentPoly({e: c.coeffs[i] if i < len(c.coeffs) else 0
+                            for e, c in poly.coeffs.items()})
+    return PairElement(part(pair.r), part(pair.s), pair.ctx)
+
+
 @pytest.mark.parametrize("kind", ["fraction", "quad", "lambda"])
 def test_one_pass_combine_matches_the_per_order_sum(kind):
     # _combine sums every product into one dict per component; the per-order
     # sum of times_poly is the reference, including its representation.
+    # Over polynomials in lambda, an operator free of lambda acts on each
+    # power of lambda apart, as the Rabi solver applies it.
     rng = random.Random(17)
 
     def rational():
@@ -185,7 +194,7 @@ def test_one_pass_combine_matches_the_per_order_sum(kind):
 
     def pair_scalar():
         if kind == "lambda":
-            return LambdaPoly([rng.choice((rational, quad))() for _ in range(3)])
+            return LambdaPolynomial([rng.choice((rational, quad))() for _ in range(3)])
         return op_scalar()
 
     def laurent(scalar):
@@ -199,6 +208,10 @@ def test_one_pass_combine_matches_the_per_order_sum(kind):
         got, expected = families._combine(op, chain), per_order_sum(op, chain)
         assert got == expected
         assert (repr(got.r), repr(got.s)) == (repr(expected.r), repr(expected.s))
+        if kind == "lambda":
+            for i in range(3):
+                sliced = [at_power(elem, i) for elem in chain]
+                assert at_power(got, i) == families._combine(op, sliced)
 
 
 # -- matrix representation ------------------------------------------------------
@@ -296,7 +309,7 @@ def test_cached_decomposition_equals_a_fresh_solve(spec):
                    for _ in pairs]
         combo = zero
         for w, p in zip(weights, pairs):
-            combo = combo + p.scaled(w)
+            combo = combo + p.times_poly(LaurentPoly.const(w))
         assert assert_matches_reference(combo, spec, pairs) == weights
 
     # One unit coefficient at each exponent of the basis, in either
@@ -321,7 +334,7 @@ def test_rank_deficient_basis_keeps_free_coordinates_at_zero(monkeypatch):
     spec = FamilySpec(5, 2, nu=F(3, 4))
     original = families._basis_pairs
     monkeypatch.setattr(families, "_basis_pairs",
-                        lambda s: original(s) + (original(s)[1].scaled(F(-2)),))
+                        lambda s: original(s) + (original(s)[1].times_poly(LaurentPoly.const(F(-2))),))
     pairs = list(families._basis_pairs(spec))
     assert independence_rank(spec) == spec.dimension < len(pairs)
     j_plus, j_minus = family_operators(spec)

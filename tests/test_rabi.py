@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _algebra import (dense_tridiagonal, faddeev_leverrier, fock_chains, fock_matrix,
-                      mat_vec, poly_mul, recovery_in_z, truncation_convergence)
+from _algebra import (LambdaPolynomial, dense_tridiagonal, faddeev_leverrier, fock_chains,
+                      fock_matrix, mat_vec, recovery_in_z, truncation_convergence)
 from qes import families, linalg, rabi
-from qes.cli import _RABI_N_CAP, _lambda_text, _z_text
+from qes.cli import _RABI_N_CAP
 from qes.diffop import (DiffOp, GaugeFactor, conjugate_by_gauge, pull_back_square,
                         substitute_square)
 from qes.laurent import LaurentPoly
-from qes.linalg import LambdaPoly, isolate_real_roots, poly_divmod
+from qes.linalg import isolate_real_roots, poly_divmod, poly_mul
 from qes.rabi import (CLOSED_FORM_LAMBDA, CLOSED_FORM_RATIOS, COS_2T, ETA, REFERENCE_FREQUENCY_RATIOS,
                       SIN_2T, TWO_G, XI, RabiConfig, RabiError,
                       _apply_recovery_operator,
@@ -254,7 +254,7 @@ def test_one_dimensional_lock_is_rational():
     root = result.roots[0]
     assert result.lambda_charpoly == [F(-3, 4), F(1)]
     assert root.lambda_interval == (F(3, 4), F(3, 4)) and root.ratio == 2.0
-    assert [entry.coeffs for entry in result.null_vector] == [(F(1),)]
+    assert result.null_vector == [[F(1)]]
     assert fock_truncation_check(RabiConfig(0, "I"), 2.0, cutoff=150) < 1e-10
 
 
@@ -263,10 +263,19 @@ def test_two_dimensional_subspace_has_no_positive_lock():
 
 
 def test_both_types_share_one_frequency_set():
-    for n_max in (2, 5, 6):
-        one = solve_frequencies(RabiConfig(n_max, "I")).ratios()
-        two = solve_frequencies(RabiConfig(n_max, "II")).ratios()
-        assert one == pytest.approx(two, abs=1e-12)
+    # Type II's M0 is type I's read backwards: its main diagonal reversed,
+    # and its coupling products b_k a_k reversed (the single off-diagonal
+    # entries differ).  A continuant is unchanged by that reversal, so both
+    # types have one characteristic polynomial at every accepted N.
+    for n_max in range(_RABI_N_CAP + 1):
+        lower_1, main_1, upper_1 = subspace_matrix(RabiConfig(n_max, "I"))
+        lower_2, main_2, upper_2 = subspace_matrix(RabiConfig(n_max, "II"))
+        assert main_2 == main_1[::-1], n_max
+        assert ([b * a for b, a in zip(lower_2, upper_2)]
+                == [b * a for b, a in zip(lower_1, upper_1)][::-1]), n_max
+        one, two = solved(n_max, "I"), solved(n_max, "II")
+        assert one.lambda_charpoly == two.lambda_charpoly, n_max
+        assert one.ratios() == two.ratios(), n_max
 
 
 def test_exact_null_vectors_annihilate_the_shifted_matrix():
@@ -275,12 +284,12 @@ def test_exact_null_vectors_annihilate_the_shifted_matrix():
     # polynomial, so v is a null vector at each of its roots.
     config = RabiConfig(5, "I")
     m0 = dense_tridiagonal(*subspace_matrix(config))
-    lam = LambdaPoly([F(0), F(1)])
+    lam = LambdaPolynomial([F(0), F(1)])
     size = len(m0)
-    shifted = [[LambdaPoly([m0[i][j]]) + (lam if i == j else 0)
+    shifted = [[LambdaPolynomial([m0[i][j]]) + (lam if i == j else 0)
                 for j in range(size)] for i in range(size)]
     result = solve_frequencies(config)
-    images = mat_vec(shifted, result.null_vector)
+    images = mat_vec(shifted, [LambdaPolynomial(entry) for entry in result.null_vector])
     assert images[0] != 0  # a multiple of the defining polynomial
     assert all(poly_divmod(entry.coeffs, result.lambda_charpoly)[1] == [] for entry in images)
 
@@ -355,8 +364,8 @@ def test_recurrence_null_vector_equals_the_elimination_one(sol_type):
             coeffs = (entry * unit).rem(modulus).all_coeffs()[::-1]
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
-            expected.append(tuple(F(int(c.p), int(c.q)) for c in coeffs))
-        assert [entry.coeffs for entry in result.null_vector] == expected, n_max
+            expected.append([F(int(c.p), int(c.q)) for c in coeffs])
+        assert result.null_vector == expected, n_max
 
 
 def test_extension_nullspace_of_the_path_graph():
@@ -364,7 +373,7 @@ def test_extension_nullspace_of_the_path_graph():
     # a proper factor of its det(lambda I + M0) = lambda^3 - 2 lambda.
     path = ([F(1), F(1)], [F(0), F(0), F(0)], [F(1), F(1)])
     vector = _extension_nullspace(path, [F(0), F(1)])
-    assert [entry.coeffs for entry in vector] == [(F(-1), F(0), F(1)), (F(0), F(-1)), (F(1),)]
+    assert vector == [[F(-1), F(0), F(1)], [F(0), F(-1)], [F(1)]]
 
 
 def test_extension_nullspace_refuses_a_non_eigenvalue():
@@ -409,22 +418,26 @@ def test_eigenfunction_assembly_reaches_apply_op(monkeypatch):
     result = solved(5, "I")
     counts = _count_calls(monkeypatch, families.apply_op)
     _, states = assemble_eigenfunctions(result)
-    # psi_1 is recovered once for the polynomial both roots share.
-    assert len(result.roots) == len(states) == 2 and counts == {"apply_op": 1}
+    # psi_1 is recovered once for the polynomial both roots share, one
+    # application per power of lambda in the null vector: lambda^0..lambda^5.
+    assert len(result.roots) == len(states) == 2 and counts == {"apply_op": 6}
 
 
 def test_conjugate_roots_share_one_recovered_partner_component():
-    # The structured psi_1, rendered, is the recovered pair written in z.
+    # The structured psi_1, rendered once, is the recovered one in z.
     config = RabiConfig(5, "I")
     result = solve_frequencies(config)
     assert len(result.roots) == 2
     chi = _apply_recovery_operator(result)
     shared, states = assemble_eigenfunctions(result)
     assert len(states) == 2 and "psi1" not in states[0]
-    for name, part in (("f", chi.r), ("fprime", chi.s)):
-        assert _z_text(shared["psi1"][name]) == repr(part).replace("x^", "z^").replace("*x", "*z")
-    assert [_lambda_text(entry) for entry in shared["null_vector"]] == [
-        repr(entry) for entry in result.null_vector]
+    assert sorted(chi) == sorted(shared["psi1"]) == ["f", "fprime"]
+    for name, part in chi.items():
+        assert shared["psi1"][name] == {
+            str(exp): [format_scalar(c) for c in coeffs] for exp, coeffs in part.items()}
+        assert all(coeffs and coeffs[-1] != 0 and exp % 2 == 0 for exp, coeffs in part.items())
+    assert shared["null_vector"] == [[format_scalar(c) for c in entry]
+                                     for entry in result.null_vector]
 
 
 @pytest.mark.parametrize("sol_type", ["I", "II"])
@@ -439,12 +452,12 @@ def test_recovery_operator_pulls_back_to_the_kernel_coordinate(sol_type):
 
 @pytest.mark.parametrize("sol_type", ["I", "II"])
 def test_partner_component_equals_the_z_frame_computation(sol_type):
-    for n_max in range(11):
-        config = RabiConfig(n_max, sol_type)
-        result = solve_frequencies(config)
-        chi = _apply_recovery_operator(result)
+    for n_max in range(21):
+        result = solved(n_max, sol_type)
         reference = recovery_in_z(result)
-        assert (repr(chi.r), repr(chi.s)) == (repr(reference.r), repr(reference.s)), n_max
+        assert _apply_recovery_operator(result) == {
+            name: {exp: list(c.coeffs) for exp, c in part.coeffs.items()}
+            for name, part in (("f", reference.r), ("fprime", reference.s))}, n_max
 
 
 def test_frequency_polynomial_matches_the_ladder_matrix():
@@ -501,7 +514,7 @@ def test_closed_form_ratio_matches_where_the_shared_polynomial_makes_it_hold(sol
     target = CLOSED_FORM_RATIOS[sol_type][0]
     holding = dataclasses.replace(
         result, lambda_charpoly=_quadratic_minimal(*target),
-        null_vector=[LambdaPoly((F(0), F(1)))] + result.null_vector[1:])
+        null_vector=[[F(0), F(1)]] + result.null_vector[1:])
     shared, states = assemble_eigenfunctions(holding)
     checks = shared["closed_form_ratio_check"]
     assert [check["matches_exactly"] for check in checks] == [True, False, True]
