@@ -41,7 +41,7 @@ _TABLE_SIZES = (2, 4, 5, 6, 7)
 # Each Fock-oracle probe is one pass over a chain of cutoff/2 entries;
 # table1 --cutoff 2000 takes about 0.26 s on a 2-vCPU host.
 _CUTOFF_RANGE = (100, 2000)
-# rabi --n 40 --type I --eigenfunctions takes 1.0-1.3 s on a 2-vCPU host, most of it
+# rabi --n 40 --type I --eigenfunctions takes 0.7-1.1 s on a 2-vCPU host, most of it
 # the partner component; without --eigenfunctions it takes 0.2 s.
 _RABI_N_CAP = 40
 # verify --n 8 takes 0.29-0.34 s on a 2-vCPU host, growing like N^2 and
@@ -215,10 +215,11 @@ def _rabi_lines(report: Dict[str, object]) -> List[str]:
             f"  listed {entry['listed']:.5f}: nearest computed gap "
             f"{entry['nearest_computed_gap']:.2e} [{verdict}]")
     energy_tag = "ok" if report["energy_ok"] else "MISS"
+    listed = report["energy_listed"]
     lines.append(
         f"  E/w = {report['energy_ratio']:.6f} "
-        f"(exact {report['energy_ratio_exact']}), listed "
-        f"{report['energy_listed']} [{energy_tag}]")
+        f"(exact {report['energy_ratio_exact']}), "
+        f"{'not listed' if listed is None else f'listed {listed}'} [{energy_tag}]")
     lines.append(
         f"  g/w = {report['g_ratio_exact']} = {report['g_ratio_float']:.6f}")
     for label, gaps in (("computed", report["fock_gap_at_computed"]),
@@ -392,6 +393,8 @@ def _check_args(parser: argparse.ArgumentParser, args) -> None:
         parser.error(f"--samples must lie in 1..{_SAMPLES_CAP}")
     if args.command == "commutators" and args.all and args.family:
         parser.error("--all and --family are mutually exclusive")
+    if args.command == "table1" and args.csv and args.json:
+        parser.error("--csv and --json are mutually exclusive")
     low, high = _CUTOFF_RANGE
     if args.command in ("rabi", "table1") and not low <= args.cutoff <= high:
         parser.error(f"--cutoff must lie in {low}..{high}")

@@ -74,6 +74,8 @@ def check_args(*argv):
     ("verify", "--samples", "65"),
     ("commutators", "--samples", "65"),
     ("verify", "--n", "8", "--cap", "9"),
+    ("commutators", "--all", "--family", "2"),
+    ("table1", "--csv", "--json"),
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -113,6 +115,12 @@ def test_rabi_reports_discrepancy_with_exit_one(capsys):
     assert code == 1
     assert "MISS" in out and "E/w" in out and "[ok]" in out
     assert "fock gap at computed" in out
+
+
+def test_rabi_without_a_listed_energy_says_so(capsys):
+    code, out = run_cli(capsys, "rabi", "--n", "0", "--type", "I", "--cutoff", "100")
+    assert code == 0
+    assert "), not listed [ok]" in out and "None" not in out
 
 
 # -- json contracts -------------------------------------------------------------
