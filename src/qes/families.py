@@ -161,44 +161,50 @@ class FamilySpec:
 
     def context(self) -> PairContext:
         """The ODE rewrite F'' = u*F + v*F' in the kernel's own coordinate."""
-        fid = self.family_id
-        if fid == 1:
-            u, v = LaurentPoly.x(-1), LaurentPoly.x(-1, -self.s)
-        elif fid in (2, 3):
-            u = LaurentPoly.x(-1, self.alpha)
-            v = LaurentPoly({0: _ONE, -1: -self.s})
-        elif fid == 4:
-            u, v = LaurentPoly.x(), LaurentPoly.zero()
-        elif fid == 5:
-            u = LaurentPoly({0: _ONE, -2: self.nu * self.nu})
-            v = LaurentPoly.x(-1, -_ONE)
-        else:
-            u = LaurentPoly.const(4 * self.alpha)
-            v = LaurentPoly.x(1, Fraction(2))
-        return PairContext(u, v)
+        return context_over(self.family_id, self.s, self.alpha, self.nu)
 
 
-def _second_chain_seed(spec: FamilySpec) -> PairElement:
-    """f_0^-, the seed of the second chain (families other than 3).
+def context_over(family_id: int, s, alpha, nu) -> PairContext:
+    """The ODE rewrite of one family's kernel, with s, alpha and nu taken from
+    any coefficient ring (as in `operators_over`)."""
+    if family_id == 1:
+        u, v = LaurentPoly.x(-1), LaurentPoly.x(-1, -s)
+    elif family_id in (2, 3):
+        u = LaurentPoly.x(-1, alpha)
+        v = LaurentPoly({0: _ONE, -1: -s})
+    elif family_id == 4:
+        u, v = LaurentPoly.x(), LaurentPoly.zero()
+    elif family_id == 5:
+        u = LaurentPoly({0: _ONE, -2: nu * nu})
+        v = LaurentPoly.x(-1, -_ONE)
+    else:
+        u = LaurentPoly.const(4 * alpha)
+        v = LaurentPoly.x(1, Fraction(2))
+    return PairContext(u, v)
 
-    Family 3 extends by shifting the upper hypergeometric parameter instead
-    of adjoining a derivative chain, so it has no second seed.
+
+def second_seed_over(family_id: int, s, alpha, nu) -> Tuple[object, LaurentPoly, LaurentPoly]:
+    """(w, R, S) with w * f_0^- = R*F + S*F', f_0^- the seed of the second
+    chain (families other than 3), for parameters from any coefficient ring.
+
+    w is 1, alpha (family 2) or 4*alpha (family 6), so R and S stay
+    polynomial in the parameters.  Family 3 extends by shifting the upper
+    hypergeometric parameter instead of adjoining a derivative chain, so it
+    has no second seed.
     """
-    fid = spec.family_id
-    ctx = spec.context()
-    one = LaurentPoly.const(_ONE)
-    if fid == 1:
-        return PairElement(LaurentPoly.zero(), LaurentPoly.const(spec.s), ctx)
-    if fid == 2:
-        return PairElement(LaurentPoly.zero(), LaurentPoly.const(spec.s / spec.alpha), ctx)
-    if fid == 4:
-        return PairElement(LaurentPoly.zero(), one, ctx)
-    if fid == 5:
-        return PairElement(LaurentPoly.x(-1, spec.nu), -one, ctx)
+    zero = LaurentPoly.zero()
+    if family_id == 1:
+        return 1, zero, LaurentPoly.const(s)
+    if family_id == 2:
+        return alpha, zero, LaurentPoly.const(s)
+    if family_id == 4:
+        return 1, zero, LaurentPoly.const(_ONE)
+    if family_id == 5:
+        return 1, LaurentPoly.x(-1, nu), LaurentPoly.const(-_ONE)
     # The second chain must carry the opposite parity for the ladder to
     # close: its seed is F'/(4*alpha) = x * 1F1(alpha+1; 3/2; x^2), the
     # derivative kernel with its natural odd prefactor kept.
-    return PairElement(LaurentPoly.zero(), LaurentPoly.const(Fraction(1, 4) / spec.alpha), ctx)
+    return 4 * alpha, zero, LaurentPoly.const(_ONE)
 
 
 def _basis_pairs(spec: FamilySpec) -> Tuple[PairElement, ...]:
@@ -212,7 +218,8 @@ def _basis_pairs(spec: FamilySpec) -> Tuple[PairElement, ...]:
                 LaurentPoly.x(1, _ONE / (spec.alpha + n)))
             pairs.append(prev + step)
     else:
-        minus = _second_chain_seed(spec)
+        w, r, s = second_seed_over(spec.family_id, spec.s, spec.alpha, spec.nu)
+        minus = PairElement(r * (_ONE / w), s * (_ONE / w), ctx)
         plus = PairElement(LaurentPoly.const(_ONE), LaurentPoly.zero(), ctx)
         pairs = [plus.times_poly(LaurentPoly.x(n)) for n in range(spec.n_max + 1)]
         pairs += [minus.times_poly(LaurentPoly.x(n)) for n in range(spec.n_max + 1)]
@@ -335,6 +342,77 @@ def matrix_rep(op: DiffOp, spec: FamilySpec) -> List[List[Fraction]]:
 # closed-form ladder actions
 # ---------------------------------------------------------------------------
 
+def ladder_table(family_id: int, n, n_cap, s, alpha, nu):
+    """The closed-form ladder actions of one family on the basis element of
+    index n, with n, N = n_cap and the parameters from any coefficient ring.
+
+    Returns {(raising?, on the plus chain?): (den, terms)}, one entry per
+    operator and source chain (family 3 has the plus chain only), each term
+    (target on the plus chain?, index shift, numerator): J f_n carries
+    numerator / den times the target element of index n + shift on its
+    chain.  den is 1 or s.  `action_formula` evaluates the table on
+    Fractions and `structure.ladder_proof` on polynomials in n, N and the
+    parameters, so the coefficients it proves are the ones
+    `rabi.subspace_matrix` uses.  Every term whose target leaves 0..N has a
+    numerator that vanishes there: b_n = n - N going up from n = N, and n
+    (or n(n - 1) for a step of two) going down from n = 0 (Turbiner's sl(2)
+    structure).
+    """
+    a_n = n - 2 * n_cap
+    b_n = n - n_cap
+    if family_id == 1:
+        return {
+            (True, True): (s, [(True, 0, s * n * (a_n - 1 + s)), (False, 1, 2 * b_n)]),
+            (True, False): (1, [(False, 0, (n - s) * (a_n - 1)), (True, 0, s * (2 * b_n - 1))]),
+            (False, True): (s, [(True, 0, s), (True, -1, s * n * (n + s)), (False, 0, 1 + 2 * n)]),
+            (False, False): (1, [(False, 0, 1), (False, -1, n * (n - s)), (True, -1, 2 * n * s)]),
+        }
+    if family_id == 2:
+        return {
+            (True, True): (s, [(True, 0, s * n * (a_n - 1 + s)), (True, 1, -s * b_n),
+                               (False, 1, 2 * alpha * b_n)]),
+            (True, False): (1, [(False, 0, (s - n) * (1 - a_n)), (False, 1, b_n),
+                                (True, 0, s * (2 * b_n - 1))]),
+            (False, True): (s, [(True, 0, s * (alpha - n)), (True, -1, s * n * (n + s)),
+                                (False, 0, alpha * (1 + 2 * n))]),
+            (False, False): (1, [(False, 0, alpha + n + 1), (False, -1, n * (n - s)),
+                                 (True, -1, 2 * n * s)]),
+        }
+    if family_id == 3:
+        c_n = n_cap - 2 * n
+        return {
+            (True, True): (1, [(True, 0, s * n + (alpha + n) * c_n), (True, 1, (alpha + n) * b_n),
+                               (True, -1, n * (alpha + n - s))]),
+            (False, True): (1, [(True, 0, n + alpha)]),
+        }
+    if family_id == 4:
+        return {
+            (True, True): (1, [(True, -2, n * (n - 1)), (False, -1, 2 * n)]),
+            (True, False): (1, [(True, 0, 1 + 2 * n), (False, -2, n * (n - 1))]),
+            (False, True): (1, [(True, -1, (a_n - 2) * n), (False, 0, 2 * b_n - 1)]),
+            (False, False): (1, [(True, 1, 2 * b_n), (False, -1, (a_n - 2) * n)]),
+        }
+    if family_id == 5:
+        return {
+            (True, True): (1, [(True, 0, (nu + n) * (nu + a_n)), (False, 1, -2 * b_n)]),
+            (True, False): (1, [(False, 0, (n - 1 - nu) * (a_n - 1 - nu)), (True, 1, -2 * b_n)]),
+            (False, True): (1, [(True, -1, n * (1 + n + 2 * nu)), (False, 0, -(1 + 2 * n))]),
+            (False, False): (1, [(True, 0, -(1 + 2 * n)), (False, -1, n * (n - 2 * nu - 1))]),
+        }
+    if family_id == 6:
+        return {
+            (True, True): (1, [(True, 1, -2 * b_n), (True, -1, n * (a_n - 2)),
+                               (False, 0, 4 * alpha * (2 * b_n - 1))]),
+            (True, False): (1, [(False, -1, n * (a_n - 2)), (True, 0, 2 * b_n - 1),
+                                (False, 1, 2 * b_n)]),
+            (False, True): (1, [(True, 0, 2 * (2 * alpha - n)), (True, -2, n * n - n),
+                                (False, -1, 8 * alpha * n)]),
+            (False, False): (1, [(True, -1, 2 * n), (False, 0, 2 * (2 * alpha + 1 + n)),
+                                 (False, -2, n * n - n)]),
+        }
+    raise FamilyError(f"unknown family id {family_id}")
+
+
 def action_formula(spec: FamilySpec, raise_op: bool, index: int) -> Dict[int, Fraction]:
     """Published closed-form action of J+ (raise_op) or J- on one basis element.
 
@@ -342,127 +420,30 @@ def action_formula(spec: FamilySpec, raise_op: bool, index: int) -> Dict[int, Fr
     family 3, whose basis is the single chain f_0..f_N, and for the other
     families n on the plus chain f_0^+..f_N^+ and N + 1 + n on the minus
     chain after it.  An index outside 0..dimension - 1 is a FamilyError.
-    Returns {basis_index: coefficient} with the zero coefficients omitted.
-    The cut-off at the subspace edges needs no guard: every coefficient
-    whose target index would leave 0..N carries a factor that vanishes
-    there, b_n = n - N going up from n = N, and n (or n(n - 1) for a step
-    of two) going down from n = 0 (Turbiner's sl(2) structure).  So `put`
-    drops it as a zero, and its range check is the edge check: a nonzero
-    coefficient outside 0..N is a FamilyError.
+    Returns {basis_index: coefficient} with the zero coefficients omitted,
+    read off `ladder_table`.  The cut-off at the subspace edges needs no
+    guard: every coefficient whose target index would leave 0..N vanishes
+    there, so it is dropped as a zero, and the range check is the edge
+    check: a nonzero coefficient outside 0..N is a FamilyError.
     """
     if not 0 <= index < spec.dimension:
         raise FamilyError(f"basis index {index} outside 0..{spec.dimension - 1}")
-    fid, n_cap = spec.family_id, spec.n_max
-    s, alpha, nu = spec.s, spec.alpha, spec.nu
+    n_cap = spec.n_max
     # Family 3's one chain has N + 1 elements, so every index is on it.
     plus_chain, m = index <= n_cap, index % (n_cap + 1)
-    n = Fraction(m)
-    a_n = n - 2 * n_cap
-    b_n = n - n_cap
+    den, terms = ladder_table(spec.family_id, Fraction(m), n_cap,
+                              spec.s, spec.alpha, spec.nu)[raise_op, plus_chain]
     out: Dict[int, Fraction] = {}
-    plus, minus = 0, n_cap + 1  # where each chain starts in the basis order
-
-    def put(chain: int, m: int, coeff: Fraction) -> None:
-        if coeff == 0:
-            return
-        if not 0 <= m <= n_cap:
+    for to_plus, shift, numerator in terms:
+        if numerator == 0:
+            continue
+        target = m + shift
+        if not 0 <= target <= n_cap:
             raise FamilyError(
-                f"ladder coefficient escapes the subspace: target index {m}")
-        out[chain + m] = out.get(chain + m, _ZERO) + coeff
-
-    if fid == 1:
-        if raise_op:
-            if plus_chain:
-                put(plus, m, n * (a_n - 1 + s))
-                put(minus, m + 1, 2 * b_n / s)
-            else:
-                put(minus, m, (n - s) * (a_n - 1))
-                put(plus, m, s * (2 * b_n - 1))
-        else:
-            if plus_chain:
-                put(plus, m, _ONE)
-                put(plus, m - 1, n * (n + s))
-                put(minus, m, (1 + 2 * n) / s)
-            else:
-                put(minus, m, _ONE)
-                put(minus, m - 1, n * (n - s))
-                put(plus, m - 1, 2 * n * s)
-    elif fid == 2:
-        if raise_op:
-            if plus_chain:
-                put(plus, m, n * (a_n - 1 + s))
-                put(plus, m + 1, -b_n)
-                put(minus, m + 1, 2 * alpha * b_n / s)
-            else:
-                put(minus, m, (s - n) * (1 - a_n))
-                put(minus, m + 1, b_n)
-                put(plus, m, s * (2 * b_n - 1))
-        else:
-            if plus_chain:
-                put(plus, m, alpha - n)
-                put(plus, m - 1, n * (n + s))
-                put(minus, m, alpha * (1 + 2 * n) / s)
-            else:
-                put(minus, m, alpha + n + 1)
-                put(minus, m - 1, n * (n - s))
-                put(plus, m - 1, 2 * n * s)
-    elif fid == 3:
-        c_n = n_cap - 2 * n
-        if raise_op:
-            put(plus, m, s * n + (alpha + n) * c_n)
-            put(plus, m + 1, (alpha + n) * b_n)
-            put(plus, m - 1, n * (alpha + n - s))
-        else:
-            put(plus, m, n + alpha)
-    elif fid == 4:
-        if raise_op:
-            if plus_chain:
-                put(plus, m - 2, n * (n - 1))
-                put(minus, m - 1, 2 * n)
-            else:
-                put(plus, m, 1 + 2 * n)
-                put(minus, m - 2, n * (n - 1))
-        else:
-            if plus_chain:
-                put(plus, m - 1, (a_n - 2) * n)
-                put(minus, m, 2 * b_n - 1)
-            else:
-                put(plus, m + 1, 2 * b_n)
-                put(minus, m - 1, (a_n - 2) * n)
-    elif fid == 5:
-        if raise_op:
-            if plus_chain:
-                put(plus, m, (nu + n) * (nu + a_n))
-                put(minus, m + 1, -2 * b_n)
-            else:
-                put(minus, m, (n - 1 - nu) * (a_n - 1 - nu))
-                put(plus, m + 1, -2 * b_n)
-        else:
-            if plus_chain:
-                put(plus, m - 1, n * (1 + n + 2 * nu))
-                put(minus, m, -(1 + 2 * n))
-            else:
-                put(plus, m, -(1 + 2 * n))
-                put(minus, m - 1, n * (n - 2 * nu - 1))
-    else:
-        if raise_op:
-            if plus_chain:
-                put(plus, m + 1, -2 * b_n)
-                put(plus, m - 1, n * (a_n - 2))
-                put(minus, m, 4 * alpha * (2 * b_n - 1))
-            else:
-                put(minus, m - 1, n * (a_n - 2))
-                put(plus, m, 2 * b_n - 1)
-                put(minus, m + 1, 2 * b_n)
-        else:
-            if plus_chain:
-                put(plus, m, 2 * (2 * alpha - n))
-                put(plus, m - 2, n * n - n)
-                put(minus, m - 1, 8 * alpha * n)
-            else:
-                put(plus, m - 1, 2 * n)
-                put(minus, m, 2 * (2 * alpha + 1 + n))
-                put(minus, m - 2, n * n - n)
+                f"ladder coefficient escapes the subspace: target index {target}")
+        if not to_plus:
+            target += n_cap + 1  # the minus chain follows the plus chain
+        out[target] = out.get(target, _ZERO) + Fraction(numerator) / den
     return out
 
 

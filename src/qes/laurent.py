@@ -115,15 +115,16 @@ class LaurentPoly:
         return LaurentPoly({e: fn(c) for e, c in self.coeffs.items()})
 
     def stretch_square(self, scale) -> "LaurentPoly":
-        """Substitute x -> scale * z**2: exponent n maps to 2n, coeff to c*scale^n."""
-        out: Dict[int, object] = {}
-        for exp, coeff in self.coeffs.items():
-            if exp >= 0:
-                factor = scale ** exp
-            else:
-                factor = reciprocal(scale) ** (-exp)
-            out[2 * exp] = coeff * factor
-        return LaurentPoly(out)
+        """Substitute x -> scale * z**2: exponent n maps to 2n, coeff to c*scale^n.
+
+        The powers of scale (and of 1/scale for negative n) are running
+        products, one product per power up to the largest |n| in use.
+        """
+        up = _powers(scale, max(self.coeffs, default=0))
+        low = min(self.coeffs, default=0)
+        down = _powers(reciprocal(scale), -low) if low < 0 else []
+        return LaurentPoly({2 * exp: coeff * (up[exp] if exp >= 0 else down[-exp])
+                            for exp, coeff in self.coeffs.items()})
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -138,3 +139,11 @@ class LaurentPoly:
             else:
                 parts.append(f"({c})*x^{exp}")
         return " + ".join(parts)
+
+
+def _powers(base, top: int) -> list:
+    """[base**0, base**1, ..., base**top], each the previous one times base."""
+    powers = [base ** 0]
+    for _ in range(top):
+        powers.append(powers[-1] * base)
+    return powers

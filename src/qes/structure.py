@@ -1,4 +1,9 @@
-"""Closure relations of the ladder operator pairs.
+"""Closure relations of the ladder operator pairs, and the proof of their
+ladder actions.
+
+The ladder actions of `families.ladder_table` are proved once per family
+over Q[s, alpha, nu, n, N] (`ladder_proof`), with the basis index n and
+the subspace size N as variables, so they hold for every N at once.
 
 The bracket S = [J^-, J^+] of each family's lowering and raising operators
 is an operator of order at most three, and bracketing either generator with
@@ -23,7 +28,9 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .diffop import DiffOp, commutator
-from .families import PARAMETERS, FamilySpec, operators_over
+from .families import (PARAMETERS, FamilySpec, PairElement, _combine, context_over,
+                       ladder_table, operators_over, second_seed_over)
+from .laurent import LaurentPoly
 from .sampling import mix_seed, sample_params
 
 
@@ -307,6 +314,167 @@ def symbolic_sides(family_id: int):
     """Both relations with J+ and J- over Q[s, alpha, nu, n]."""
     s, alpha, nu, n = (ParamPoly.var(name) for name in ("s", "alpha", "nu", "n"))
     return _relation_sides(*operators_over(family_id, n, s, alpha, nu))
+
+
+# ---------------------------------------------------------------------------
+# the ladder actions, proved for every index n and size N
+# ---------------------------------------------------------------------------
+
+def _frame_derivatives(pair: PairElement, index, order: int) -> List[PairElement]:
+    """[pair, D pair, ..., D^order pair] for x^index * pair: D is d/dx in
+    the pair's context plus index/x, the derivative of the prefactor."""
+    step = LaurentPoly.x(-1, index)
+    chain = [pair]
+    for _ in range(order):
+        chain.append(chain[-1].derivative() + chain[-1].times_poly(step))
+    return chain
+
+
+def _cleared_residual(op: DiffOp, index, den, source, targets) -> PairElement:
+    """den * W * (op f - sum_k (num_k / den) g_k), W the product of the
+    distinct weights, written in f's frame.
+
+    `source` is (w, pair) with w * f = x^index * pair, and each target
+    (num_k, w_k, pair_k) has w_k * g_k = x^index * pair_k, so no term of
+    the cleared residual divides.
+    """
+    weights: List[object] = []
+    for w in (source[0], *(w for _, w, _ in targets)):
+        if w != 1 and w not in weights:
+            weights.append(w)
+
+    def cofactor(weight):
+        product = 1
+        for w in weights:
+            if w != weight:
+                product = product * w
+        return LaurentPoly.const(product)
+
+    w, pair = source
+    image = _combine(op, _frame_derivatives(pair, index, max(op.coeffs)))
+    residual = image.times_poly(cofactor(w) * den)
+    for num, w, pair in targets:
+        residual = residual - pair.times_poly(cofactor(w) * num)
+    return residual
+
+
+def _nonzero_monomial(coeff) -> bool:
+    """A single term in s and alpha, which FamilySpec keeps nonzero for
+    every family that takes them."""
+    terms = ParamPoly._coerce(coeff).terms
+    return len(terms) == 1 and all(name in ("s", "alpha") for mono in terms
+                                   for name, _ in mono)
+
+
+def _power_frame(family_id: int, s, alpha, nu, n):
+    """Families 1, 2, 4, 5 and 6 in the frame of x^n: (index, element,
+    failed parts).
+
+    element(plus, shift) is (w, pair) with w * f = x^n * pair for f the
+    element of index n + shift on that chain: x^shift * (1, 0) on the plus
+    chain, x^shift * (R, S) with weight w on the minus chain
+    (`second_seed_over`).  The basis is independent by degree when the
+    minus seed's S part is a nonzero constant: the plus chain's R parts are
+    distinct powers x^n, the minus chain's S parts a constant times x^n.
+    """
+    ctx = context_over(family_id, s, alpha, nu)
+    weight, r, s_part = second_seed_over(family_id, s, alpha, nu)
+    seeds = {True: (1, PairElement(LaurentPoly.const(1), LaurentPoly.zero(), ctx)),
+             False: (weight, PairElement(r, s_part, ctx))}
+
+    def element(plus, shift):
+        w, pair = seeds[plus]
+        return w, pair.times_poly(LaurentPoly.x(shift))
+
+    independent = list(s_part.coeffs) == [0] and _nonzero_monomial(s_part.coeffs[0])
+    return n, element, [] if independent else ["independence"]
+
+
+def _hypergeometric_frame(s, alpha, nu, n):
+    """Family 3 in the frame of f_n = 1F1(alpha+n; s; x), the kernel of the
+    family's ODE with alpha + n for alpha: (index 0, element, failed parts).
+
+    There (alpha+n) f_(n+1) = (alpha+n, x), the basis recurrence, and
+    (s-alpha-n) f_(n-1) = (s-alpha-n-x, x), the contiguous relation
+    (DLMF 13.3.1), which is checked here from the recurrence in f_(n-1)'s
+    frame ("contiguity").  Independence is by degree: the S part of f_n
+    has degree n and leading coefficient 1/(alpha)_n for n >= 1, and
+    f_0 = (1, 0).  The recurrence maps (R, S) to
+    (R + (x R' + x u S)/(alpha+n), S + (x R + x S' + x v S)/(alpha+n)),
+    which keeps that shape exactly when x u has no positive power and x v
+    has degree 1 with leading coefficient 1 ("independence").
+    """
+    x = LaurentPoly.x()
+    up, down = alpha + n, s - alpha - n
+    ctx = context_over(3, s, up, nu)
+    frame = {0: (1, PairElement(LaurentPoly.const(1), LaurentPoly.zero(), ctx)),
+             1: (up, PairElement(LaurentPoly.const(up), x, ctx)),
+             -1: (down, PairElement(LaurentPoly.const(down) - x, x, ctx))}
+    failed = []
+    # f_n = (alpha+n-1, x)/(alpha+n-1) in f_(n-1)'s frame, and
+    # (s-alpha-n) f_(n-1) = (s-alpha-n-x) f_n + x f_n', times alpha+n-1.
+    below = PairElement(LaurentPoly.const(up - 1), x, context_over(3, s, up - 1, nu))
+    relation = (below.times_poly(LaurentPoly.const(down) - x)
+                + below.derivative().times_poly(x)
+                - PairElement(LaurentPoly.const((up - 1) * down), LaurentPoly.zero(), below.ctx))
+    if not relation.r.is_zero() or not relation.s.is_zero():
+        failed.append("contiguity")
+    kernel = context_over(3, s, alpha, nu)
+    xu, xv = kernel.u * x, kernel.v * x
+    if not (max(xu.coeffs, default=0) <= 0 and max(xv.coeffs, default=0) == 1
+            and xv.coeffs[1] == 1):
+        failed.append("independence")
+    return 0, lambda plus, shift: frame[shift], failed
+
+
+def ladder_proof(family_id: int) -> List[str]:
+    """Prove the family's `ladder_table` for every index n and size N at once,
+    over Q[s, alpha, nu, n, N], and the basis independent for every N.
+
+    Each (operator, chain) identity J f_n = sum_k (num_k / den) f_target(k)
+    is written in f_n's frame (`_power_frame`, where the derivative adds
+    n/x, or `_hypergeometric_frame`), multiplied by den and its weights,
+    and must leave a zero residual (`_cleared_residual`).  s and alpha are
+    nonzero, and alpha + n is nonzero for n in 0..N, wherever FamilySpec
+    accepts a point.  Where s - alpha - n vanishes (family 3) the cleared
+    identity still gives the plain one: its F' part shows that
+    s - alpha - n divides (alpha + n) x times the coefficient of f_(n-1),
+    hence that coefficient.  Each term whose target would leave 0..N must
+    have a numerator that vanishes at the edge it crosses: at n = N, ...,
+    N - shift + 1 going up and at n = 0, ..., |shift| - 1 going down.
+
+    Returns the names of the parts that fail, empty when the family is
+    proved: "J+ plus" for the identity of J+ on the plus chain, "J+ plus
+    edge" for its cut-off, "contiguity" and "independence".
+    """
+    s, alpha, nu, n, n_cap = (ParamPoly.var(name) for name in ("s", "alpha", "nu", "n", "N"))
+    if family_id == 3:
+        index, element, frame_failed = _hypergeometric_frame(s, alpha, nu, n)
+    else:
+        index, element, frame_failed = _power_frame(family_id, s, alpha, nu, n)
+    ops = dict(zip((True, False), operators_over(family_id, n_cap, s, alpha, nu)))
+    tables = {n: ladder_table(family_id, n, n_cap, s, alpha, nu)}
+
+    def at(end):
+        """The table with n = end."""
+        if end not in tables:
+            tables[end] = ladder_table(family_id, end, n_cap, s, alpha, nu)
+        return tables[end]
+
+    failed: List[str] = []
+    for key, (den, terms) in tables[n].items():
+        name = f"J{'+' if key[0] else '-'} {'plus' if key[1] else 'minus'}"
+        targets = [(num, *element(plus, shift)) for plus, shift, num in terms]
+        residual = _cleared_residual(ops[key[0]], index, den, element(key[1], 0), targets)
+        if not residual.r.is_zero() or not residual.s.is_zero():
+            failed.append(name)
+        for position, (_, shift, _) in enumerate(terms):
+            ends = ([n_cap - j for j in range(shift)]
+                    + [ParamPoly.const(j) for j in range(-shift)])
+            if any(at(end)[key][1][position][2] != 0 for end in ends):
+                failed.append(f"{name} edge")
+                break
+    return failed + frame_failed
 
 
 def _residuals(sides, constants: Mapping[str, ParamPoly]) -> Dict[str, DiffOp]:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qes import families, linalg
+from qes import cli, families, linalg
 from qes.cli import _build_parser, _check_args, main
 
 
@@ -139,6 +139,7 @@ def test_verify_json_layout(capsys):
     for sample in blocks[0]["sample_reports"]:
         assert sample["ok"] and sample["rank_ok"]
         assert sample["basis_rank"] == 4
+    assert payload["ladder_proofs"] == {"1": []}
 
 
 def test_commutators_json_carries_both_constant_sets(capsys):
@@ -198,24 +199,25 @@ def test_json_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_a_passing_verify_solves_nothing_but_one_rank_per_spec(capsys, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("decompose called on a passing verify")
+@pytest.mark.parametrize("argv", [("--n", "2"), ("--samples", "64")], ids=("n2", "samples64"))
+def test_a_passing_verify_proves_each_family_once_and_checks_no_sample(argv, capsys, monkeypatch):
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"{name} called on a passing verify")
+        return call
 
-    def no_rational_elimination(*args):
-        raise AssertionError("rational elimination on a passing verify")
-
-    ranks = []
-    integer_rank = linalg.integer_rank
-    monkeypatch.setattr(families, "decompose", refuse)
-    monkeypatch.setattr(linalg, "rref", no_rational_elimination)
-    monkeypatch.setattr(linalg, "integer_rank",
-                        lambda m: ranks.append(m) or integer_rank(m))
-    code, payload = run_json(capsys, "verify", "--n", "2")
+    for module, name in ((families, "verify_invariance"), (cli, "verify_invariance"),
+                         (families, "_derivatives"), (families, "decompose"),
+                         (linalg, "rref"), (linalg, "integer_rank")):
+        monkeypatch.setattr(module, name, refuse(name))
+    proved = []
+    ladder_proof = cli.ladder_proof
+    monkeypatch.setattr(cli, "ladder_proof", lambda f: proved.append(f) or ladder_proof(f))
+    code, payload = run_json(capsys, "verify", *argv)
     assert code == 0 and payload["status"] == "ok"
-    specs = sum(len(check["sample_reports"]) for check in payload["checks"])
-    assert len(ranks) == specs > 0
-    assert all(type(x) is int for m in ranks for row in m for x in row)
+    assert proved == [1, 2, 3, 4, 5, 6]
+    assert payload["ladder_proofs"] == {str(family): [] for family in proved}
+    assert sum(len(check["sample_reports"]) for check in payload["checks"]) > 6
 
 
 def test_seed_changes_the_sampled_points_but_not_the_verdict(capsys):

@@ -7,7 +7,7 @@ from _algebra import apply_to, laurent_at
 from qes.diffop import (DiffOp, GaugeFactor, commutator, conjugate_by_gauge,
                         pull_back_square, substitute_square)
 from qes.laurent import LaurentPoly
-from qes.scalars import QuadScalar, SQRT2
+from qes.scalars import QuadScalar, SQRT2, reciprocal
 
 small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -51,6 +51,26 @@ def test_laurent_derivative_is_leibniz(p, q):
 def test_laurent_stretch_square_evaluates_consistently(p, scale):
     z = Fraction(3, 2)
     assert laurent_at(p.stretch_square(scale), z) == laurent_at(p, scale * z * z)
+
+
+def stretched_term_by_term(p, scale):
+    """x -> scale z^2 one term at a time, each power taken by `**`."""
+    return LaurentPoly({2 * e: c * (scale ** e if e >= 0 else reciprocal(scale) ** -e)
+                        for e, c in p.coeffs.items()})
+
+
+surds = st.builds(QuadScalar, small_fractions, small_fractions, small_fractions,
+                  small_fractions).filter(lambda q: not q.is_zero())
+
+
+@given(laurent_polys(min_exp=-6, max_exp=7), small_fractions.filter(bool) | surds)
+@settings(max_examples=60)
+def test_stretch_square_equals_the_term_by_term_powers(p, scale):
+    # The running products give the very values and types of scale ** e.
+    got, expected = p.stretch_square(scale), stretched_term_by_term(p, scale)
+    assert got == expected
+    assert repr(got) == repr(expected)
+    assert [type(c) for c in got.coeffs.values()] == [type(c) for c in expected.coeffs.values()]
 
 
 def test_laurent_carries_surd_coefficients():
