@@ -5,8 +5,9 @@ by its three diagonals, the dense Faddeev-LeVerrier characteristic
 polynomial, an operator applied to a Laurent polynomial term by term, the
 basis rank, solves and closure fit on `dense_rref`, which share no
 elimination with `qes`, and psi_1 recovered in the z frame over a ring of
-polynomials in lambda), and the dense numpy Fock blocks that the chain
-oracle must agree with."""
+polynomials in lambda), the dense numpy Fock blocks that the chain
+oracle must agree with, and a bent ladder (a wrong J+ coefficient and
+x*J- for J-) on which the sampled invariance check must fail."""
 
 import math
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 
 from qes import families, structure
 from qes.diffop import DiffOp, conjugate_by_gauge
-from qes.families import PairElement, apply_op, family_operators
+from qes.families import PairElement, action_formula, apply_op, family_operators
 from qes.laurent import LaurentPoly
 from qes.rabi import COS_2T, TWO_G, assemble_operator, fock_truncation_check
 from qes.scalars import reciprocal
@@ -147,6 +148,21 @@ def coefficient_matrix(pairs):
 def independence_rank(spec):
     """Column rank of the basis coefficient matrix (should equal the dimension)."""
     return dense_rank(coefficient_matrix(families._basis_pairs(spec)))
+
+
+def bent_action_formula(spec, raise_op, index):
+    """`action_formula` with 1 added to J+'s diagonal coefficient on f_1^+
+    and f_1^- (on f_1 alone for family 3)."""
+    action = action_formula(spec, raise_op, index)
+    if raise_op and index % (spec.n_max + 1) == 1:
+        action[index] = action.get(index, Fraction(0)) + 1
+    return action
+
+
+def bent_family_operators(spec):
+    """(J+, x*J-): x*J- pushes the top of each chain out of the span."""
+    j_plus, j_minus = family_operators(spec)
+    return j_plus, DiffOp.mul_by(LaurentPoly.x()) * j_minus
 
 
 def structure_operator(spec):

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from _algebra import (LambdaPolynomial, coefficient_matrix, dense_rank, dense_solve,
-                      independence_rank, mat_commutator, mat_mul)
+from _algebra import (LambdaPolynomial, bent_action_formula, bent_family_operators,
+                      coefficient_matrix, dense_rank, dense_solve, independence_rank,
+                      mat_commutator, mat_mul)
 from qes import families
 from qes.diffop import DiffOp, commutator
 from qes.families import (PARAMETERS, FamilyError, FamilySpec, NotInSpan,
@@ -412,31 +413,32 @@ def test_a_failing_action_reports_the_decomposed_image(monkeypatch):
     # J-, which pushes the top of each chain out of the span: every mismatch
     # carries what decompose finds for the image.
     spec = FamilySpec(2, 2, s=F(7, 2), alpha=F(2, 5))
-    j_plus, j_minus = family_operators(spec)
-    x_j_minus = DiffOp.mul_by(LaurentPoly.x()) * j_minus
-    original = families.action_formula
-
-    def wrong_formula(spec, raise_op, index):
-        action = original(spec, raise_op, index)
-        if raise_op and index % (spec.n_max + 1) == 1:  # f_1^+ and f_1^-
-            action[index] = action.get(index, F(0)) + 1
-        return action
-
-    monkeypatch.setattr(families, "action_formula", wrong_formula)
-    monkeypatch.setattr(families, "family_operators", lambda s: (j_plus, x_j_minus))
+    monkeypatch.setattr(families, "action_formula", bent_action_formula)
+    monkeypatch.setattr(families, "family_operators", bent_family_operators)
     report = verify_invariance(spec)
     assert not report["ok"] and report["checks"] == 2 * spec.dimension
     pairs = families._basis_pairs(spec)
     kinds = set()
     for mismatch in report["mismatches"]:
-        op = j_plus if mismatch["op"] == "J+" else x_j_minus
+        op = bent_family_operators(spec)[mismatch["op"] == "J-"]
         coords = decompose(apply_op(op, pairs[mismatch["element"]]), spec)
         if isinstance(coords, NotInSpan):
             assert mismatch["computed"] == "not in span"
         else:
             assert mismatch["computed"] == {i: c for i, c in enumerate(coords) if c != 0}
         kinds.add((mismatch["op"], isinstance(coords, NotInSpan)))
-        assert mismatch["expected"] == wrong_formula(
+        assert mismatch["expected"] == bent_action_formula(
             spec, mismatch["op"] == "J+", mismatch["element"])
     assert [m["element"] for m in report["mismatches"] if m["op"] == "J+"] == [1, 4]
     assert kinds == {("J+", False), ("J-", False), ("J-", True)}
+
+
+def test_a_repeated_basis_pair_is_reported_rank_deficient(monkeypatch):
+    # The last basis pair replaced by a multiple of the first: one rank short.
+    spec = FamilySpec(5, 2, nu=F(3, 4))
+    original = families._basis_pairs
+    monkeypatch.setattr(families, "_basis_pairs", lambda s: original(s)[:-1] + (
+        original(s)[0].times_poly(LaurentPoly.const(F(-2))),))
+    report = verify_invariance(spec)
+    assert report["basis_rank"] == spec.dimension - 1
+    assert report["rank_ok"] is False

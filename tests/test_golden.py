@@ -22,6 +22,11 @@ kernel data (gauge, kernel argument and parameters) that every schema-1
 state repeated.  A test shows that each of those exact values reappears
 in schema 2.
 
+`golden/failing_verify_report.json` holds the exit code and the whole
+report (except `elapsed_seconds`) of `FAILING_COMMAND` run on a bent
+ladder (`bent_ladder`), its proof forced to fail: the mismatches of the
+sampled check, with computed coordinates and "not in span" entries.
+
 `golden/human_reports.json` holds the exit code and the whole human
 output of a `commutators`, a `rabi` and a `verify` run.  The `rabi` output
 prints its Fock gaps to two digits, so a reordering of the oracle's
@@ -39,9 +44,12 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from _algebra import bent_action_formula, bent_family_operators
+from qes import cli, families
 from qes.cli import _lambda_text, _z_text, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "rabi_reports.json"
@@ -49,6 +57,7 @@ SCHEMA1 = GOLDEN.with_name("rabi_reports_schema1.json")
 SCHEMA1_KERNELS = GOLDEN.with_name("rabi_kernels_schema1.json")
 LADDER_GOLDEN = GOLDEN.with_name("ladder_reports.json")
 HUMAN_GOLDEN = GOLDEN.with_name("human_reports.json")
+FAILING_GOLDEN = GOLDEN.with_name("failing_verify_report.json")
 LADDER_COMMANDS = (
     "verify --n 3 --seed 0 --json",
     "commutators --all --seed 0 --json",
@@ -67,11 +76,24 @@ SCHEMA1_COMMANDS = (
 COMMANDS = SCHEMA1_COMMANDS + (
     "rabi --n 12 --type I --eigenfunctions --cutoff 100 --json",
 )
+FAILING_COMMAND = "verify --family 2 --n 2 --json"
 HUMAN_COMMANDS = (
     "commutators --all --seed 0",
     "rabi --n 2 --type I --eigenfunctions --cutoff 100",
     "verify --n 2 --seed 3",
 )
+
+
+@contextlib.contextmanager
+def bent_ladder():
+    """A wrong J+ coefficient on f_1^+ and f_1^-, and x*J- for J-, with the
+    ladder proof made to name the parts that bend breaks, so that `verify`
+    checks every sample."""
+    broken = ["J+ plus", "J+ minus", "J- plus", "J- minus"]
+    with mock.patch.object(families, "action_formula", bent_action_formula), \
+            mock.patch.object(families, "family_operators", bent_family_operators), \
+            mock.patch.object(cli, "ladder_proof", lambda family: list(broken)):
+        yield
 
 
 def blocks_of(report):
@@ -183,6 +205,11 @@ def test_whole_ladder_report_matches_the_golden_file(command):
     assert run_whole(command) == golden[command]
 
 
+def test_failing_verify_report_matches_the_golden_file():
+    with bent_ladder():
+        assert run_whole(FAILING_COMMAND) == json.loads(FAILING_GOLDEN.read_text())
+
+
 @pytest.mark.parametrize("command", HUMAN_COMMANDS)
 def test_human_output_matches_the_golden_file(command):
     golden = json.loads(HUMAN_GOLDEN.read_text())
@@ -194,6 +221,9 @@ if __name__ == "__main__":
                                  indent=1, sort_keys=True) + "\n")
     LADDER_GOLDEN.write_text(json.dumps({command: run_whole(command) for command in LADDER_COMMANDS},
                                         indent=1, sort_keys=True) + "\n")
+    with bent_ladder():
+        FAILING_GOLDEN.write_text(json.dumps(run_whole(FAILING_COMMAND), indent=1, sort_keys=True)
+                                  + "\n")
     HUMAN_GOLDEN.write_text(json.dumps({command: run_human(command) for command in HUMAN_COMMANDS},
                                        indent=1, sort_keys=True) + "\n")
     sys.exit(0)
