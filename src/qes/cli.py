@@ -47,8 +47,9 @@ _RABI_N_CAP = 40
 # A passing verify proves each family once for every N and reads each
 # sample's report off the proof: verify --n 8 --samples 64 takes 0.12-0.20 s
 # as a subprocess on a 2-vCPU host, about as long as verify --n 0.  A family
-# whose proof fails is checked sample by sample, which grows like N^2 and
-# linearly in --samples: 1.1 s in-process at --n 8 --samples 64.
+# whose proof fails is checked sample by sample, on Fractions, which grows
+# like N^2 and linearly in --samples: 2.0-2.1 s in-process at --n 8
+# --samples 64.
 # commutators forms its residuals once and evaluates them per sample, so
 # commutators --samples 64 takes about 0.2 s.
 _VERIFY_N_CAP = 8

@@ -11,7 +11,6 @@ and the matrix representations are checked.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,21 +38,13 @@ class PairContext:
     `u` and `v` give the ODE rewrite F'' = u*F + v*F', so
 
         d/dx [R*F + S*F'] = (R' + S*u)*F + (R + S' + S*v)*F'
-
-    A context with `den` = D > 1 stores D*u and D*v in `u` and `v`, and
-    `derive` computes D*d/dx: clearing the denominators of the rewrite once
-    keeps pairs with integer coefficients on integers (`_cleared_basis`).
     """
 
     u: LaurentPoly
     v: LaurentPoly
-    den: int = 1
 
     def derive(self, r: LaurentPoly, s: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
-        r_part, s_part = r.derivative(), r + s.derivative()
-        if self.den != 1:
-            r_part, s_part = r_part * self.den, s_part * self.den
-        return r_part + s * self.u, s_part + s * self.v
+        return r.derivative() + s * self.u, r + s.derivative() + s * self.v
 
 
 @dataclass(frozen=True)
@@ -282,13 +273,13 @@ class NotInSpan:
     residual: PairElement
 
 
-def _basis_matrix(pairs: Sequence[PairElement], zero=_ZERO):
+def _basis_matrix(pairs: Sequence[PairElement]):
     """One row per (component, exponent) key that occurs in `pairs`, one
-    column per pair; absent entries are `zero`."""
+    column per pair; absent entries are zero."""
     exps_r = sorted({e for p in pairs for e in p.r.coeffs})
     exps_s = sorted({e for p in pairs for e in p.s.coeffs})
-    return ([[p.r.coeffs.get(e, zero) for p in pairs] for e in exps_r]
-            + [[p.s.coeffs.get(e, zero) for p in pairs] for e in exps_s])
+    return ([[p.r.coeffs.get(e, _ZERO) for p in pairs] for e in exps_r]
+            + [[p.s.coeffs.get(e, _ZERO) for p in pairs] for e in exps_s])
 
 
 def _solve_over_basis(pairs: Sequence[PairElement], targets: Sequence[PairElement]):
@@ -451,86 +442,35 @@ def verify_invariance(spec: FamilySpec) -> Dict[str, object]:
     """Check both family operators against the closed-form ladder actions.
 
     Each action J f_j = sum_i a_ij f_i is checked as an identity: the image
-    of every basis pair is formed symbolically (its derivatives are shared
-    by J+ and J-), the combination given by `action_formula` is subtracted,
-    and the residual must be zero.  The check runs on integers: the basis
-    is cleared to d*f_i, its derivatives are taken as D*d/dx
-    (`_cleared_basis`), and each operator and its actions carry one
-    common factor (`_cleared_action`), so the residual is a nonzero integer
-    multiple of the rational one.  The same cleared basis gives
-    `basis_rank`.  A passing check solves nothing; only a failing one is
-    decomposed over the basis, unscaled, so that its mismatch carries the
-    computed coordinates (or "not in span") beside the expected ones.
+    of every basis pair is formed from its derivatives, which J+ and J-
+    share, the combination given by `action_formula` is subtracted
+    (`_is_combination`), and the residual must be exactly zero.  A passing
+    check solves nothing; only a failing image is decomposed over the
+    basis, so that its mismatch carries the computed coordinates (or "not
+    in span") beside the expected ones.  `basis_rank` is the rank of the
+    basis matrix.
     """
-    pairs, cleared = _cleared_basis(spec)
-    ops = family_operators(spec)
-    depth = max(op.order() for op in ops)
-    den = cleared[0].ctx.den
-    checked = []
-    for label, op in zip(("J+", "J-"), ops):
-        actions = [action_formula(spec, label == "J+", idx) for idx in range(len(pairs))]
-        checked.append((label, op, actions, *_cleared_action(op, actions, den, depth)))
+    pairs = _basis_pairs(spec)
+    ops = tuple(zip(("J+", "J-"), family_operators(spec)))
+    depth = max(op.order() for _, op in ops)
     mismatches: List[Dict[str, object]] = []
-    checks = 0
-    for idx, pair in enumerate(cleared):
+    for idx, pair in enumerate(pairs):
         chain = _derivatives(pair, depth)
-        for label, op, actions, int_op, int_actions in checked:
-            checks += 1
-            if _is_combination(_combine(int_op, chain), int_actions[idx], cleared):
+        for label, op in ops:
+            image = _combine(op, chain)
+            expected = action_formula(spec, label == "J+", idx)
+            if _is_combination(image, expected, pairs):
                 continue
-            coords = decompose(apply_op(op, pairs[idx]), spec)
+            coords = decompose(image, spec)
             computed = ("not in span" if isinstance(coords, NotInSpan)
                         else {i: c for i, c in enumerate(coords) if c != 0})
             mismatches.append({"op": label, "element": idx,
-                               "computed": computed, "expected": actions[idx]})
-    rank = linalg.integer_rank(_basis_matrix(cleared, zero=0))
+                               "computed": computed, "expected": expected})
+    rank = linalg.rank(_basis_matrix(pairs))
     return {"family": spec.family_id, "n_max": spec.n_max,
-            "checks": checks, "mismatches": mismatches,
+            "checks": len(ops) * len(pairs), "mismatches": mismatches,
             "ok": not mismatches,
             "basis_rank": rank, "rank_ok": rank == spec.dimension}
-
-
-def _denominator(*polys: LaurentPoly) -> int:
-    """The lcm of the denominators of all coefficients of `polys`."""
-    return math.lcm(*(c.denominator for p in polys for c in p.coeffs.values()))
-
-
-def _times(poly: LaurentPoly, factor: int) -> LaurentPoly:
-    """factor * poly on int coefficients; `factor` clears poly's denominators."""
-    return LaurentPoly({e: c.numerator * (factor // c.denominator)
-                        for e, c in poly.coeffs.items()})
-
-
-def _cleared_basis(spec: FamilySpec) -> Tuple[Tuple[PairElement, ...], Tuple[PairElement, ...]]:
-    """(the basis pairs, d times each of them on ints), d the lcm of the
-    denominators of all the pairs.
-
-    The cleared pairs differentiate by D*d/dx, D the lcm of the denominators
-    of the ODE rewrite (u, v), so their derivative chains stay on ints too.
-    """
-    pairs = _basis_pairs(spec)
-    ctx = spec.context()
-    den = _denominator(ctx.u, ctx.v)
-    ctx = PairContext(_times(ctx.u, den), _times(ctx.v, den), den)
-    d = _denominator(*(poly for pair in pairs for poly in (pair.r, pair.s)))
-    return pairs, tuple(PairElement(_times(p.r, d), _times(p.s, d), ctx) for p in pairs)
-
-
-def _cleared_action(op: DiffOp, actions: Sequence[Dict[int, Fraction]], den: int,
-                    depth: int) -> Tuple[DiffOp, List[Dict[int, int]]]:
-    """(T*op for chains of D*d/dx, T*each action), all on ints, one T for the op.
-
-    The order-k coefficient a_k is scaled by L*d_J*D^(depth - k), d_J the
-    lcm of op's denominators, so on the chain [d*f, ..., (D*d/dx)^depth
-    (d*f)] it gives T*d*op(f) with T = L*d_J*D^depth; L clears the
-    denominators of d_J*D^depth times the actions.
-    """
-    m = _denominator(*op.coeffs.values()) * den ** depth
-    lcm = math.lcm(*((m * c).denominator for action in actions for c in action.values()))
-    int_op = DiffOp({k: _times(a, lcm * m // den ** k) for k, a in op.coeffs.items()})
-    int_actions = [{i: c.numerator * (lcm * m // c.denominator) for i, c in action.items()}
-                   for action in actions]
-    return int_op, int_actions
 
 
 def _is_combination(image: PairElement, coords: Dict[int, Fraction],

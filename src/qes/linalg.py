@@ -1,9 +1,8 @@
 """Exact linear algebra and univariate polynomials.
 
 Matrix routines (RREF, rank, null space) are generic over any exact field
-whose elements support +, -, *, / and == 0 (Fraction, QuadScalar), except
-`integer_rank`, which stays on ints by fraction-free elimination; a linear
-solve is one `rref` of the augmented matrix, which its caller reads
+whose elements support +, -, *, / and == 0 (Fraction, QuadScalar); a
+linear solve is one `rref` of the augmented matrix, which its caller reads
 (`families._solve_over_basis`).  The characteristic polynomial is the
 continuant of a tridiagonal matrix's three diagonals.  Polynomials are
 ascending rational coefficient lists; their root step clears denominators
@@ -69,33 +68,6 @@ def rref(matrix: Matrix) -> Tuple[Matrix, List[int]]:
 
 def rank(matrix: Matrix) -> int:
     return len(rref(matrix)[1])
-
-
-def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank of an int matrix by fraction-free elimination (Bareiss, Math.
-    Comp. 22 (1968) 565).
-
-    Each step replaces every lower entry by (p*a - f*b) / p_prev, a minor
-    of the original matrix, so each division is exact and the entries stay
-    ints of bounded size; a column without a pivot is skipped.
-    """
-    rows = [list(r) for r in matrix]
-    ncols = len(rows[0]) if rows else 0
-    previous, r = 1, 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r]
-        p = pivot[col]
-        for row in rows[r + 1:]:
-            f = row[col]
-            for k in range(col + 1, ncols):
-                row[k] = (p * row[k] - f * pivot[k]) // previous
-        previous = p
-        r += 1
-    return r
 
 
 def nullspace(matrix: Matrix) -> List[Vector]:

@@ -208,7 +208,7 @@ def test_a_passing_verify_proves_each_family_once_and_checks_no_sample(argv, cap
 
     for module, name in ((families, "verify_invariance"), (cli, "verify_invariance"),
                          (families, "_derivatives"), (families, "decompose"),
-                         (linalg, "rref"), (linalg, "integer_rank")):
+                         (linalg, "rref")):
         monkeypatch.setattr(module, name, refuse(name))
     proved = []
     ladder_proof = cli.ladder_proof

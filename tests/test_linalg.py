@@ -73,23 +73,6 @@ def test_sparse_rref_equals_the_dense_elimination(matrix):
     assert rref(matrix) == dense_rref(matrix)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6),
-       st.integers(min_value=0, max_value=4), st.data())
-def test_integer_rank_equals_the_rational_rank(nrows, ncols, rank_cap, data):
-    # Products of an nrows x k and a k x ncols matrix have rank at most k,
-    # so small k gives rank-deficient matrices; all-zero ones come too.
-    ints = st.integers(min_value=-40, max_value=40)
-    k = min(rank_cap, nrows, ncols)
-    left = data.draw(st.lists(st.lists(ints, min_size=k, max_size=k),
-                              min_size=nrows, max_size=nrows))
-    right = data.draw(st.lists(st.lists(ints, min_size=ncols, max_size=ncols),
-                               min_size=k, max_size=k))
-    matrix = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
-              if right else [0] * ncols for row in left]
-    assert linalg.integer_rank(matrix) == rank([[F(x) for x in row] for row in matrix])
-
-
 def has_float(value):
     return isinstance(value, float) or (
         isinstance(value, (list, tuple)) and any(map(has_float, value)))
@@ -126,13 +109,13 @@ def test_int_entries_give_the_fraction_results_on_the_seen_cases():
     assert isolate_real_roots([-2, 0, 1]) == isolate_real_roots([F(-2), F(0), F(1)])
 
 
-def test_integer_rank_of_empty_zero_and_rank_deficient_matrices():
-    assert linalg.integer_rank([]) == 0
-    assert linalg.integer_rank([[], []]) == 0
-    assert linalg.integer_rank([[0, 0, 0], [0, 0, 0]]) == 0
+def test_rank_of_empty_zero_and_rank_deficient_matrices():
+    assert rank([]) == 0
+    assert rank([[], []]) == 0
+    assert rank([[0, 0, 0], [0, 0, 0]]) == 0
     # The second column has no pivot, and rows 1 and 3 are dependent.
-    assert linalg.integer_rank([[0, 0, 2], [3, 6, 1], [0, 0, 4], [1, 2, 5]]) == 2
-    assert linalg.integer_rank([[2, 4], [3, 6], [5, 10]]) == 1
+    assert rank([[0, 0, 2], [3, 6, 1], [0, 0, 4], [1, 2, 5]]) == 2
+    assert rank([[2, 4], [3, 6], [5, 10]]) == 1
 
 
 @given(sizes.flatmap(tridiagonals))
