@@ -387,10 +387,10 @@ def test_a_failing_action_reports_the_decomposed_image(monkeypatch):
     report = verify_invariance(spec)
     assert not report["ok"] and report["checks"] == 2 * spec.dimension
     pairs = families._basis_pairs(spec)
+    ops = dict(zip(("J+", "J-"), bent_family_operators(spec)))
     kinds = set()
     for mismatch in report["mismatches"]:
-        op = bent_family_operators(spec)[mismatch["op"] == "J-"]
-        coords = decompose(apply_op(op, pairs[mismatch["element"]]), spec)
+        coords = decompose(apply_op(ops[mismatch["op"]], pairs[mismatch["element"]]), spec)
         if isinstance(coords, NotInSpan):
             assert mismatch["computed"] == "not in span"
         else:
