@@ -377,6 +377,32 @@ def test_identity_verdict_equals_the_decomposed_comparison(spec):
             assert families._is_combination(image, action, pairs)
 
 
+@pytest.mark.parametrize("spec", list(sampled_specs()),
+                         ids=lambda spec: f"f{spec.family_id}-N{spec.n_max}")
+def test_chain_verdict_equals_the_applied_one(spec):
+    # verify_invariance's image, summed on the shared derivative chain,
+    # against apply_op: for the published actions, with one coefficient
+    # moved or one term added, and for x^-1 * J, whose images leave the
+    # span.  Only the published actions of J pass.
+    pairs = families._basis_pairs(spec)
+    dim = len(pairs)
+    for raise_op, op in zip((True, False), family_operators(spec)):
+        actions = [action_formula(spec, raise_op, idx) for idx in range(dim)]
+        moved = [{**a, j: a.get(j, F(0)) + 1} for j, a in enumerate(actions)]
+        added = [{**a, (j + 1) % dim: a.get((j + 1) % dim, F(0)) - F(1, 3)}
+                 for j, a in enumerate(actions)]
+        for shifted in (op, DiffOp.mul_by(LaurentPoly.x(-1)) * op):
+            for kind, coords in (("published", actions), ("moved", moved), ("added", added)):
+                coords = [{i: c for i, c in a.items() if c != 0} for a in coords]
+                for j, pair in enumerate(pairs):
+                    image = families._combine(shifted, families._derivatives(pair, 2))
+                    verdict = families._is_combination(image, coords[j], pairs)
+                    assert verdict == families._is_combination(
+                        apply_op(shifted, pair), coords[j], pairs)
+                    if shifted is op:
+                        assert verdict == (kind == "published")
+
+
 def test_a_failing_action_reports_the_decomposed_image(monkeypatch):
     # A wrong coefficient in the published J+ action, and x*J- in place of
     # J-, which pushes the top of each chain out of the span: every mismatch

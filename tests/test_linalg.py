@@ -73,6 +73,23 @@ def test_sparse_rref_equals_the_dense_elimination(matrix):
     assert rref(matrix) == dense_rref(matrix)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6),
+       st.integers(min_value=0, max_value=4), st.data())
+def test_rank_of_low_rank_products_equals_the_dense_rank(nrows, ncols, rank_cap, data):
+    # Products of an nrows x k and a k x ncols matrix have rank at most k,
+    # so small k gives rank-deficient matrices; all-zero ones come too.
+    ints = st.integers(min_value=-40, max_value=40)
+    k = min(rank_cap, nrows, ncols)
+    left = data.draw(st.lists(st.lists(ints, min_size=k, max_size=k),
+                              min_size=nrows, max_size=nrows))
+    right = data.draw(st.lists(st.lists(ints, min_size=ncols, max_size=ncols),
+                               min_size=k, max_size=k))
+    matrix = [[F(sum(a * b for a, b in zip(row, col))) for col in zip(*right)]
+              if right else [F(0)] * ncols for row in left]
+    assert rank(matrix) == len(dense_rref(matrix)[1]) <= k
+
+
 def has_float(value):
     return isinstance(value, float) or (
         isinstance(value, (list, tuple)) and any(map(has_float, value)))
