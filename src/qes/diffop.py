@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict
+from typing import Dict, Tuple
 
 from .laurent import LaurentPoly, register_non_scalar
 from .scalars import reciprocal
@@ -49,10 +49,6 @@ class DiffOp:
     @classmethod
     def identity(cls) -> "DiffOp":
         return cls({0: LaurentPoly.const(Fraction(1))})
-
-    @classmethod
-    def d(cls, order: int = 1) -> "DiffOp":
-        return cls({order: LaurentPoly.const(Fraction(1))})
 
     @classmethod
     def mul_by(cls, poly) -> "DiffOp":
@@ -130,6 +126,11 @@ class DiffOp:
 
     def coeff(self, order: int) -> LaurentPoly:
         return self.coeffs.get(order, LaurentPoly.zero())
+
+    def cells(self) -> Dict[Tuple[int, int], object]:
+        """The nonzero coefficients, keyed by (order, exponent) of x^exponent d^order."""
+        return {(order, exp): coeff for order, poly in self.coeffs.items()
+                for exp, coeff in poly.coeffs.items()}
 
     def __repr__(self) -> str:
         if not self.coeffs:

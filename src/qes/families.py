@@ -447,7 +447,8 @@ def verify_invariance(spec: FamilySpec) -> Dict[str, object]:
     (`_is_combination`), and the residual must be exactly zero.  A passing
     check solves nothing; only a failing image is decomposed over the
     basis, so that its mismatch carries the computed coordinates (or "not
-    in span") beside the expected ones.  `basis_rank` is the rank of the
+    in span") beside the expected ones (or "outside the subspace", for a
+    nonzero coefficient past the edge).  `basis_rank` is the rank of the
     basis matrix.
     """
     pairs = _basis_pairs(spec)
@@ -458,9 +459,13 @@ def verify_invariance(spec: FamilySpec) -> Dict[str, object]:
         chain = _derivatives(pair, depth)
         for label, op in ops:
             image = _combine(op, chain)
-            expected = action_formula(spec, label == "J+", idx)
-            if _is_combination(image, expected, pairs):
-                continue
+            try:
+                expected = action_formula(spec, label == "J+", idx)
+            except FamilyError:  # a nonzero coefficient past the subspace edge
+                expected = "outside the subspace"
+            else:
+                if _is_combination(image, expected, pairs):
+                    continue
             coords = decompose(image, spec)
             computed = ("not in span" if isinstance(coords, NotInSpan)
                         else {i: c for i, c in enumerate(coords) if c != 0})
@@ -494,87 +499,56 @@ def _is_combination(image: PairElement, coords: Dict[int, Fraction],
 def solve_preserving(spec: FamilySpec, max_order: int = 2,
                      degree_bound: int = 2) -> Dict[str, object]:
     """All operators sum a_k(x) d^k with polynomial a_k that map the subspace
-    into itself, found by exact linear algebra over the unknown coefficients.
+    into itself, found by exact linear algebra over the coefficients of a_k.
 
-    Returns the solution space modulo the constants (multiples of the
-    identity), as DiffOp generators plus the raw dimension bookkeeping.
+    With coefficients c, basis element j maps to sum_(k,e) c_ke x^e f_j^(k).
+    In one RREF of [basis | every x^e f_j^(k)] (`_basis_matrix`), each row
+    pivoted past the basis columns is a condition that every image in the
+    span meets; its slice over element j's columns is a condition on c, and
+    the preserving space is their null space.  The matrix entries need no
+    unknowns: on an independent basis the operator fixes them.
+
+    Returns the space modulo the constants (multiples of the identity): the
+    generators are the solutions at the pivot columns of [identity |
+    solutions]; plus the raw dimension bookkeeping.
     """
     pairs = _basis_pairs(spec)
     dim = len(pairs)
-    op_unknowns = [(k, e) for k in range(max_order + 1) for e in range(degree_bound + 1)]
-    n_op = len(op_unknowns)
-    n_unknowns = n_op + dim * dim
-
-    derived = [_derivatives(p, max_order) for p in pairs]
-
-    exps_r, exps_s = set(), set()
-    for j in range(dim):
-        for k, e in op_unknowns:
-            shifted = derived[j][k].times_poly(LaurentPoly.x(e))
-            exps_r.update(shifted.r.coeffs)
-            exps_s.update(shifted.s.coeffs)
-        for p in pairs:
-            exps_r.update(p.r.coeffs)
-            exps_s.update(p.s.coeffs)
-    row_keys = [("r", e) for e in sorted(exps_r)] + [("s", e) for e in sorted(exps_s)]
-
-    matrix: List[List[Fraction]] = []
-    for j in range(dim):
-        for comp, e in row_keys:
-            row = [_ZERO] * n_unknowns
-            for col, (k, mono) in enumerate(op_unknowns):
-                shifted = derived[j][k].times_poly(LaurentPoly.x(mono))
-                row[col] = (shifted.r if comp == "r" else shifted.s).coeff(e)
-            for i in range(dim):
-                row[n_op + i * dim + j] = -(pairs[i].r if comp == "r" else pairs[i].s).coeff(e)
-            matrix.append(row)
-
-    solutions = linalg.nullspace(matrix)
-    op_parts = [vec[:n_op] for vec in solutions]
-    identity_direction = [_ZERO] * n_op
-    identity_direction[op_unknowns.index((0, 0))] = _ONE
-
-    stacked = [identity_direction] + op_parts
-    dim_mod_constants = linalg.rank(stacked) - 1
-
-    generators: List[DiffOp] = []
-    basis_rows = [identity_direction]
-    for vec in op_parts:
-        candidate = basis_rows + [vec]
-        if linalg.rank(candidate) > len(basis_rows):
-            basis_rows.append(vec)
-            generators.append(_vector_to_op(vec, op_unknowns))
-    return {"generators": generators,
-            "dimension_mod_constants": dim_mod_constants,
+    unknowns = [(k, e) for k in range(max_order + 1) for e in range(degree_bound + 1)]
+    chains = [_derivatives(pair, max_order) for pair in pairs]
+    images = [chain[k].times_poly(LaurentPoly.x(e)) for chain in chains for k, e in unknowns]
+    red, pivots = linalg.rref(_basis_matrix([*pairs, *images]))
+    width = len(unknowns)
+    conditions = [row[dim + j * width:dim + (j + 1) * width]
+                  for row, col in zip(red, pivots) if col >= dim for j in range(dim)]
+    solutions = linalg.nullspace(conditions or [[_ZERO] * width])
+    _, chosen = linalg.rref(list(zip(_op_vector(DiffOp.identity(), unknowns), *solutions)))
+    generators = [sum((DiffOp({k: LaurentPoly.x(e, c)})
+                       for (k, e), c in zip(unknowns, solutions[col - 1])), DiffOp.zero())
+                  for col in chosen[1:]]
+    return {"generators": generators, "dimension_mod_constants": len(generators),
             "raw_dimension": len(solutions)}
 
 
-def _vector_to_op(vec: List[Fraction], op_unknowns: List[Tuple[int, int]]) -> DiffOp:
-    coeffs: Dict[int, LaurentPoly] = {}
-    for value, (k, e) in zip(vec, op_unknowns):
-        if value:
-            coeffs[k] = coeffs.get(k, LaurentPoly.zero()) + LaurentPoly.x(e, value)
-    return DiffOp(coeffs)
+def _op_vector(op: DiffOp, unknowns: List[Tuple[int, int]]) -> Optional[List[Fraction]]:
+    """`op`'s coefficients at the cells `unknowns`, or None when it has a cell outside them."""
+    cells = op.cells()
+    if not cells.keys() <= set(unknowns):
+        return None
+    return [cells.get(cell, _ZERO) for cell in unknowns]
 
 
 def operator_in_span(result: Dict[str, object], op: DiffOp,
                      max_order: int = 2, degree_bound: int = 2) -> bool:
-    """Does `op` lie in the preserving span (modulo an additive constant)?"""
-    op_unknowns = [(k, e) for k in range(max_order + 1) for e in range(degree_bound + 1)]
-    target = [_ZERO] * len(op_unknowns)
-    for k, poly in op.coeffs.items():
-        for e, c in poly.coeffs.items():
-            if (k, e) not in op_unknowns:
-                return False
-            target[op_unknowns.index((k, e))] = c
-    rows = [[_ZERO] * len(op_unknowns)]
-    rows[0][op_unknowns.index((0, 0))] = _ONE
-    for gen in result["generators"]:
-        row = [_ZERO] * len(op_unknowns)
-        for k, poly in gen.coeffs.items():
-            for e, c in poly.coeffs.items():
-                row[op_unknowns.index((k, e))] = c
-        rows.append(row)
-    base_rank = linalg.rank(rows)
-    return linalg.rank(rows + [target]) == base_rank
+    """Does `op` lie in the preserving span (modulo an additive constant)?
 
+    The identity, the generators of `solve_preserving` and `op` are read as
+    vectors over the same cells (`_op_vector`); `op` is in the span when
+    appending it keeps the rank.  An operator with a cell outside them is not.
+    """
+    unknowns = [(k, e) for k in range(max_order + 1) for e in range(degree_bound + 1)]
+    target = _op_vector(op, unknowns)
+    if target is None:
+        return False
+    rows = [_op_vector(gen, unknowns) for gen in (DiffOp.identity(), *result["generators"])]
+    return linalg.rank(rows + [target]) == linalg.rank(rows)

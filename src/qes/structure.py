@@ -300,14 +300,8 @@ def _relation_sides(jp: DiffOp, jm: DiffOp):
     return raising, lowering
 
 
-def _cells(op: DiffOp) -> Dict[Tuple[int, int], object]:
-    """The nonzero coefficients of `op`, keyed by (order, exponent) of d^k x^j."""
-    return {(order, exp): coeff for order, poly in op.coeffs.items()
-            for exp, coeff in poly.coeffs.items()}
-
-
 def _residual_cells(op: DiffOp) -> Dict[str, str]:
-    return {f"d^{k} x^{j}": str(c) for (k, j), c in _cells(op).items()}
+    return {f"d^{k} x^{j}": str(c) for (k, j), c in op.cells().items()}
 
 
 def symbolic_sides(family_id: int):
@@ -548,7 +542,7 @@ def _solve_relation(side) -> Dict[str, ParamPoly]:
     unique, and a zero final remainder proves that it exists.
     """
     remainder = side["lhs"]
-    pending = {name: _cells(op) for name, op in side["terms"]}
+    pending = {name: op.cells() for name, op in side["terms"]}
     ops = dict(side["terms"])
     solved: Dict[str, ParamPoly] = {}
     while pending:

@@ -4,10 +4,12 @@ faster solver paths must match (among them the dense form of a matrix given
 by its three diagonals, the dense Faddeev-LeVerrier characteristic
 polynomial, an operator applied to a Laurent polynomial term by term, the
 basis rank, solves and closure fit on `dense_rref`, which share no
-elimination with `qes`, and psi_1 recovered in the z frame over a ring of
+elimination with `qes`, the preserving operators solved with every matrix
+entry as an unknown, and psi_1 recovered in the z frame over a ring of
 polynomials in lambda), the dense numpy Fock blocks that the chain
 oracle must agree with, and a bent ladder (a wrong J+ coefficient and
-x*J- for J-) on which the sampled invariance check must fail."""
+x*J- for J-) on which the sampled invariance check must fail, and the
+operator d^k."""
 
 import math
 from dataclasses import dataclass
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qes import families, structure
+from qes import families, linalg, structure
 from qes.diffop import DiffOp, conjugate_by_gauge
 from qes.families import PairElement, action_formula, apply_op, family_operators
 from qes.laurent import LaurentPoly
@@ -48,6 +50,11 @@ def apply_to(op, f):
             df = df.derivative()
         result = result + poly * df
     return result
+
+
+def derivative_op(order=1):
+    """The operator d^order."""
+    return DiffOp({order: LaurentPoly.const(Fraction(1))})
 
 
 def mat_identity(n, one=Fraction(1), zero=Fraction(0)):
@@ -150,6 +157,69 @@ def independence_rank(spec):
     return dense_rank(coefficient_matrix(families._basis_pairs(spec)))
 
 
+def preserving_by_matrix_entries(spec, max_order=2, degree_bound=2):
+    """`families.solve_preserving` as one system over the operator's
+    coefficients and all dim^2 matrix entries a_ij: the reference for the
+    search on the shared basis elimination.
+
+    Each basis element j gives one row per (component, exponent) key of
+    sum_(k,e) c_ke x^e f_j^(k) - sum_i a_ij f_i = 0.  The generators are
+    chosen greedily, rank by rank, from the null space's operator parts.
+    """
+    pairs = families._basis_pairs(spec)
+    dim = len(pairs)
+    op_unknowns = [(k, e) for k in range(max_order + 1) for e in range(degree_bound + 1)]
+    n_op = len(op_unknowns)
+    n_unknowns = n_op + dim * dim
+
+    derived = [families._derivatives(p, max_order) for p in pairs]
+
+    exps_r, exps_s = set(), set()
+    for j in range(dim):
+        for k, e in op_unknowns:
+            shifted = derived[j][k].times_poly(LaurentPoly.x(e))
+            exps_r.update(shifted.r.coeffs)
+            exps_s.update(shifted.s.coeffs)
+        for p in pairs:
+            exps_r.update(p.r.coeffs)
+            exps_s.update(p.s.coeffs)
+    row_keys = [("r", e) for e in sorted(exps_r)] + [("s", e) for e in sorted(exps_s)]
+
+    matrix = []
+    for j in range(dim):
+        for comp, e in row_keys:
+            row = [Fraction(0)] * n_unknowns
+            for col, (k, mono) in enumerate(op_unknowns):
+                shifted = derived[j][k].times_poly(LaurentPoly.x(mono))
+                row[col] = (shifted.r if comp == "r" else shifted.s).coeff(e)
+            for i in range(dim):
+                row[n_op + i * dim + j] = -(pairs[i].r if comp == "r" else pairs[i].s).coeff(e)
+            matrix.append(row)
+
+    solutions = linalg.nullspace(matrix)
+    op_parts = [vec[:n_op] for vec in solutions]
+    identity_direction = [Fraction(0)] * n_op
+    identity_direction[op_unknowns.index((0, 0))] = Fraction(1)
+
+    stacked = [identity_direction] + op_parts
+    dim_mod_constants = linalg.rank(stacked) - 1
+
+    generators = []
+    basis_rows = [identity_direction]
+    for vec in op_parts:
+        candidate = basis_rows + [vec]
+        if linalg.rank(candidate) > len(basis_rows):
+            basis_rows.append(vec)
+            coeffs = {}
+            for value, (k, e) in zip(vec, op_unknowns):
+                if value:
+                    coeffs[k] = coeffs.get(k, LaurentPoly.zero()) + LaurentPoly.x(e, value)
+            generators.append(DiffOp(coeffs))
+    return {"generators": generators,
+            "dimension_mod_constants": dim_mod_constants,
+            "raw_dimension": len(solutions)}
+
+
 def bent_action_formula(spec, raise_op, index):
     """`action_formula` with 1 added to J+'s diagonal coefficient on f_1^+
     and f_1^- (on f_1 alone for family 3)."""
@@ -180,7 +250,7 @@ def solve_constants_at(spec):
     solved = {}
     for side in structure._relation_sides(*family_operators(spec)):
         ops = [op for _, op in side["terms"]]
-        cells = sorted(set().union(*map(structure._cells, ops + [side["lhs"]])))
+        cells = sorted(set().union(*(op.cells() for op in ops + [side["lhs"]])))
         matrix = [[op.coeff(order).coeff(exp) for op in ops] for order, exp in cells]
         solution = dense_solve(matrix, [side["lhs"].coeff(k).coeff(j) for k, j in cells])
         if dense_rank(matrix) != len(ops) or solution is None:

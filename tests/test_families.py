@@ -5,7 +5,7 @@ import pytest
 
 from _algebra import (LambdaPolynomial, bent_action_formula, bent_family_operators,
                       coefficient_matrix, dense_rank, dense_solve, independence_rank,
-                      mat_commutator, mat_mul)
+                      mat_commutator, mat_mul, preserving_by_matrix_entries)
 from qes import families
 from qes.diffop import DiffOp, commutator
 from qes.families import (PARAMETERS, FamilyError, FamilySpec, NotInSpan,
@@ -256,6 +256,32 @@ def test_preserving_space_excludes_foreign_operators():
     spec = FamilySpec(1, 0, s=F(7, 3))
     found = solve_preserving(spec, max_order=2, degree_bound=2)
     assert not operator_in_span(found, DiffOp.mul_by(LaurentPoly.x()))
+    # A term outside the searched cells keeps J+ out, whatever its other cells.
+    j_plus, _ = family_operators(spec)
+    for term in (LaurentPoly.x(3), LaurentPoly.x(-1)):
+        assert not operator_in_span(found, j_plus + DiffOp.mul_by(term))
+
+
+# Family 5's J- carries x^-1, outside the polynomial coefficients searched,
+# so only J+ is found beside the identity.
+PRESERVING_DIMENSION = {1: 2, 2: 2, 3: 2, 4: 2, 5: 1, 6: 2}
+
+
+@pytest.mark.parametrize("family_id", range(1, 7))
+def test_preserving_space_equals_the_matrix_entry_system(family_id):
+    for n_max in range(4):
+        for params in sample_grid(family_id, n_max, count=2, seed=n_max + 41):
+            spec = spec_from(family_id, n_max, params)
+            found = solve_preserving(spec)
+            reference = preserving_by_matrix_entries(spec)
+            assert found["dimension_mod_constants"] == PRESERVING_DIMENSION[family_id]
+            assert reference["dimension_mod_constants"] == PRESERVING_DIMENSION[family_id]
+            assert found["raw_dimension"] == reference["raw_dimension"]
+            assert all(operator_in_span(reference, op) for op in found["generators"])
+            assert all(operator_in_span(found, op) for op in reference["generators"])
+            j_plus, j_minus = family_operators(spec)
+            assert operator_in_span(found, j_plus)
+            assert operator_in_span(found, j_minus) == (family_id != 5)
 
 
 # -- decompose against a reference solve per target ---------------------------

@@ -105,29 +105,43 @@ def test_every_traced_name_exists_in_qes():
 
 def names_in(source: str, imports: bool = False) -> set:
     """What each `ast.Name` and `ast.Attribute` in `source` reads, plus each
-    imported name if `imports`."""
+    imported name if `imports`.  An attribute read on a name also counts as
+    `name.attr`, and one on `cls` or `self` inside a class as `Class.attr`."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                names.add(f"{node.value.id}.{node.attr}")
         elif imports and isinstance(node, ast.alias):
             names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.ClassDef):
+            names.update(f"{node.name}.{inner.attr}" for inner in ast.walk(node)
+                         if isinstance(inner, ast.Attribute)
+                         and getattr(inner.value, "id", None) in ("cls", "self"))
     return names
 
 
 def definitions(source: str) -> list:
-    """(qualified name, name) of each module-level function and of each
-    method of a module-level class other than a dunder."""
+    """(qualified name, the read that reaches it) of each module-level
+    function and of each method of a module-level class other than a dunder.
+    A method is reached by a read of its name, a classmethod or staticmethod
+    only by one of `Class.name` (`names_in`)."""
     found = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.FunctionDef):
             found.append((node.name, node.name))
         elif isinstance(node, ast.ClassDef):
-            found += [(f"{node.name}.{item.name}", item.name) for item in node.body
-                      if isinstance(item, ast.FunctionDef)
-                      and not (item.name.startswith("__") and item.name.endswith("__"))]
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef) or (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    continue
+                qualified = f"{node.name}.{item.name}"
+                bound = any(getattr(dec, "id", None) in ("classmethod", "staticmethod")
+                            for dec in item.decorator_list)
+                found.append((qualified, qualified if bound else item.name))
     return found
 
 
@@ -136,7 +150,9 @@ def unreached_functions(modules: dict, pinned: set) -> list:
     (`definitions`) in `modules` ({file name: source}) that no module reads
     and `pinned` does not hold.  A module's use of its own function counts;
     the re-exports of `__init__.py` do not.  A method counts as read when any
-    module reads an attribute of its name."""
+    module reads an attribute of its name; a classmethod or staticmethod
+    only when it is read as `Class.name`, or as `cls.name` or `self.name`
+    inside its own class."""
     read = set().union(*(names_in(source) for name, source in modules.items()
                          if name != "__init__.py"))
     return sorted(f"{name[:-3]}.{qualified}" for name, source in modules.items()
@@ -167,3 +183,13 @@ def test_the_reach_check_sees_a_method_no_module_reads():
     modules = {"a.py": "class C:\n    def __init__(self):\n        self.f()\n\n"
                        "    def f(self):\n        pass\n\n    def g(self):\n        pass\n"}
     assert unreached_functions(modules, set()) == ["a.C.g"]
+
+
+def test_the_reach_check_sees_a_classmethod_read_only_as_another_class_field():
+    modules = {"a.py": "class C:\n    @classmethod\n    def d(cls):\n        return cls.e()\n\n"
+                       "    @staticmethod\n    def e():\n        pass\n\n\n"
+                       "class Q:\n    def __init__(self, d):\n        self.d = d\n\n"
+                       "    def f(self):\n        return self.d\n",
+               "b.py": "from .a import Q\n\nQ(1).f()\n"}
+    assert unreached_functions(modules, set()) == ["a.C.d"]
+    assert unreached_functions({**modules, "c.py": "from .a import C\n\nC.d()\n"}, set()) == []

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _algebra import apply_to, laurent_at
+from _algebra import apply_to, derivative_op, laurent_at
 from qes.diffop import (DiffOp, GaugeFactor, commutator, conjugate_by_gauge,
                         pull_back_square, substitute_square)
 from qes.laurent import LaurentPoly
@@ -119,15 +119,15 @@ def test_commutator_jacobi_identity(a, b, c):
 
 def test_canonical_normal_form():
     # d/dx followed by multiplication by x, reordered: x*D + 1.
-    d = DiffOp.d()
+    d = derivative_op()
     x = DiffOp.mul_by(LaurentPoly.x())
     assert d * x == x * d + DiffOp.identity()
     assert commutator(d, x) == DiffOp.identity()
 
 
 def test_operator_powers_and_order():
-    d = DiffOp.d()
-    assert d ** 3 == DiffOp.d(3)
+    d = derivative_op()
+    assert d ** 3 == derivative_op(3)
     op = DiffOp({2: LaurentPoly.x(), 0: LaurentPoly.const(5)})
     assert op.order() == 2
     with pytest.raises(ValueError):
@@ -161,8 +161,8 @@ def test_gauge_fixes_multiplication_operators():
 def test_gauge_shifts_the_derivative_by_the_log_derivative():
     # g^{-1} D g = D + (log g)'.
     gauge = GaugeFactor(z_power=3, gauss_coeff=Fraction(2, 5))
-    conjugated = conjugate_by_gauge(DiffOp.d(), gauge)
-    expected = DiffOp.d() + DiffOp.mul_by(gauge.log_derivative())
+    conjugated = conjugate_by_gauge(derivative_op(), gauge)
+    expected = derivative_op() + DiffOp.mul_by(gauge.log_derivative())
     assert conjugated == expected
 
 
@@ -192,7 +192,7 @@ def test_pull_back_square_over_a_surd_scale():
 
 def test_pull_back_square_refuses_a_term_odd_in_z():
     with pytest.raises(ValueError, match="odd"):
-        pull_back_square(DiffOp.d(), Fraction(2))
+        pull_back_square(derivative_op(), Fraction(2))
     with pytest.raises(ValueError, match="odd"):
         pull_back_square(DiffOp.mul_by(LaurentPoly.x()), Fraction(2))
     with pytest.raises(ValueError, match="nonzero"):
@@ -227,8 +227,8 @@ def test_int_scales_keep_the_seen_cases_exact():
     # pull_back_square could also loop for ever, as it did on the last case.
     seen = [(LaurentPoly.x(-1).stretch_square(2), LaurentPoly.x(-2, Fraction(1, 2))),
             (laurent_at(LaurentPoly.x(-1), 2), Fraction(1, 2)),
-            (substitute_square(DiffOp.d(), 2), DiffOp({1: LaurentPoly.x(-1, Fraction(1, 4))})),
-            (pull_back_square(substitute_square(DiffOp.d(), Fraction(2)), 2), DiffOp.d())]
+            (substitute_square(derivative_op(), 2), DiffOp({1: LaurentPoly.x(-1, Fraction(1, 4))})),
+            (pull_back_square(substitute_square(derivative_op(), Fraction(2)), 2), derivative_op())]
     for got, expected in seen:
         assert got == expected
         assert not any(isinstance(value, float) for value in exact_values(got))
@@ -239,5 +239,5 @@ def test_int_scales_keep_the_seen_cases_exact():
 
 def test_substitute_square_first_order_chain_rule():
     # d/dx becomes (1/(2*scale*z)) d/dz under x = scale z^2.
-    op = substitute_square(DiffOp.d(), Fraction(2))
+    op = substitute_square(derivative_op(), Fraction(2))
     assert op == DiffOp({1: LaurentPoly.x(-1, Fraction(1, 4))})

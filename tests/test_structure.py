@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from _algebra import mat_commutator, solve_constants_at, structure_operator
+from _algebra import derivative_op, mat_commutator, solve_constants_at, structure_operator
 from qes import structure
 from qes.diffop import DiffOp, commutator
 from qes.families import (PARAMETERS, FamilySpec, family_operators, matrix_rep,
@@ -294,7 +294,7 @@ def test_derivation_rejects_a_relation_that_cannot_close(monkeypatch):
 
 def test_derivation_requires_a_constant_pivot():
     s = ParamPoly.var("s")
-    side = {"label": "raise", "lhs": DiffOp.d(1) * s, "terms": (("c5p", DiffOp.d(1) * s),)}
+    side = {"label": "raise", "lhs": derivative_op() * s, "terms": (("c5p", derivative_op() * s),)}
     with pytest.raises(StructureError, match="no constant pivot"):
         structure._solve_relation(side)
 
