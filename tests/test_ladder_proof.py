@@ -78,12 +78,25 @@ SHIFTED = [(family_id, key, position) for family_id, key in IDENTITIES
            if shift]
 
 
+def failed_verify(family_id, capsys):
+    """The report of `verify --family family_id --n 2 --json`, which must
+    exit 1 with status fail."""
+    code = cli.main(["verify", "--family", str(family_id), "--n", "2", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["status"] == "fail"
+    return payload
+
+
 @pytest.mark.parametrize("family_id,key,position", SHIFTED)
 def test_a_coefficient_that_survives_its_edge_fails_the_edge_check(
-        family_id, key, position, monkeypatch):
-    # Plus one is nonzero at the edge, so the term would leave 0..N.
+        family_id, key, position, monkeypatch, capsys):
+    # Plus one is nonzero at the edge, so the term would leave 0..N; the
+    # sampled check reports that action as "outside the subspace".
     bend_table(monkeypatch, family_id, key, position, lambda numerator: numerator + 1)
     assert f"{identity_name(key)} edge" in ladder_proof(family_id)
+    reports = failed_verify(family_id, capsys)["checks"][0]["sample_reports"]
+    assert any(mismatch["expected"] == "outside the subspace"
+               for report in reports for mismatch in report["mismatches"])
 
 
 def test_every_kind_of_step_off_the_chain_is_checked_at_its_edge():
@@ -93,7 +106,8 @@ def test_every_kind_of_step_off_the_chain_is_checked_at_its_edge():
 
 
 @pytest.mark.parametrize("family_id", [1, 2, 4, 5, 6])
-def test_a_minus_seed_without_a_constant_s_part_fails_independence(family_id, monkeypatch):
+def test_a_minus_seed_without_a_constant_s_part_fails_independence(
+        family_id, monkeypatch, capsys):
     real = structure.second_seed_over
 
     def shifted(*args):
@@ -102,9 +116,11 @@ def test_a_minus_seed_without_a_constant_s_part_fails_independence(family_id, mo
 
     monkeypatch.setattr(structure, "second_seed_over", shifted)
     assert "independence" in ladder_proof(family_id)
+    # Every sample passes, since `families` keeps the real seed; the proof fails.
+    failed_verify(family_id, capsys)
 
 
-def test_family_3_independence_and_contiguity_rest_on_the_ode(monkeypatch):
+def test_family_3_independence_and_contiguity_rest_on_the_ode(monkeypatch, capsys):
     real = structure.context_over
 
     def raised(family_id, s, alpha, nu):
@@ -114,6 +130,18 @@ def test_family_3_independence_and_contiguity_rest_on_the_ode(monkeypatch):
     monkeypatch.setattr(structure, "context_over", raised)
     failed = ladder_proof(3)
     assert "independence" in failed and "contiguity" in failed
+    failed_verify(3, capsys)
+
+
+def test_a_failed_proof_fails_verify_where_every_sample_passes(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ladder_proof", lambda family_id: ["forced"])
+    code = cli.main(["verify", "--n", "8", "--samples", "64", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["status"] == "fail"
+    assert payload["ladder_proofs"] == {str(f): ["forced"] for f in range(1, 7)}
+    assert not any(check["ok"] for check in payload["checks"])
+    assert all(report["ok"] for check in payload["checks"]
+               for report in check["sample_reports"])
 
 
 @pytest.mark.parametrize("family_id", [1, 2, 3, 4, 5, 6])
