@@ -27,7 +27,7 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .families import FamilySpec, verify_invariance
+from .families import FAMILIES, FamilySpec, verify_invariance
 from .linalg import SQUAREFREE_PRIME
 from .rabi import (REFERENCE_FREQUENCY_RATIOS, TWO_G, RabiConfig,
                    assemble_eigenfunctions, fock_truncation_check,
@@ -99,7 +99,7 @@ def _proved_report(spec: FamilySpec) -> Dict[str, object]:
 
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
-    families = [args.family] if args.family else [1, 2, 3, 4, 5, 6]
+    families = [args.family] if args.family else sorted(FAMILIES)
     sizes = [args.n] if args.n is not None else [0, 1, 2, 3]
     checks = []
     proofs = {}
@@ -150,7 +150,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_commutators(args) -> int:
     started = time.perf_counter()
-    families = [args.family] if args.family else [1, 2, 3, 4, 5, 6]
+    families = [args.family] if args.family else sorted(FAMILIES)
     blocks = []
     lines = []
     worst = "ok"
@@ -349,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="ladder invariance checks")
-    verify.add_argument("--family", type=int, choices=range(1, 7),
+    verify.add_argument("--family", type=int, choices=sorted(FAMILIES),
                         help="family id (default: all six)")
     verify.add_argument("--n", type=int,
                         help=f"subspace size, 0..{_VERIFY_N_CAP} (default: 0..3)")
@@ -359,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--json", action="store_true")
 
     comm = sub.add_parser("commutators", help="closure-relation checks")
-    comm.add_argument("--family", type=int, choices=range(1, 7),
+    comm.add_argument("--family", type=int, choices=sorted(FAMILIES),
                       help="family id (default: all six)")
     comm.add_argument("--all", action="store_true",
                       help="check all six families (the default)")

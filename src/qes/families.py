@@ -112,13 +112,211 @@ def _add_product(acc: Dict[int, object], factor, shift: int, poly: LaurentPoly) 
 # family definitions
 # ---------------------------------------------------------------------------
 
-# Each family's parameters, in the order `sampling.sample_params` draws them.
-PARAMETERS = {1: ("s",), 2: ("s", "alpha"), 3: ("s", "alpha"), 4: (), 5: ("nu",), 6: ("alpha",)}
+@dataclass(frozen=True)
+class Family:
+    """One family as data: `FAMILIES` keeps one record per id, and a new
+    kernel is one more record.  Each formula only adds and multiplies its
+    parameters, so it takes them from any ring: rationals for a `FamilySpec`,
+    polynomials for `structure`'s proofs.  Unused parameters are ignored.
+
+    - `parameters`: the names it takes, in the order `sampling` draws them;
+      `rules`: per name, a check raising FamilyError for a value refused at
+      subspace size N (each refuses zero).
+    - `rewrite(s, alpha, nu)`: the kernel's ODE F'' = u*F + v*F'.
+    - `minus_seed(s, alpha, nu)`: (w, R, S) with w * f_0^- = R*F + S*F' and
+      f_n^- = x^n f_0^-, w keeping R and S polynomial.  None for the single
+      shifted-parameter chain f_(n+1) = f_n + x f_n' / (alpha + n).
+    - `operators(N, s, alpha, nu)`: (J+, J-).
+    - `ladder(n, N, s, alpha, nu)`: the closed-form actions on the element
+      of index n, {(raising?, on the plus chain?): (den, terms)}, each term
+      (target on the plus chain?, index shift, numerator): J f_n carries
+      numerator / den (den 1 or s) times the element of index n + shift on
+      the target chain.  `action_formula` reads it on Fractions;
+      `structure.ladder_proof` proves it over polynomials in n and N,
+      including Turbiner's sl(2) cut-off: a term whose target leaves 0..N
+      vanishes there.
+    - `closure(s, alpha, nu, n)`: the tabulated closure coefficients, keyed
+      by `structure.CONSTANT_NAMES`.
+    """
+
+    parameters: Tuple[str, ...]
+    rules: Dict[str, Callable[[Fraction, int], None]]
+    rewrite: Callable[..., PairContext]
+    minus_seed: Optional[Callable[..., Tuple[object, LaurentPoly, LaurentPoly]]]
+    operators: Callable[..., Tuple[DiffOp, DiffOp]]
+    ladder: Callable[..., Dict[Tuple[bool, bool], Tuple[object, list]]]
+    closure: Callable[..., Dict[str, object]]
+
+
+def _s_off_the_poles(s: Fraction, n_max: int) -> None:
+    if s.denominator == 1 and s <= 0:
+        raise FamilyError("s must avoid the nonpositive integers")
+
+
+def _alpha_nonzero(alpha: Fraction, n_max: int) -> None:
+    if alpha == 0:
+        raise FamilyError("alpha = 0 degenerates the second chain")
+
+
+def _alpha_off_the_chain(alpha: Fraction, n_max: int) -> None:
+    if -alpha in range(n_max + 1):
+        raise FamilyError(f"alpha + {-alpha} = 0 breaks the parameter chain")
+
+
+def _kummer(s, alpha, nu) -> PairContext:
+    """x F'' + (s - x) F' = alpha F, F = 1F1(alpha; s; x)."""
+    return PairContext(LaurentPoly.x(-1, alpha), LaurentPoly({0: _ONE, -1: -s}))
+
+
+def _ladder_1(n, n_cap, s, alpha, nu):
+    a_n, b_n = n - 2 * n_cap, n - n_cap
+    return {
+        (True, True): (s, [(True, 0, s * n * (a_n - 1 + s)), (False, 1, 2 * b_n)]),
+        (True, False): (1, [(False, 0, (n - s) * (a_n - 1)), (True, 0, s * (2 * b_n - 1))]),
+        (False, True): (s, [(True, 0, s), (True, -1, s * n * (n + s)), (False, 0, 1 + 2 * n)]),
+        (False, False): (1, [(False, 0, 1), (False, -1, n * (n - s)), (True, -1, 2 * n * s)]),
+    }
+
+
+def _ladder_2(n, n_cap, s, alpha, nu):
+    a_n, b_n = n - 2 * n_cap, n - n_cap
+    return {
+        (True, True): (s, [(True, 0, s * n * (a_n - 1 + s)), (True, 1, -s * b_n),
+                           (False, 1, 2 * alpha * b_n)]),
+        (True, False): (1, [(False, 0, (s - n) * (1 - a_n)), (False, 1, b_n),
+                            (True, 0, s * (2 * b_n - 1))]),
+        (False, True): (s, [(True, 0, s * (alpha - n)), (True, -1, s * n * (n + s)),
+                            (False, 0, alpha * (1 + 2 * n))]),
+        (False, False): (1, [(False, 0, alpha + n + 1), (False, -1, n * (n - s)),
+                             (True, -1, 2 * n * s)]),
+    }
+
+
+def _ladder_3(n, n_cap, s, alpha, nu):
+    b_n, c_n = n - n_cap, n_cap - 2 * n
+    return {
+        (True, True): (1, [(True, 0, s * n + (alpha + n) * c_n), (True, 1, (alpha + n) * b_n),
+                           (True, -1, n * (alpha + n - s))]),
+        (False, True): (1, [(True, 0, n + alpha)]),
+    }
+
+
+def _ladder_4(n, n_cap, s, alpha, nu):
+    a_n, b_n = n - 2 * n_cap, n - n_cap
+    return {
+        (True, True): (1, [(True, -2, n * (n - 1)), (False, -1, 2 * n)]),
+        (True, False): (1, [(True, 0, 1 + 2 * n), (False, -2, n * (n - 1))]),
+        (False, True): (1, [(True, -1, (a_n - 2) * n), (False, 0, 2 * b_n - 1)]),
+        (False, False): (1, [(True, 1, 2 * b_n), (False, -1, (a_n - 2) * n)]),
+    }
+
+
+def _ladder_5(n, n_cap, s, alpha, nu):
+    a_n, b_n = n - 2 * n_cap, n - n_cap
+    return {
+        (True, True): (1, [(True, 0, (nu + n) * (nu + a_n)), (False, 1, -2 * b_n)]),
+        (True, False): (1, [(False, 0, (n - 1 - nu) * (a_n - 1 - nu)), (True, 1, -2 * b_n)]),
+        (False, True): (1, [(True, -1, n * (1 + n + 2 * nu)), (False, 0, -(1 + 2 * n))]),
+        (False, False): (1, [(True, 0, -(1 + 2 * n)), (False, -1, n * (n - 2 * nu - 1))]),
+    }
+
+
+def _ladder_6(n, n_cap, s, alpha, nu):
+    a_n, b_n = n - 2 * n_cap, n - n_cap
+    return {
+        (True, True): (1, [(True, 1, -2 * b_n), (True, -1, n * (a_n - 2)),
+                           (False, 0, 4 * alpha * (2 * b_n - 1))]),
+        (True, False): (1, [(False, -1, n * (a_n - 2)), (True, 0, 2 * b_n - 1),
+                            (False, 1, 2 * b_n)]),
+        (False, True): (1, [(True, 0, 2 * (2 * alpha - n)), (True, -2, n * n - n),
+                            (False, -1, 8 * alpha * n)]),
+        (False, False): (1, [(True, -1, 2 * n), (False, 0, 2 * (2 * alpha + 1 + n)),
+                             (False, -2, n * n - n)]),
+    }
+
+
+FAMILIES: Dict[int, Family] = {
+    # x F'' + s F' = F, F = 0F1(; s; x)
+    1: Family(("s",), {"s": _s_off_the_poles},
+        rewrite=lambda s, alpha, nu: PairContext(LaurentPoly.x(-1), LaurentPoly.x(-1, -s)),
+        minus_seed=lambda s, alpha, nu: (1, LaurentPoly.zero(), LaurentPoly.const(s)),
+        operators=lambda n_cap, s, alpha, nu: (
+            DiffOp({2: LaurentPoly.x(2), 1: LaurentPoly.x(1, s - 2 * n_cap), 0: -LaurentPoly.x()}),
+            DiffOp({2: LaurentPoly.x(), 1: LaurentPoly.const(s + 1)})),
+        ladder=_ladder_1,
+        closure=lambda s, alpha, nu, n: dict(
+            c1p=0, c1m=2, c2m=0, c3p=-4, c4p=-2, c5p=2, c5m=0,
+            c6p=(2 * n - s) * (s - 2 - 2 * n), c6m=-2, c7p=(s + 1) * (s - 2 - 2 * n), c7m=0)),
+    # F = 1F1(alpha; s; x) beside the chain of f_0^- = s F' / alpha
+    2: Family(("s", "alpha"), {"s": _s_off_the_poles, "alpha": _alpha_nonzero},
+        rewrite=_kummer,
+        minus_seed=lambda s, alpha, nu: (alpha, LaurentPoly.zero(), LaurentPoly.const(s)),
+        operators=lambda n_cap, s, alpha, nu: (
+            DiffOp({2: LaurentPoly.x(2), 1: LaurentPoly({1: s - 2 * n_cap, 2: -_ONE}),
+                    0: LaurentPoly.x(1, n_cap - alpha)}),
+            DiffOp({2: LaurentPoly.x(), 1: LaurentPoly({0: 1 + s, 1: -_ONE})})),
+        ladder=_ladder_2,
+        closure=lambda s, alpha, nu, n: dict(
+            c1p=0, c1m=2, c2m=0, c3p=-4, c4p=-2, c5p=2 + 2 * alpha + s, c5m=1,
+            c6p=(2 * n - s) * (s - 2 - 2 * n), c6m=-(2 + 2 * alpha + s),
+            c7p=(alpha - n) * (s + 1) * (2 + 2 * alpha + s), c7m=(alpha - n) * (s + 1))),
+    # the single chain f_n = 1F1(alpha + n; s; x)
+    3: Family(("s", "alpha"), {"s": _s_off_the_poles, "alpha": _alpha_off_the_chain},
+        rewrite=_kummer, minus_seed=None,
+        operators=lambda n_cap, s, alpha, nu: (
+            DiffOp({2: LaurentPoly.x(2), 1: LaurentPoly({1: s - n_cap, 2: -_ONE}),
+                    0: LaurentPoly.x(1, -alpha)}),
+            DiffOp({2: LaurentPoly.x(), 1: LaurentPoly({0: s, 1: -_ONE})})),
+        ladder=_ladder_3,
+        closure=lambda s, alpha, nu, n: dict(
+            c1p=0, c1m=2, c2m=0, c3p=-4, c4p=-2, c5p=s + n + 2 * alpha, c5m=1,
+            c6p=s - n, c6m=-(s + n + 2 * alpha), c7p=s * alpha * (s - n - 2), c7m=s * alpha)),
+    # F'' = x F, F an Airy function
+    4: Family((), {},
+        rewrite=lambda s, alpha, nu: PairContext(LaurentPoly.x(), LaurentPoly.zero()),
+        minus_seed=lambda s, alpha, nu: (1, LaurentPoly.zero(), LaurentPoly.const(_ONE)),
+        operators=lambda n_cap, s, alpha, nu: (
+            DiffOp({2: LaurentPoly.const(_ONE), 0: -LaurentPoly.x()}),
+            DiffOp({2: LaurentPoly.x(), 1: LaurentPoly.const(-1 - 2 * n_cap),
+                    0: -LaurentPoly.x(2)})),
+        ladder=_ladder_4,
+        closure=lambda s, alpha, nu, n: dict(
+            c1p=0, c1m=0, c2m=6, c3p=0, c4p=0, c5p=-2, c5m=0, c6p=0, c6m=2, c7p=0, c7m=0)),
+    # x^2 F'' + x F' = (x^2 + nu^2) F, F = I_nu(x)
+    5: Family(("nu",), {},
+        rewrite=lambda s, alpha, nu: PairContext(LaurentPoly({0: _ONE, -2: nu * nu}),
+                                                 LaurentPoly.x(-1, -_ONE)),
+        minus_seed=lambda s, alpha, nu: (1, LaurentPoly.x(-1, nu), LaurentPoly.const(-_ONE)),
+        operators=lambda n_cap, s, alpha, nu: (
+            DiffOp({2: LaurentPoly.x(2), 1: LaurentPoly.x(1, 1 - 2 * n_cap),
+                    0: -LaurentPoly.x(2)}),
+            DiffOp({2: LaurentPoly.x(), 1: LaurentPoly.const(Fraction(2)),
+                    0: LaurentPoly({-1: -(nu * nu + nu), 1: -_ONE})})),
+        ladder=_ladder_5,
+        closure=lambda s, alpha, nu, n: dict(
+            c1p=0, c1m=2, c2m=0, c3p=-4, c4p=-2, c5p=0, c5m=4, c6p=1 - 4 * n * n, c6m=0,
+            c7p=0, c7m=-4 * (1 + nu * nu + 2 * n + nu))),
+    # F'' = 2x F' + 4 alpha F, F = 1F1(alpha; 1/2; x^2).  The minus chain must
+    # carry the opposite parity for the ladder to close: its seed is
+    # F'/(4*alpha) = x * 1F1(alpha+1; 3/2; x^2), odd prefactor kept.
+    6: Family(("alpha",), {"alpha": _alpha_nonzero},
+        rewrite=lambda s, alpha, nu: PairContext(LaurentPoly.const(4 * alpha),
+                                                 LaurentPoly.x(1, Fraction(2))),
+        minus_seed=lambda s, alpha, nu: (4 * alpha, LaurentPoly.zero(), LaurentPoly.const(_ONE)),
+        operators=lambda n_cap, s, alpha, nu: (
+            DiffOp({2: LaurentPoly.x(), 1: LaurentPoly({2: Fraction(-2), 0: -1 - 2 * n_cap}),
+                    0: LaurentPoly.x(1, 2 * (n_cap - 2 * alpha))}),
+            DiffOp({2: LaurentPoly.const(_ONE), 1: LaurentPoly.x(1, Fraction(-2))})),
+        ladder=_ladder_6,
+        closure=lambda s, alpha, nu, n: dict(
+            c1p=-6, c1m=0, c2m=0, c3p=0, c4p=0, c5p=0, c5m=4, c6p=12 + 32 * alpha, c6m=0,
+            c7p=-8 * (2 * alpha - n) * (2 + n + 2 * alpha), c7m=0)),
+}
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """One of the six families, with its parameters pinned to exact rationals."""
+    """One of the families, with its parameters pinned to exact rationals."""
 
     family_id: int
     n_max: int
@@ -127,137 +325,51 @@ class FamilySpec:
     nu: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        if self.family_id not in PARAMETERS:
+        family = FAMILIES.get(self.family_id)
+        if family is None:
             raise FamilyError(f"unknown family id {self.family_id}")
         if self.n_max < 0:
             raise FamilyError("subspace size N must be non-negative")
         extra = [name for name in ("s", "alpha", "nu")
-                 if getattr(self, name) is not None and name not in PARAMETERS[self.family_id]]
+                 if getattr(self, name) is not None and name not in family.parameters]
         if extra:
             raise FamilyError(f"family {self.family_id} takes no parameter {', '.join(extra)}")
-        for name in PARAMETERS[self.family_id]:
+        for name in family.parameters:
             value = getattr(self, name)
             if value is None:
                 raise FamilyError(f"family {self.family_id} requires parameter {name}")
-            if name == "s" and value.denominator == 1 and value <= 0:
-                raise FamilyError("s must avoid the nonpositive integers")
-            if name == "alpha" and self.family_id in (2, 6) and value == 0:
-                raise FamilyError("alpha = 0 degenerates the second chain")
-            if name == "alpha" and self.family_id == 3 and -value in range(self.n_max + 1):
-                raise FamilyError(f"alpha + {-value} = 0 breaks the parameter chain")
+            if name in family.rules:
+                family.rules[name](value, self.n_max)
+
+    @property
+    def family(self) -> Family:
+        return FAMILIES[self.family_id]
 
     @property
     def dimension(self) -> int:
-        return self.n_max + 1 if self.family_id == 3 else 2 * (self.n_max + 1)
-
-    def context(self) -> PairContext:
-        """The ODE rewrite F'' = u*F + v*F' in the kernel's own coordinate."""
-        return context_over(self.family_id, self.s, self.alpha, self.nu)
-
-
-def context_over(family_id: int, s, alpha, nu) -> PairContext:
-    """The ODE rewrite of one family's kernel, with s, alpha and nu taken from
-    any coefficient ring (as in `operators_over`)."""
-    if family_id == 1:
-        u, v = LaurentPoly.x(-1), LaurentPoly.x(-1, -s)
-    elif family_id in (2, 3):
-        u = LaurentPoly.x(-1, alpha)
-        v = LaurentPoly({0: _ONE, -1: -s})
-    elif family_id == 4:
-        u, v = LaurentPoly.x(), LaurentPoly.zero()
-    elif family_id == 5:
-        u = LaurentPoly({0: _ONE, -2: nu * nu})
-        v = LaurentPoly.x(-1, -_ONE)
-    else:
-        u = LaurentPoly.const(4 * alpha)
-        v = LaurentPoly.x(1, Fraction(2))
-    return PairContext(u, v)
-
-
-def second_seed_over(family_id: int, s, alpha, nu) -> Tuple[object, LaurentPoly, LaurentPoly]:
-    """(w, R, S) with w * f_0^- = R*F + S*F', f_0^- the seed of the second
-    chain (families other than 3), for parameters from any coefficient ring.
-
-    w is 1, alpha (family 2) or 4*alpha (family 6), so R and S stay
-    polynomial in the parameters.  Family 3 extends by shifting the upper
-    hypergeometric parameter instead of adjoining a derivative chain, so it
-    has no second seed.
-    """
-    zero = LaurentPoly.zero()
-    if family_id == 1:
-        return 1, zero, LaurentPoly.const(s)
-    if family_id == 2:
-        return alpha, zero, LaurentPoly.const(s)
-    if family_id == 4:
-        return 1, zero, LaurentPoly.const(_ONE)
-    if family_id == 5:
-        return 1, LaurentPoly.x(-1, nu), LaurentPoly.const(-_ONE)
-    # The second chain must carry the opposite parity for the ladder to
-    # close: its seed is F'/(4*alpha) = x * 1F1(alpha+1; 3/2; x^2), the
-    # derivative kernel with its natural odd prefactor kept.
-    return 4 * alpha, zero, LaurentPoly.const(_ONE)
+        return (self.n_max + 1) * (1 if self.family.minus_seed is None else 2)
 
 
 def _basis_pairs(spec: FamilySpec) -> Tuple[PairElement, ...]:
     """All basis elements as pairs, in the fixed order."""
-    ctx = spec.context()
-    if spec.family_id == 3:
-        pairs = [PairElement(LaurentPoly.const(_ONE), LaurentPoly.zero(), ctx)]
+    ctx = spec.family.rewrite(spec.s, spec.alpha, spec.nu)
+    plus = PairElement(LaurentPoly.const(_ONE), LaurentPoly.zero(), ctx)
+    if spec.family.minus_seed is None:
+        pairs = [plus]
         for n in range(spec.n_max):
-            prev = pairs[-1]
-            step = prev.derivative().times_poly(
-                LaurentPoly.x(1, _ONE / (spec.alpha + n)))
-            pairs.append(prev + step)
-    else:
-        w, r, s = second_seed_over(spec.family_id, spec.s, spec.alpha, spec.nu)
-        minus = PairElement(r * (_ONE / w), s * (_ONE / w), ctx)
-        plus = PairElement(LaurentPoly.const(_ONE), LaurentPoly.zero(), ctx)
-        pairs = [plus.times_poly(LaurentPoly.x(n)) for n in range(spec.n_max + 1)]
-        pairs += [minus.times_poly(LaurentPoly.x(n)) for n in range(spec.n_max + 1)]
-    return tuple(pairs)
+            pairs.append(pairs[-1] + pairs[-1].derivative().times_poly(
+                LaurentPoly.x(1, _ONE / (spec.alpha + n))))
+        return tuple(pairs)
+    w, r, s = spec.family.minus_seed(spec.s, spec.alpha, spec.nu)
+    minus = PairElement(r * (_ONE / w), s * (_ONE / w), ctx)
+    return tuple(seed.times_poly(LaurentPoly.x(n))
+                 for seed in (plus, minus) for n in range(spec.n_max + 1))
 
 
 def family_operators(spec: FamilySpec) -> Tuple[DiffOp, DiffOp]:
     """(J+, J-) for the family, with the subspace size N baked in."""
-    return operators_over(spec.family_id, Fraction(spec.n_max),
-                          spec.s, spec.alpha, spec.nu)
+    return spec.family.operators(Fraction(spec.n_max), spec.s, spec.alpha, spec.nu)
 
-
-def operators_over(family_id: int, n_cap, s, alpha, nu) -> Tuple[DiffOp, DiffOp]:
-    """(J+, J-) with N, s, alpha and nu taken from any coefficient ring.
-
-    The operators only add and multiply their parameters, so the same
-    definition serves exact rationals (`family_operators`) and polynomials
-    in the parameters (the symbolic closure derivation).  Parameters a
-    family does not use are ignored and may be None.
-    """
-    x = LaurentPoly.x()
-    x2 = LaurentPoly.x(2)
-    if family_id == 1:
-        j_minus = DiffOp({2: x, 1: LaurentPoly.const(s + 1)})
-        j_plus = DiffOp({2: x2, 1: LaurentPoly.x(1, s - 2 * n_cap), 0: -x})
-    elif family_id == 2:
-        j_minus = DiffOp({2: x, 1: LaurentPoly({0: 1 + s, 1: -_ONE})})
-        j_plus = DiffOp({2: x2, 1: LaurentPoly({1: s - 2 * n_cap, 2: -_ONE}),
-                         0: LaurentPoly.x(1, n_cap - alpha)})
-    elif family_id == 3:
-        j_minus = DiffOp({2: x, 1: LaurentPoly({0: s, 1: -_ONE})})
-        j_plus = DiffOp({2: x2, 1: LaurentPoly({1: s - n_cap, 2: -_ONE}),
-                         0: LaurentPoly.x(1, -alpha)})
-    elif family_id == 4:
-        j_minus = DiffOp({2: x, 1: LaurentPoly.const(-1 - 2 * n_cap), 0: -x2})
-        j_plus = DiffOp({2: LaurentPoly.const(_ONE), 0: -x})
-    elif family_id == 5:
-        j_minus = DiffOp({2: x, 1: LaurentPoly.const(Fraction(2)),
-                          0: LaurentPoly({-1: -(nu * nu + nu), 1: -_ONE})})
-        j_plus = DiffOp({2: x2, 1: LaurentPoly.x(1, 1 - 2 * n_cap), 0: -x2})
-    elif family_id == 6:
-        j_minus = DiffOp({2: LaurentPoly.const(_ONE), 1: LaurentPoly.x(1, Fraction(-2))})
-        j_plus = DiffOp({2: x, 1: LaurentPoly({2: Fraction(-2), 0: -1 - 2 * n_cap}),
-                         0: LaurentPoly.x(1, 2 * (n_cap - 2 * alpha))})
-    else:
-        raise FamilyError(f"unknown family id {family_id}")
-    return j_plus, j_minus
 
 
 # ---------------------------------------------------------------------------
@@ -333,97 +445,25 @@ def matrix_rep(op: DiffOp, spec: FamilySpec) -> List[List[Fraction]]:
 # closed-form ladder actions
 # ---------------------------------------------------------------------------
 
-def ladder_table(family_id: int, n, n_cap, s, alpha, nu):
-    """The closed-form ladder actions of one family on the basis element of
-    index n, with n, N = n_cap and the parameters from any coefficient ring.
-
-    Returns {(raising?, on the plus chain?): (den, terms)}, one entry per
-    operator and source chain (family 3 has the plus chain only), each term
-    (target on the plus chain?, index shift, numerator): J f_n carries
-    numerator / den times the target element of index n + shift on its
-    chain.  den is 1 or s.  `action_formula` evaluates the table on
-    Fractions and `structure.ladder_proof` on polynomials in n, N and the
-    parameters, so the coefficients it proves are the ones
-    `rabi.subspace_matrix` uses.  Every term whose target leaves 0..N has a
-    numerator that vanishes there: b_n = n - N going up from n = N, and n
-    (or n(n - 1) for a step of two) going down from n = 0 (Turbiner's sl(2)
-    structure).
-    """
-    a_n = n - 2 * n_cap
-    b_n = n - n_cap
-    if family_id == 1:
-        return {
-            (True, True): (s, [(True, 0, s * n * (a_n - 1 + s)), (False, 1, 2 * b_n)]),
-            (True, False): (1, [(False, 0, (n - s) * (a_n - 1)), (True, 0, s * (2 * b_n - 1))]),
-            (False, True): (s, [(True, 0, s), (True, -1, s * n * (n + s)), (False, 0, 1 + 2 * n)]),
-            (False, False): (1, [(False, 0, 1), (False, -1, n * (n - s)), (True, -1, 2 * n * s)]),
-        }
-    if family_id == 2:
-        return {
-            (True, True): (s, [(True, 0, s * n * (a_n - 1 + s)), (True, 1, -s * b_n),
-                               (False, 1, 2 * alpha * b_n)]),
-            (True, False): (1, [(False, 0, (s - n) * (1 - a_n)), (False, 1, b_n),
-                                (True, 0, s * (2 * b_n - 1))]),
-            (False, True): (s, [(True, 0, s * (alpha - n)), (True, -1, s * n * (n + s)),
-                                (False, 0, alpha * (1 + 2 * n))]),
-            (False, False): (1, [(False, 0, alpha + n + 1), (False, -1, n * (n - s)),
-                                 (True, -1, 2 * n * s)]),
-        }
-    if family_id == 3:
-        c_n = n_cap - 2 * n
-        return {
-            (True, True): (1, [(True, 0, s * n + (alpha + n) * c_n), (True, 1, (alpha + n) * b_n),
-                               (True, -1, n * (alpha + n - s))]),
-            (False, True): (1, [(True, 0, n + alpha)]),
-        }
-    if family_id == 4:
-        return {
-            (True, True): (1, [(True, -2, n * (n - 1)), (False, -1, 2 * n)]),
-            (True, False): (1, [(True, 0, 1 + 2 * n), (False, -2, n * (n - 1))]),
-            (False, True): (1, [(True, -1, (a_n - 2) * n), (False, 0, 2 * b_n - 1)]),
-            (False, False): (1, [(True, 1, 2 * b_n), (False, -1, (a_n - 2) * n)]),
-        }
-    if family_id == 5:
-        return {
-            (True, True): (1, [(True, 0, (nu + n) * (nu + a_n)), (False, 1, -2 * b_n)]),
-            (True, False): (1, [(False, 0, (n - 1 - nu) * (a_n - 1 - nu)), (True, 1, -2 * b_n)]),
-            (False, True): (1, [(True, -1, n * (1 + n + 2 * nu)), (False, 0, -(1 + 2 * n))]),
-            (False, False): (1, [(True, 0, -(1 + 2 * n)), (False, -1, n * (n - 2 * nu - 1))]),
-        }
-    if family_id == 6:
-        return {
-            (True, True): (1, [(True, 1, -2 * b_n), (True, -1, n * (a_n - 2)),
-                               (False, 0, 4 * alpha * (2 * b_n - 1))]),
-            (True, False): (1, [(False, -1, n * (a_n - 2)), (True, 0, 2 * b_n - 1),
-                                (False, 1, 2 * b_n)]),
-            (False, True): (1, [(True, 0, 2 * (2 * alpha - n)), (True, -2, n * n - n),
-                                (False, -1, 8 * alpha * n)]),
-            (False, False): (1, [(True, -1, 2 * n), (False, 0, 2 * (2 * alpha + 1 + n)),
-                                 (False, -2, n * n - n)]),
-        }
-    raise FamilyError(f"unknown family id {family_id}")
-
-
 def action_formula(spec: FamilySpec, raise_op: bool, index: int) -> Dict[int, Fraction]:
     """Published closed-form action of J+ (raise_op) or J- on one basis element.
 
-    `index` is the element's position in the fixed basis order: n for
-    family 3, whose basis is the single chain f_0..f_N, and for the other
-    families n on the plus chain f_0^+..f_N^+ and N + 1 + n on the minus
-    chain after it.  An index outside 0..dimension - 1 is a FamilyError.
-    Returns {basis_index: coefficient} with the zero coefficients omitted,
-    read off `ladder_table`.  The cut-off at the subspace edges needs no
-    guard: every coefficient whose target index would leave 0..N vanishes
-    there, so it is dropped as a zero, and the range check is the edge
-    check: a nonzero coefficient outside 0..N is a FamilyError.
+    `index` is the element's position in the fixed basis order: n on the
+    plus chain f_0..f_N (the whole basis of a family without a minus seed)
+    and N + 1 + n on the minus chain after it.  An index outside
+    0..dimension - 1 is a FamilyError.  Returns {basis_index: coefficient}
+    with the zero coefficients omitted, read off `Family.ladder`.  The
+    cut-off at the subspace edges needs no guard: every coefficient whose
+    target index would leave 0..N vanishes there, so it is dropped as a
+    zero, and the range check is the edge check: a nonzero coefficient
+    outside 0..N is a FamilyError.
     """
     if not 0 <= index < spec.dimension:
         raise FamilyError(f"basis index {index} outside 0..{spec.dimension - 1}")
     n_cap = spec.n_max
-    # Family 3's one chain has N + 1 elements, so every index is on it.
     plus_chain, m = index <= n_cap, index % (n_cap + 1)
-    den, terms = ladder_table(spec.family_id, Fraction(m), n_cap,
-                              spec.s, spec.alpha, spec.nu)[raise_op, plus_chain]
+    den, terms = spec.family.ladder(Fraction(m), n_cap,
+                                    spec.s, spec.alpha, spec.nu)[raise_op, plus_chain]
     out: Dict[int, Fraction] = {}
     for to_plus, shift, numerator in terms:
         if numerator == 0:
@@ -510,7 +550,8 @@ def solve_preserving(spec: FamilySpec, max_order: int = 2,
 
     Returns the space modulo the constants (multiples of the identity): the
     generators are the solutions at the pivot columns of [identity |
-    solutions]; plus the raw dimension bookkeeping.
+    solutions]; plus the searched (order, exponent) cells, which
+    `operator_in_span` reads, and the raw dimension bookkeeping.
     """
     pairs = _basis_pairs(spec)
     dim = len(pairs)
@@ -527,7 +568,7 @@ def solve_preserving(spec: FamilySpec, max_order: int = 2,
                        for (k, e), c in zip(unknowns, solutions[col - 1])), DiffOp.zero())
                   for col in chosen[1:]]
     return {"generators": generators, "dimension_mod_constants": len(generators),
-            "raw_dimension": len(solutions)}
+            "cells": unknowns, "raw_dimension": len(solutions)}
 
 
 def _op_vector(op: DiffOp, unknowns: List[Tuple[int, int]]) -> Optional[List[Fraction]]:
@@ -538,17 +579,17 @@ def _op_vector(op: DiffOp, unknowns: List[Tuple[int, int]]) -> Optional[List[Fra
     return [cells.get(cell, _ZERO) for cell in unknowns]
 
 
-def operator_in_span(result: Dict[str, object], op: DiffOp,
-                     max_order: int = 2, degree_bound: int = 2) -> bool:
+def operator_in_span(result: Dict[str, object], op: DiffOp) -> bool:
     """Does `op` lie in the preserving span (modulo an additive constant)?
 
     The identity, the generators of `solve_preserving` and `op` are read as
-    vectors over the same cells (`_op_vector`); `op` is in the span when
-    appending it keeps the rank.  An operator with a cell outside them is not.
+    vectors over the cells the search used (`result["cells"]`, `_op_vector`);
+    `op` is in the span when appending it keeps the rank.  An operator with
+    a cell outside them is not.
     """
-    unknowns = [(k, e) for k in range(max_order + 1) for e in range(degree_bound + 1)]
-    target = _op_vector(op, unknowns)
+    cells = result["cells"]
+    target = _op_vector(op, cells)
     if target is None:
         return False
-    rows = [_op_vector(gen, unknowns) for gen in (DiffOp.identity(), *result["generators"])]
+    rows = [_op_vector(gen, cells) for gen in (DiffOp.identity(), *result["generators"])]
     return linalg.rank(rows + [target]) == linalg.rank(rows)

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import Dict, List
 
-from .families import PARAMETERS
+from .families import FAMILIES
 
 
 def mix_seed(*parts: int) -> int:
@@ -52,10 +52,10 @@ _REJECTED = {"s": _bad_s, "alpha": _bad_alpha, "nu": lambda nu, n_max: False}
 def sample_params(family_id: int, n_max: int, rng: random.Random) -> Dict[str, Fraction]:
     """One admissible parameter point for the given family at subspace size N = n_max.
 
-    The parameters are drawn in the order of `families.PARAMETERS`.
+    The parameters are drawn in the order of the family record's `parameters`.
     """
     params: Dict[str, Fraction] = {}
-    for name in PARAMETERS.get(family_id, ()):
+    for name in FAMILIES[family_id].parameters:
         value = random_rational(rng)
         while _REJECTED[name](value, n_max):
             value = random_rational(rng)

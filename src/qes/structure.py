@@ -1,7 +1,7 @@
 """Closure relations of the ladder operator pairs, and the proof of their
 ladder actions.
 
-The ladder actions of `families.ladder_table` are proved once per family
+The ladder actions of each `families.Family` record are proved once per family
 over Q[s, alpha, nu, n, N] (`ladder_proof`), with the basis index n and
 the subspace size N as variables, so they hold for every N at once.
 
@@ -28,8 +28,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .diffop import DiffOp, commutator
-from .families import (PARAMETERS, FamilySpec, PairElement, _combine, context_over,
-                       ladder_table, operators_over, second_seed_over)
+from .families import FAMILIES, Family, FamilySpec, PairElement, _combine
 from .laurent import LaurentPoly
 from .sampling import mix_seed, sample_params
 
@@ -199,7 +198,7 @@ class ParamPoly:
 def parameter_assignment(spec: FamilySpec) -> Dict[str, Fraction]:
     """The family's concrete parameter values, keyed by variable name."""
     assignment = {"n": Fraction(spec.n_max)}
-    assignment.update((name, getattr(spec, name)) for name in PARAMETERS[spec.family_id])
+    assignment.update((name, getattr(spec, name)) for name in spec.family.parameters)
     return assignment
 
 
@@ -219,48 +218,13 @@ CONSTANT_NAMES = (
 
 
 def closure_constants(family_id: int) -> Dict[str, ParamPoly]:
-    """The closed-form coefficient catalog for one family, keyed by
-    `CONSTANT_NAMES`."""
-    if family_id not in (1, 2, 3, 4, 5, 6):
+    """One family's closure catalog (`Family.closure`), keyed by `CONSTANT_NAMES`."""
+    family = FAMILIES.get(family_id)
+    if family is None:
         raise StructureError(f"unknown family id {family_id}")
-    s = ParamPoly.var("s")
-    a = ParamPoly.var("alpha")
-    nu = ParamPoly.var("nu")
-    n = ParamPoly.var("n")
-    zero = ParamPoly.const(0)
-    const = ParamPoly.const
-    b_n = (2 * n - s) * (s - 2 - 2 * n)
-    if family_id == 1:
-        return dict(
-            c1p=zero, c1m=const(2), c2m=zero, c3p=const(-4), c4p=const(-2),
-            c5p=const(2), c5m=zero, c6p=b_n, c6m=const(-2),
-            c7p=(s + 1) * (s - 2 - 2 * n), c7m=zero)
-    if family_id == 2:
-        c_n = 2 + 2 * a + s
-        return dict(
-            c1p=zero, c1m=const(2), c2m=zero, c3p=const(-4), c4p=const(-2),
-            c5p=c_n, c5m=const(1), c6p=b_n, c6m=-c_n,
-            c7p=(a - n) * (s + 1) * c_n, c7m=(a - n) * (s + 1))
-    if family_id == 3:
-        a_n = s + n + 2 * a
-        return dict(
-            c1p=zero, c1m=const(2), c2m=zero, c3p=const(-4), c4p=const(-2),
-            c5p=a_n, c5m=const(1), c6p=s - n, c6m=-a_n,
-            c7p=s * a * (s - n - 2), c7m=s * a)
-    if family_id == 4:
-        return dict(
-            c1p=zero, c1m=zero, c2m=const(6), c3p=zero, c4p=zero,
-            c5p=const(-2), c5m=zero, c6p=zero, c6m=const(2),
-            c7p=zero, c7m=zero)
-    if family_id == 5:
-        return dict(
-            c1p=zero, c1m=const(2), c2m=zero, c3p=const(-4), c4p=const(-2),
-            c5p=zero, c5m=const(4), c6p=1 - 4 * n * n, c6m=zero,
-            c7p=zero, c7m=-4 * (1 + nu * nu + 2 * n + nu))
-    return dict(
-        c1p=const(-6), c1m=zero, c2m=zero, c3p=zero, c4p=zero,
-        c5p=zero, c5m=const(4), c6p=12 + 32 * a, c6m=zero,
-        c7p=-8 * (2 * a - n) * (2 + n + 2 * a), c7m=zero)
+    s, alpha, nu, n = (ParamPoly.var(name) for name in ("s", "alpha", "nu", "n"))
+    return {name: ParamPoly._coerce(value)
+            for name, value in family.closure(s, alpha, nu, n).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +271,7 @@ def _residual_cells(op: DiffOp) -> Dict[str, str]:
 def symbolic_sides(family_id: int):
     """Both relations with J+ and J- over Q[s, alpha, nu, n]."""
     s, alpha, nu, n = (ParamPoly.var(name) for name in ("s", "alpha", "nu", "n"))
-    return _relation_sides(*operators_over(family_id, n, s, alpha, nu))
+    return _relation_sides(*FAMILIES[family_id].operators(n, s, alpha, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -352,27 +316,19 @@ def _cleared_residual(op: DiffOp, index, den, source, targets) -> PairElement:
     return residual
 
 
-def _nonzero_monomial(coeff) -> bool:
-    """A single term in s and alpha, which FamilySpec keeps nonzero for
-    every family that takes them."""
-    terms = ParamPoly._coerce(coeff).terms
-    return len(terms) == 1 and all(name in ("s", "alpha") for mono in terms
-                                   for name, _ in mono)
-
-
-def _power_frame(family_id: int, s, alpha, nu, n):
-    """Families 1, 2, 4, 5 and 6 in the frame of x^n: (index, element,
+def _power_frame(family: Family, s, alpha, nu, n):
+    """A family with a minus seed in the frame of x^n: (index, element,
     failed parts).
 
     element(plus, shift) is (w, pair) with w * f = x^n * pair for f the
     element of index n + shift on that chain: x^shift * (1, 0) on the plus
     chain, x^shift * (R, S) with weight w on the minus chain
-    (`second_seed_over`).  The basis is independent by degree when the
+    (`Family.minus_seed`).  The basis is independent by degree when the
     minus seed's S part is a nonzero constant: the plus chain's R parts are
     distinct powers x^n, the minus chain's S parts a constant times x^n.
     """
-    ctx = context_over(family_id, s, alpha, nu)
-    weight, r, s_part = second_seed_over(family_id, s, alpha, nu)
+    ctx = family.rewrite(s, alpha, nu)
+    weight, r, s_part = family.minus_seed(s, alpha, nu)
     seeds = {True: (1, PairElement(LaurentPoly.const(1), LaurentPoly.zero(), ctx)),
              False: (weight, PairElement(r, s_part, ctx))}
 
@@ -380,13 +336,17 @@ def _power_frame(family_id: int, s, alpha, nu, n):
         w, pair = seeds[plus]
         return w, pair.times_poly(LaurentPoly.x(shift))
 
-    independent = list(s_part.coeffs) == [0] and _nonzero_monomial(s_part.coeffs[0])
+    # A single term in parameters that the family's rules keep nonzero.
+    terms = ParamPoly._coerce(s_part.coeffs.get(0, 0)).terms
+    independent = list(s_part.coeffs) == [0] and len(terms) == 1 and all(
+        name in family.rules for mono in terms for name, _ in mono)
     return n, element, [] if independent else ["independence"]
 
 
-def _hypergeometric_frame(s, alpha, nu, n):
-    """Family 3 in the frame of f_n = 1F1(alpha+n; s; x), the kernel of the
-    family's ODE with alpha + n for alpha: (index 0, element, failed parts).
+def _hypergeometric_frame(family: Family, s, alpha, nu, n):
+    """The shifted-parameter chain in the frame of f_n = 1F1(alpha+n; s; x),
+    the kernel of the family's ODE with alpha + n for alpha: (index 0,
+    element, failed parts).
 
     There (alpha+n) f_(n+1) = (alpha+n, x), the basis recurrence, and
     (s-alpha-n) f_(n-1) = (s-alpha-n-x, x), the contiguous relation
@@ -400,20 +360,20 @@ def _hypergeometric_frame(s, alpha, nu, n):
     """
     x = LaurentPoly.x()
     up, down = alpha + n, s - alpha - n
-    ctx = context_over(3, s, up, nu)
+    ctx = family.rewrite(s, up, nu)
     frame = {0: (1, PairElement(LaurentPoly.const(1), LaurentPoly.zero(), ctx)),
              1: (up, PairElement(LaurentPoly.const(up), x, ctx)),
              -1: (down, PairElement(LaurentPoly.const(down) - x, x, ctx))}
     failed = []
     # f_n = (alpha+n-1, x)/(alpha+n-1) in f_(n-1)'s frame, and
     # (s-alpha-n) f_(n-1) = (s-alpha-n-x) f_n + x f_n', times alpha+n-1.
-    below = PairElement(LaurentPoly.const(up - 1), x, context_over(3, s, up - 1, nu))
+    below = PairElement(LaurentPoly.const(up - 1), x, family.rewrite(s, up - 1, nu))
     relation = (below.times_poly(LaurentPoly.const(down) - x)
                 + below.derivative().times_poly(x)
                 - PairElement(LaurentPoly.const((up - 1) * down), LaurentPoly.zero(), below.ctx))
     if not relation.r.is_zero() or not relation.s.is_zero():
         failed.append("contiguity")
-    kernel = context_over(3, s, alpha, nu)
+    kernel = family.rewrite(s, alpha, nu)
     xu, xv = kernel.u * x, kernel.v * x
     if not (max(xu.coeffs, default=0) <= 0 and max(xv.coeffs, default=0) == 1
             and xv.coeffs[1] == 1):
@@ -422,18 +382,18 @@ def _hypergeometric_frame(s, alpha, nu, n):
 
 
 def ladder_proof(family_id: int) -> List[str]:
-    """Prove the family's `ladder_table` for every index n and size N at once,
-    over Q[s, alpha, nu, n, N], and the basis independent for every N.
+    """Prove the family's `Family.ladder` for every index n and size N at
+    once, over Q[s, alpha, nu, n, N], and the basis independent for every N.
 
     Each (operator, chain) identity J f_n = sum_k (num_k / den) f_target(k)
-    is written in f_n's frame (`_power_frame`, where the derivative adds
-    n/x, or `_hypergeometric_frame`), multiplied by den and its weights,
-    and must leave a zero residual (`_cleared_residual`).  s and alpha are
-    nonzero, and alpha + n is nonzero for n in 0..N, wherever FamilySpec
-    accepts a point.  Where s - alpha - n vanishes (family 3) the cleared
-    identity still gives the plain one: its F' part shows that
-    s - alpha - n divides (alpha + n) x times the coefficient of f_(n-1),
-    hence that coefficient.  Each term whose target would leave 0..N must
+    is written in f_n's frame (`_power_frame` with a minus seed, where the
+    derivative adds n/x, else `_hypergeometric_frame`), multiplied by den
+    and its weights, and must leave a zero residual (`_cleared_residual`).
+    s and alpha are nonzero, and alpha + n is nonzero for n in 0..N,
+    wherever FamilySpec accepts a point.  Where s - alpha - n vanishes
+    (family 3) the cleared identity still gives the plain one: its F' part
+    shows that s - alpha - n divides (alpha + n) x times the coefficient of
+    f_(n-1), hence that coefficient.  Each term whose target would leave 0..N must
     have a numerator that vanishes at the edge it crosses: at n = N, ...,
     N - shift + 1 going up and at n = 0, ..., |shift| - 1 going down.
 
@@ -442,17 +402,16 @@ def ladder_proof(family_id: int) -> List[str]:
     edge" for its cut-off, "contiguity" and "independence".
     """
     s, alpha, nu, n, n_cap = (ParamPoly.var(name) for name in ("s", "alpha", "nu", "n", "N"))
-    if family_id == 3:
-        index, element, frame_failed = _hypergeometric_frame(s, alpha, nu, n)
-    else:
-        index, element, frame_failed = _power_frame(family_id, s, alpha, nu, n)
-    ops = dict(zip((True, False), operators_over(family_id, n_cap, s, alpha, nu)))
-    tables = {n: ladder_table(family_id, n, n_cap, s, alpha, nu)}
+    family = FAMILIES[family_id]
+    frame = _hypergeometric_frame if family.minus_seed is None else _power_frame
+    index, element, frame_failed = frame(family, s, alpha, nu, n)
+    ops = dict(zip((True, False), family.operators(n_cap, s, alpha, nu)))
+    tables = {n: family.ladder(n, n_cap, s, alpha, nu)}
 
     def at(end):
         """The table with n = end."""
         if end not in tables:
-            tables[end] = ladder_table(family_id, end, n_cap, s, alpha, nu)
+            tables[end] = family.ladder(end, n_cap, s, alpha, nu)
         return tables[end]
 
     failed: List[str] = []

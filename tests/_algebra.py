@@ -217,7 +217,7 @@ def preserving_by_matrix_entries(spec, max_order=2, degree_bound=2):
             generators.append(DiffOp(coeffs))
     return {"generators": generators,
             "dimension_mod_constants": dim_mod_constants,
-            "raw_dimension": len(solutions)}
+            "cells": op_unknowns, "raw_dimension": len(solutions)}
 
 
 def bent_action_formula(spec, raise_op, index):
@@ -334,7 +334,8 @@ def recovery_in_z(result):
     """
     config = result.config
     spec = config.family()
-    ctx = StretchedContext.of(spec.context(), config.stretch)
+    ctx = StretchedContext.of(spec.family.rewrite(spec.s, spec.alpha, spec.nu),
+                              config.stretch)
     combined = None
     for pair, entry in zip(families._basis_pairs(spec), result.null_vector):
         coefficient = LaurentPoly.const(LambdaPolynomial(entry))

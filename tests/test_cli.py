@@ -32,9 +32,12 @@ def test_verify_single_family_succeeds(capsys):
     assert out.rstrip().endswith("status: ok")
 
 
-def test_unknown_family_is_a_usage_error(capsys):
+@pytest.mark.parametrize("command", ["verify", "commutators"])
+@pytest.mark.parametrize("family", ["0", "7"])
+def test_unknown_family_is_a_usage_error(command, family, capsys):
+    # The --family choices are the ids of the family table.
     with pytest.raises(SystemExit) as err:
-        main(["verify", "--family", "7"])
+        main([command, "--family", family])
     assert err.value.code == 2
 
 

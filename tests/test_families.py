@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,13 +9,14 @@ from _algebra import (LambdaPolynomial, bent_action_formula, bent_family_operato
                       mat_commutator, mat_mul, preserving_by_matrix_entries)
 from qes import families
 from qes.diffop import DiffOp, commutator
-from qes.families import (PARAMETERS, FamilyError, FamilySpec, NotInSpan,
+from qes.families import (FAMILIES, FamilyError, FamilySpec, NotInSpan,
                           PairElement, action_formula, apply_op, decompose,
                           family_operators, matrix_rep, operator_in_span,
                           solve_preserving, verify_invariance)
 from qes.laurent import LaurentPoly
 from qes.sampling import random_rational, sample_grid
 from qes.scalars import QuadScalar
+from qes.structure import closure_suite, ladder_proof
 
 F = Fraction
 
@@ -62,9 +64,28 @@ def test_spec_names_the_first_parameter_it_refuses(family_id, params, message):
 def test_spec_refuses_a_parameter_outside_the_family_table(family_id, params, message):
     # Every parameter a spec holds is one its family takes, so nothing that
     # reads the spec's fields can pick up a stray value.
-    assert set(params) - set(PARAMETERS[family_id])
+    assert set(params) - set(FAMILIES[family_id].parameters)
     with pytest.raises(FamilyError, match=f"^{message}$"):
         FamilySpec(family_id, 0, **params)
+
+
+def test_one_record_is_a_new_family(monkeypatch):
+    # Every reader takes a family from its record, so family 1's record
+    # under a new id is family 1 under that id everywhere.
+    monkeypatch.setitem(FAMILIES, 7, dataclasses.replace(FAMILIES[1]))
+    with pytest.raises(FamilyError, match="^family 7 requires parameter s$"):
+        FamilySpec(7, 1)
+    with pytest.raises(FamilyError, match="^s must avoid the nonpositive integers$"):
+        FamilySpec(7, 1, s=F(0))
+    assert ladder_proof(7) == ladder_proof(1) == []
+    for n_max in range(3):
+        for params in sample_grid(7, n_max, count=2, seed=n_max):
+            spec, twin = FamilySpec(7, n_max, **params), FamilySpec(1, n_max, **params)
+            assert verify_invariance(spec) == {**verify_invariance(twin), "family": 7}
+            assert family_operators(spec) == family_operators(twin)
+            for op in family_operators(spec):
+                assert matrix_rep(op, spec) == matrix_rep(op, twin)
+    assert closure_suite(7) == {**closure_suite(1), "family": 7}
 
 
 def test_dimension_is_two_chains_except_the_shifted_parameter_family():
@@ -201,7 +222,7 @@ def test_one_pass_combine_matches_the_per_order_sum(kind):
     def laurent(scalar):
         return LaurentPoly({e: scalar() for e in rng.sample(range(-2, 4), 3)})
 
-    ctx = FamilySpec(4, 1).context()
+    ctx = FAMILIES[4].rewrite(None, None, None)
     for _ in range(30):
         chain = [PairElement(laurent(pair_scalar), laurent(pair_scalar), ctx)
                  for _ in range(4)]
@@ -282,6 +303,23 @@ def test_preserving_space_equals_the_matrix_entry_system(family_id):
             j_plus, j_minus = family_operators(spec)
             assert operator_in_span(found, j_plus)
             assert operator_in_span(found, j_minus) == (family_id != 5)
+
+
+@pytest.mark.parametrize("family_id", [1, 2, 3, 4, 6])
+def test_the_third_order_search_adds_exactly_the_bracket(family_id):
+    # With third-order operators and cubic coefficients searched, the space
+    # gains one generator, and it is S = [J-, J+]: J+, J- and S lie in it
+    # and are independent modulo constants.
+    for n_max in (1, 2, 3):
+        params = sample_grid(family_id, n_max, count=1, seed=n_max + 43)[0]
+        spec = spec_from(family_id, n_max, params)
+        found = solve_preserving(spec, max_order=3, degree_bound=3)
+        j_plus, j_minus = family_operators(spec)
+        bracket = commutator(j_minus, j_plus)
+        assert found["dimension_mod_constants"] == 3
+        assert all(operator_in_span(found, op) for op in (j_plus, j_minus, bracket))
+        assert not operator_in_span({**found, "generators": [j_plus]}, j_minus)
+        assert not operator_in_span({**found, "generators": [j_plus, j_minus]}, bracket)
 
 
 # -- decompose against a reference solve per target ---------------------------

@@ -1,13 +1,14 @@
 """The ladder actions proved for every index n and size N (`structure.ladder_proof`)
 against the sampled check (`families.verify_invariance`) it replaces in `verify`."""
 
+import dataclasses
 import json
 
 import pytest
 
 from _algebra import independence_rank
-from qes import cli, families, structure
-from qes.families import FamilySpec, ladder_table, verify_invariance
+from qes import cli
+from qes.families import FAMILIES, FamilySpec, verify_invariance
 from qes.laurent import LaurentPoly
 from qes.sampling import sample_grid
 from qes.structure import ParamPoly, ladder_proof
@@ -21,25 +22,29 @@ def identity_name(key):
 
 # (family, (raising?, plus chain?)): the 22 identities.
 IDENTITIES = [(family_id, key) for family_id in range(1, 7)
-              for key in ladder_table(family_id, *SYMBOLS)]
+              for key in FAMILIES[family_id].ladder(*SYMBOLS)]
+
+
+def patch_family(monkeypatch, family_id, **fields):
+    """Replace fields of one family's record, as every reader of the table sees it."""
+    monkeypatch.setitem(FAMILIES, family_id,
+                        dataclasses.replace(FAMILIES[family_id], **fields))
 
 
 def bend_table(monkeypatch, family_id, key, position, change):
-    """Replace one numerator of the table, as both the proof and
-    `action_formula` read it."""
-    real = families.ladder_table
+    """Replace one numerator of the family's ladder table, as both the proof
+    and `action_formula` read it."""
+    real = FAMILIES[family_id].ladder
 
-    def bent(fid, *args):
-        table = real(fid, *args)
-        if fid == family_id:
-            den, terms = table[key]
-            plus, shift, numerator = terms[position]
-            table[key] = (den, [*terms[:position], (plus, shift, change(numerator)),
-                                *terms[position + 1:]])
+    def bent(*args):
+        table = real(*args)
+        den, terms = table[key]
+        plus, shift, numerator = terms[position]
+        table[key] = (den, [*terms[:position], (plus, shift, change(numerator)),
+                            *terms[position + 1:]])
         return table
 
-    monkeypatch.setattr(families, "ladder_table", bent)
-    monkeypatch.setattr(structure, "ladder_table", bent)
+    patch_family(monkeypatch, family_id, ladder=bent)
 
 
 def test_the_table_holds_22_identities_and_every_one_is_proved():
@@ -74,7 +79,7 @@ def test_a_bent_coefficient_fails_its_identity_and_verify_reports_the_samples(
 
 
 SHIFTED = [(family_id, key, position) for family_id, key in IDENTITIES
-           for position, (_, shift, _) in enumerate(ladder_table(family_id, *SYMBOLS)[key][1])
+           for position, (_, shift, _) in enumerate(FAMILIES[family_id].ladder(*SYMBOLS)[key][1])
            if shift]
 
 
@@ -100,7 +105,7 @@ def test_a_coefficient_that_survives_its_edge_fails_the_edge_check(
 
 
 def test_every_kind_of_step_off_the_chain_is_checked_at_its_edge():
-    shifts = {ladder_table(family_id, *SYMBOLS)[key][1][position][1]
+    shifts = {FAMILIES[family_id].ladder(*SYMBOLS)[key][1][position][1]
               for family_id, key, position in SHIFTED}
     assert shifts == {1, -1, -2}
 
@@ -108,26 +113,25 @@ def test_every_kind_of_step_off_the_chain_is_checked_at_its_edge():
 @pytest.mark.parametrize("family_id", [1, 2, 4, 5, 6])
 def test_a_minus_seed_without_a_constant_s_part_fails_independence(
         family_id, monkeypatch, capsys):
-    real = structure.second_seed_over
+    real = FAMILIES[family_id].minus_seed
 
     def shifted(*args):
         weight, r, s = real(*args)
         return weight, r, s * LaurentPoly.x(1) + s
 
-    monkeypatch.setattr(structure, "second_seed_over", shifted)
+    patch_family(monkeypatch, family_id, minus_seed=shifted)
     assert "independence" in ladder_proof(family_id)
-    # Every sample passes, since `families` keeps the real seed; the proof fails.
     failed_verify(family_id, capsys)
 
 
 def test_family_3_independence_and_contiguity_rest_on_the_ode(monkeypatch, capsys):
-    real = structure.context_over
+    real = FAMILIES[3].rewrite
 
-    def raised(family_id, s, alpha, nu):
-        ctx = real(family_id, s, alpha, nu)
+    def raised(s, alpha, nu):
+        ctx = real(s, alpha, nu)
         return type(ctx)(ctx.u, ctx.v * LaurentPoly.x(1))
 
-    monkeypatch.setattr(structure, "context_over", raised)
+    patch_family(monkeypatch, 3, rewrite=raised)
     failed = ladder_proof(3)
     assert "independence" in failed and "contiguity" in failed
     failed_verify(3, capsys)

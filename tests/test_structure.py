@@ -5,8 +5,7 @@ import pytest
 from _algebra import derivative_op, mat_commutator, solve_constants_at, structure_operator
 from qes import structure
 from qes.diffop import DiffOp, commutator
-from qes.families import (PARAMETERS, FamilySpec, family_operators, matrix_rep,
-                          operators_over)
+from qes.families import FAMILIES, FamilySpec, family_operators, matrix_rep
 from qes.sampling import sample_grid
 from qes.structure import (CONSTANT_NAMES, ParamPoly,
                            StructureError, closure_constants, closure_suite,
@@ -30,7 +29,7 @@ def constants_at(constants, spec):
 def test_parameter_assignment_holds_n_and_the_family_table(family_id):
     spec = sample_grid(family_id, 2, 1, seed=11)[0]
     assignment = structure.parameter_assignment(spec_from(family_id, 2, spec))
-    assert list(assignment) == ["n", *PARAMETERS[family_id]]
+    assert list(assignment) == ["n", *FAMILIES[family_id].parameters]
     assert assignment == {"n": F(2), **spec}
 
 
@@ -175,8 +174,8 @@ def test_catalog_defect_leaves_a_symbolic_residual_on_the_raising_side(family_id
 
 @pytest.mark.parametrize("family_id", [1, 2, 3, 4, 5, 6])
 def test_ring_generic_operators_specialize_to_the_concrete_ones(family_id):
-    symbolic = operators_over(family_id, SYMBOLS["n"], SYMBOLS["s"],
-                              SYMBOLS["alpha"], SYMBOLS["nu"])
+    symbolic = FAMILIES[family_id].operators(SYMBOLS["n"], SYMBOLS["s"],
+                                             SYMBOLS["alpha"], SYMBOLS["nu"])
     for n_max in range(5):
         for params in sample_grid(family_id, n_max, count=2, seed=11):
             spec = spec_from(family_id, n_max, params)
