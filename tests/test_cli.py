@@ -32,13 +32,13 @@ def test_verify_single_family_succeeds(capsys):
     assert out.rstrip().endswith("status: ok")
 
 
-@pytest.mark.parametrize("command", ["verify", "commutators"])
-@pytest.mark.parametrize("family", ["0", "7"])
-def test_unknown_family_is_a_usage_error(command, family, capsys):
+def test_unknown_family_is_a_usage_error(capsys):
     # The --family choices are the ids of the family table.
-    with pytest.raises(SystemExit) as err:
-        main([command, "--family", family])
-    assert err.value.code == 2
+    for command in ("verify", "commutators"):
+        for family in ("0", "7"):
+            with pytest.raises(SystemExit) as err:
+                main([command, "--family", family])
+            assert err.value.code == 2
 
 
 def test_subspace_size_cap_is_enforced(capsys):
