@@ -8,33 +8,9 @@ exactly over the rationals (with surds where needed), and uses the third
 family to solve for the frequencies at which the two-photon Rabi
 Hamiltonian has elementary eigenstates, cross-checked by an independent
 truncated-Fock eigenvalue search.
+
+The package holds only `__version__`, so `import qes` loads no module;
+names are imported from the modules (`qes.families`, `qes.rabi`, ...).
 """
 
-from .families import (FamilyError, FamilySpec, NotInSpan, PairContext,
-                       PairElement, action_formula, apply_op, decompose,
-                       family_operators, matrix_rep, operator_in_span,
-                       solve_preserving, verify_invariance)
-from .rabi import (RabiConfig, RabiError, SpectralResult, FrequencyRoot,
-                   assemble_eigenfunctions, bargmann_growth, build_L,
-                   closed_form_report, fock_truncation_check,
-                   frequency_table_report, gauge_identity_residual,
-                   ladder_combination, solve_frequencies, subspace_matrix)
-from .structure import (ParamPoly, StructureError, closure_constants,
-                        closure_suite, compare_to_catalog, derive_constants,
-                        verify_structure_relations)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "FamilyError", "FamilySpec", "NotInSpan", "PairContext", "PairElement",
-    "action_formula", "apply_op", "decompose", "family_operators",
-    "matrix_rep", "operator_in_span", "solve_preserving", "verify_invariance",
-    "RabiConfig", "RabiError", "SpectralResult", "FrequencyRoot",
-    "assemble_eigenfunctions", "bargmann_growth", "build_L",
-    "closed_form_report", "fock_truncation_check", "frequency_table_report",
-    "gauge_identity_residual", "ladder_combination", "solve_frequencies",
-    "subspace_matrix",
-    "ParamPoly", "StructureError", "closure_constants", "closure_suite",
-    "compare_to_catalog", "derive_constants", "verify_structure_relations",
-    "__version__",
-]

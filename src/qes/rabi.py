@@ -32,7 +32,8 @@ from .diffop import (DiffOp, GaugeFactor, commutator, conjugate_by_gauge,
 from .families import (FamilySpec, PairElement, _add_product, _basis_pairs, action_formula,
                        apply_op, family_operators)
 from .laurent import LaurentPoly
-from .linalg import charpoly, minimal_factors, poly_divmod, poly_float, poly_mul, poly_trim
+from .linalg import (SQUAREFREE_PRIME, charpoly, minimal_factors, poly_divmod, poly_float,
+                     poly_mul, poly_trim)
 from .scalars import SQRT2, SQRT3, SQRT6, QuadScalar, format_scalar
 
 
@@ -838,4 +839,48 @@ def frequency_table_report(result: SpectralResult) -> Dict[str, object]:
     if config.n_max == 2:
         report["closed_form"] = closed_form_report(result)
     report["status"] = "ok" if (all_contained and energy_ok) else "reference-discrepancy"
+    return report
+
+
+def lock_report(n_max: int, sol_type: str, cutoff: int,
+                eigenfunctions: bool) -> Dict[str, object]:
+    """One lock's whole report block, for `rabi` and each `table1` entry: the
+    reference comparison, g/w, Fock gaps, `exact`, `roots`, eigenfunctions."""
+    config = RabiConfig(n_max, sol_type)
+    result = solve_frequencies(config)
+    report = frequency_table_report(result)
+    report["g_ratio_exact"] = format_scalar(TWO_G / 2)
+    report["g_ratio_float"] = float(TWO_G) / 2
+    report["fock_cutoff"] = cutoff
+    report["fock_gap_at_computed"] = {
+        f"{root.ratio:.6f}": fock_truncation_check(config, root.ratio, cutoff)
+        for root in result.roots
+    }
+    report["fock_gap_at_listed"] = {
+        f"{value:.5f}": fock_truncation_check(config, value, cutoff)
+        for value in REFERENCE_FREQUENCY_RATIOS.get((n_max, sol_type), ())
+    }
+    # Schema 2 reports each exact object once, in `exact`; `minimal_poly`
+    # stays in every root only while the benchmark's counters read it there.
+    minimal_poly = [str(c) for c in result.lambda_charpoly]
+    report["exact"] = {
+        "defining_poly": minimal_poly,
+        "squarefree_modulo": SQUAREFREE_PRIME,
+        "null_vector_certificate": {"kind": "three-term-recurrence", "rank": n_max,
+                                    "dimension": n_max + 1, "nullity": 1},
+    }
+    report["roots"] = [
+        {
+            "ratio": root.ratio,
+            "lambda": root.lambda_float,
+            "lambda_interval": [str(root.lambda_interval[0]),
+                                str(root.lambda_interval[1])],
+            "minimal_poly": minimal_poly,
+            "null_vector_floats": root.null_vector_floats,
+        }
+        for root in result.roots
+    ]
+    if eigenfunctions:
+        shared, report["eigenfunctions"] = assemble_eigenfunctions(result)
+        report["exact"].update(shared)
     return report

@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports in `qes`, no numpy anywhere in it,
-every annotation resolvable, every name the benchmark's tracer wraps still
-defined, and no function or method in `qes` that only the tests reach."""
+every annotation resolvable, `import qes` loading no module of it, every
+name the benchmark's tracer wraps still defined, and no function or method
+in `qes` that only the tests reach."""
 
 import ast
 import importlib
@@ -16,7 +17,7 @@ SOURCES = sorted((ROOT / "src" / "qes").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
-    """Names the module imports but neither uses nor lists in `__all__`."""
+    """Names the module imports but does not use; `qes` re-exports nothing."""
     tree = ast.parse(source)
     imported, used = [], set()
     for node in ast.walk(tree):
@@ -27,9 +28,6 @@ def unused_imports(source: str) -> list:
             used.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             used.add(node.value)  # a quoted forward reference, e.g. "QuadScalar"
-        elif isinstance(node, ast.Assign) and any(
-                getattr(target, "id", None) == "__all__" for target in node.targets):
-            used.update(ast.literal_eval(node.value))
     return [name for name in imported if name not in used]
 
 
@@ -94,6 +92,14 @@ def test_no_module_imports_numpy():
 def test_the_numpy_check_sees_a_local_import():
     source = "def f():\n    from numpy.linalg import eigvalsh\n    import numpy as np\n"
     assert sorted(numpy_imports(source)) == ["numpy", "numpy.linalg"]
+
+
+def test_importing_the_package_loads_no_module_of_it():
+    # The package holds only `__version__`; names come from the modules.
+    probe = "import qes, sys; print(sorted(m for m in sys.modules if m.startswith('qes')))"
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(
+        os.environ, PYTHONPATH=str(SOURCES[0].parent.parent)), capture_output=True, text=True)
+    assert done.stdout.strip() == "['qes']", done.stderr
 
 
 def numpy_loaded_after(*argv: str) -> bool:

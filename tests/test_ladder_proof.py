@@ -8,7 +8,7 @@ import pytest
 
 from _algebra import independence_rank
 from qes import cli
-from qes.families import FAMILIES, FamilySpec, verify_invariance
+from qes.families import FAMILIES, FamilySpec, proved_report, verify_invariance
 from qes.laurent import LaurentPoly
 from qes.sampling import sample_grid
 from qes.structure import ParamPoly, ladder_proof
@@ -156,5 +156,5 @@ def test_the_proved_reports_equal_the_sampled_ones(family_id):
     for n_max in range(6):
         for params in sample_grid(family_id, n_max, count=2, seed=n_max + 29):
             spec = FamilySpec(family_id, n_max, **params)
-            assert verify_invariance(spec) == cli._proved_report(spec)
+            assert verify_invariance(spec) == proved_report(spec)
             assert independence_rank(spec) == spec.dimension

@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,6 +293,56 @@ def test_exact_null_vectors_annihilate_the_shifted_matrix():
     images = mat_vec(shifted, [LambdaPolynomial(entry) for entry in result.null_vector])
     assert images[0] != 0  # a multiple of the defining polynomial
     assert all(poly_divmod(entry.coeffs, result.lambda_charpoly)[1] == [] for entry in images)
+
+
+def _mp_poly(coeffs, x):
+    """An ascending list of Fractions evaluated at the mpmath number x."""
+    value = mpmath.mpf(0)
+    for c in reversed(coeffs):
+        value = value * x + mpmath.mpf(c.numerator) / c.denominator
+    return value
+
+
+def _lambdas_to_1600_bits(result):
+    """Each root's lambda by Newton's method from the middle of its isolating
+    interval, at the working precision the caller sets (1600 bits here)."""
+    charpoly = result.lambda_charpoly
+    derivative = [i * c for i, c in enumerate(charpoly)][1:]
+    lambdas = []
+    for root in result.roots:
+        middle = sum(root.lambda_interval) / 2
+        lam = mpmath.mpf(middle.numerator) / middle.denominator
+        for _ in range(12):
+            lam -= _mp_poly(charpoly, lam) / _mp_poly(derivative, lam)
+        lambdas.append(lam)
+    return lambdas
+
+
+@pytest.mark.parametrize("sol_type", ["I", "II"])
+def test_the_1600_bit_lambdas_are_roots_inside_their_intervals(sol_type):
+    # Guards the reference of the strict xfail below: it must fail on the
+    # floats, not on the roots.
+    result = solve_frequencies(RabiConfig(40, sol_type))
+    charpoly = result.lambda_charpoly
+    derivative = [i * c for i, c in enumerate(charpoly)][1:]
+    with mpmath.workprec(1600):
+        for root, lam in zip(result.roots, _lambdas_to_1600_bits(result)):
+            lo, hi = (mpmath.mpf(end.numerator) / end.denominator for end in root.lambda_interval)
+            assert lo < lam < hi
+            step = _mp_poly(charpoly, lam) / _mp_poly(derivative, lam)
+            assert abs(step) < lam * mpmath.mpf(2) ** -1550
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+@pytest.mark.parametrize("n_max,sol_type", [(20, "I"), (20, "II"), (40, "I"), (40, "II")])
+def test_null_vector_floats_are_the_rounded_exact_entries(n_max, sol_type):
+    # Worst relative errors today: 1.7e-10 (I) and 5.9e-10 (II) at N = 20,
+    # 4.1e-2 (I) and 1.5e-1 (II) at N = 40.
+    result = solve_frequencies(RabiConfig(n_max, sol_type))
+    with mpmath.workprec(1600):
+        for root, lam in zip(result.roots, _lambdas_to_1600_bits(result)):
+            exact = [float(_mp_poly(entry, lam)) for entry in result.null_vector]
+            assert root.null_vector_floats == exact, root.ratio
 
 
 @pytest.mark.parametrize("sol_type", ["I", "II"])
