@@ -1,6 +1,7 @@
 """Command-line front end: it parses the options, calls one report builder
-per command (`rabi.lock_report` builds each lock's block), and formats the
-report as JSON, human-readable lines or, for table1, CSV.
+per command (`structure.verify_report`, `structure.closure_suite` per
+family, `rabi.lock_report` per lock), and formats the report as JSON,
+human-readable lines or, for table1, CSV.
 
 Subcommands:
   verify       ladder invariance of one family (or all six)
@@ -28,10 +29,9 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from .families import FAMILIES, FamilySpec, proved_report, verify_invariance
+from .families import FAMILIES
 from .rabi import REFERENCE_ENERGY_RATIOS, SOLUTION_TYPES, lock_report
-from .sampling import sample_grid
-from .structure import closure_suite, ladder_proof
+from .structure import closure_suite, verify_report
 
 SCHEMA_VERSION = 2
 # Each Fock-oracle probe is one pass over a chain of cutoff/2 entries;
@@ -83,48 +83,11 @@ def _finish(report: Dict[str, object], args, started: float,
 
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
-    families = [args.family] if args.family else sorted(FAMILIES)
-    sizes = [args.n] if args.n is not None else [0, 1, 2, 3]
-    checks = []
-    proofs = {}
-    lines = []
-    all_ok = True
-    for family in families:
-        # One proof covers every N and every sample; a family whose proof
-        # fails is checked sample by sample, so its reports show what fails,
-        # and fails its checks even where every sample passes.
-        proofs[family] = ladder_proof(family)
-        for n_max in sizes:
-            reports = []
-            for params in sample_grid(family, n_max, args.samples, args.seed):
-                spec = FamilySpec(family, n_max, **params)
-                report = verify_invariance(spec) if proofs[family] else proved_report(spec)
-                report["params"] = {k: str(v) for k, v in params.items()}
-                reports.append(report)
-            ok = not proofs[family] and all(r["ok"] and r["rank_ok"] for r in reports)
-            all_ok = all_ok and ok
-            per_sample = reports[0]["checks"] if reports else 0
-            checks.append({
-                "family": family,
-                "n": n_max,
-                "samples": args.samples,
-                "applications_per_sample": per_sample,
-                "total_applications": per_sample * len(reports),
-                "ok": ok,
-                "sample_reports": reports,
-            })
-            word = "pass" if ok else "FAIL"
-            lines.append(
-                f"family {family} N={n_max}: {word} "
-                f"({per_sample} basis applications x {args.samples} samples)")
-    report = {
-        "command": "verify",
-        "inputs": {"family": args.family, "n": args.n,
-                   "samples": args.samples, "seed": args.seed},
-        "checks": checks,
-        "ladder_proofs": proofs,
-        "status": "ok" if all_ok else "fail",
-    }
+    report = verify_report(args.family, args.n, args.samples, args.seed)
+    lines = [f"family {check['family']} N={check['n']}: "
+             f"{'pass' if check['ok'] else 'FAIL'} ({check['applications_per_sample']} "
+             f"basis applications x {check['samples']} samples)"
+             for check in report["checks"]]
     return _finish(report, args, started, lines)
 
 

@@ -62,7 +62,9 @@ class SolutionType:
     parameters are s and alpha = alpha_0 - N/2; sin_2t is sin(2t) at the
     working angle; the coordinate map is x = stretch * z^2; a4 and k4(N) are
     the ladder combination's J^- coefficient and constant part
-    (`RabiConfig.combination`)."""
+    (`RabiConfig.combination`).  The N = 2 closed forms quoted with the
+    reference tabulation, three null-vector ratios and lambda, are (rational
+    part, surd coefficient, radicand) triples, decided exactly by minimal polynomials."""
 
     s: Fraction
     alpha_0: Fraction
@@ -71,16 +73,26 @@ class SolutionType:
     stretch: QuadScalar
     a4: int
     k4: Callable[[Fraction], Fraction]
+    closed_form_ratios: Tuple[Tuple[Fraction, Fraction, int], ...]
+    closed_form_lambda: Tuple[Fraction, Fraction, int]
 
 
 # Type I carries the even states, type II the odd ones (gauge z*exp(...)).
 SOLUTION_TYPES: Dict[str, SolutionType] = {
     "I": SolutionType(s=Fraction(1, 2), alpha_0=Fraction(-1, 4), sin_2t=SIN_2T,
                       gauge=GaugeFactor(0, ETA), stretch=-XI, a4=4,
-                      k4=lambda n: -n * n - n / 4 + Fraction(1, 8)),
+                      k4=lambda n: -n * n - n / 4 + Fraction(1, 8),
+                      closed_form_ratios=((Fraction(57, 20), Fraction(7, 15), 42),
+                                          (Fraction(5, 3), Fraction(1, 30), 42),
+                                          (Fraction(1), Fraction(0), 42)),
+                      closed_form_lambda=(Fraction(11, 4), Fraction(1), 42)),
     "II": SolutionType(s=Fraction(3, 2), alpha_0=Fraction(5, 4), sin_2t=-SIN_2T,
                        gauge=GaugeFactor(1, -ETA), stretch=XI, a4=-8,
-                       k4=lambda n: -n * n + 13 * n / 4 + Fraction(49, 8)),
+                       k4=lambda n: -n * n + 13 * n / 4 + Fraction(49, 8),
+                       closed_form_ratios=((Fraction(5, 4), Fraction(1, 7), 10),
+                                           (Fraction(31, 21), Fraction(1, 42), 10),
+                                           (Fraction(1), Fraction(0), 10)),
+                       closed_form_lambda=(Fraction(-5, 4), Fraction(1), 10)),
 }
 
 
@@ -389,31 +401,13 @@ def _quadratic_minimal(rational: Fraction, coeff: Fraction, radicand: int) -> Li
     return [rational * rational - coeff * coeff * radicand, -2 * rational, Fraction(1)]
 
 
-# Closed-form targets quoted alongside the reference tabulation, kept as
-# (rational part, surd coefficient, radicand) triples so membership can be
-# decided exactly through minimal polynomials.
-CLOSED_FORM_RATIOS = {
-    "I": ((Fraction(57, 20), Fraction(7, 15), 42),
-          (Fraction(5, 3), Fraction(1, 30), 42),
-          (Fraction(1), Fraction(0), 42)),
-    "II": ((Fraction(5, 4), Fraction(1, 7), 10),
-           (Fraction(31, 21), Fraction(1, 42), 10),
-           (Fraction(1), Fraction(0), 10)),
-}
-CLOSED_FORM_LAMBDA = {
-    "I": (Fraction(11, 4), Fraction(1), 42),
-    "II": (Fraction(-5, 4), Fraction(1), 10),
-}
-
-
 def closed_form_report(result: SpectralResult) -> Dict[str, object]:
     """Membership of the quoted N=2 closed-form lambda in the computed set.
 
     The report records the verdict and both floats; it does not try to
     reconcile a mismatch.
     """
-    config = result.config
-    rational, coeff, radicand = CLOSED_FORM_LAMBDA[config.sol_type]
+    rational, coeff, radicand = result.config.row.closed_form_lambda
     target_poly = _quadratic_minimal(rational, coeff, radicand)
     target_lambda = float(rational) + float(coeff) * math.sqrt(radicand)
     # Each target is a surd with a nonzero coefficient on the root of a
@@ -503,7 +497,7 @@ def _closed_form_ratio_checks(result: SpectralResult) -> List[Dict[str, object]]
     """
     checks = []
     for index, (target, ratio_elem) in enumerate(
-            zip(CLOSED_FORM_RATIOS[result.config.sol_type], result.null_vector)):
+            zip(result.config.row.closed_form_ratios, result.null_vector)):
         rational, coeff, radicand = target
         poly = ([-rational, Fraction(1)] if coeff == 0
                 else _quadratic_minimal(rational, coeff, radicand))

@@ -4,6 +4,7 @@ ladder actions.
 The ladder actions of each `families.Family` record are proved once per family
 over Q[s, alpha, nu, n, N] (`ladder_proof`), with the basis index n and
 the subspace size N as variables, so they hold for every N at once.
+`verify_report` builds the `verify` report on that proof.
 
 The bracket S = [J^-, J^+] of each family's lowering and raising operators
 is an operator of order at most three, and bracketing either generator with
@@ -28,9 +29,10 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .diffop import DiffOp, commutator
-from .families import FAMILIES, Family, FamilySpec, PairElement, _combine, _derivatives
+from .families import (FAMILIES, Family, FamilySpec, PairElement, _combine, _derivatives,
+                       proved_report, verify_invariance)
 from .laurent import LaurentPoly
-from .sampling import mix_seed, sample_params
+from .sampling import mix_seed, sample_grid, sample_params
 
 
 class StructureError(ValueError):
@@ -420,6 +422,45 @@ def ladder_proof(family_id: int) -> List[str]:
     return failed + frame_failed
 
 
+def verify_report(family: Optional[int], n_max: Optional[int], samples: int,
+                  seed: int) -> Dict[str, object]:
+    """The `verify` report of one family (None: all six) at size N (None: 0..3),
+    at `samples` seeded points per size.  Each family's `ladder_proof` runs
+    once and covers every N; each sample's report is read off it
+    (`families.proved_report`).  A family whose proof fails is checked
+    sample by sample (`families.verify_invariance`), so its reports show
+    what fails, and it fails its checks even where every sample passes."""
+    sizes = [n_max] if n_max is not None else [0, 1, 2, 3]
+    checks = []
+    proofs = {}
+    for family_id in [family] if family else sorted(FAMILIES):
+        proofs[family_id] = ladder_proof(family_id)
+        for size in sizes:
+            reports = []
+            for params in sample_grid(family_id, size, samples, seed):
+                spec = FamilySpec(family_id, size, **params)
+                report = verify_invariance(spec) if proofs[family_id] else proved_report(spec)
+                report["params"] = {k: str(v) for k, v in params.items()}
+                reports.append(report)
+            per_sample = reports[0]["checks"] if reports else 0
+            checks.append({
+                "family": family_id,
+                "n": size,
+                "samples": samples,
+                "applications_per_sample": per_sample,
+                "total_applications": per_sample * len(reports),
+                "ok": not proofs[family_id] and all(r["ok"] and r["rank_ok"] for r in reports),
+                "sample_reports": reports,
+            })
+    return {
+        "command": "verify",
+        "inputs": {"family": family, "n": n_max, "samples": samples, "seed": seed},
+        "checks": checks,
+        "ladder_proofs": proofs,
+        "status": "ok" if all(check["ok"] for check in checks) else "fail",
+    }
+
+
 def _residuals(sides, constants: Mapping[str, ParamPoly]) -> Dict[str, DiffOp]:
     """lhs - sum c_i op_i of each relation, over Q[s, alpha, nu, n]."""
     residuals = {}
@@ -537,9 +578,9 @@ def derive_constants(sides) -> Dict[str, ParamPoly]:
     return dict(**solved)
 
 
-def compare_to_catalog(derived: Mapping[str, ParamPoly], family_id: int) -> Dict[str, bool]:
-    """Per-coefficient equality of a derived set against the catalog."""
-    catalog = closure_constants(family_id)
+def compare_to_catalog(derived: Mapping[str, ParamPoly],
+                       catalog: Mapping[str, ParamPoly]) -> Dict[str, bool]:
+    """Per-coefficient equality of a derived set against `closure_constants`."""
     return {name: derived[name] == catalog[name] for name in CONSTANT_NAMES}
 
 
@@ -568,7 +609,7 @@ def closure_suite(family_id: int, samples: int = 8, seed: int = 0) -> Dict[str, 
     sides = symbolic_sides(family_id)
     catalog = closure_constants(family_id)
     derived = derive_constants(sides)
-    match = compare_to_catalog(derived, family_id)
+    match = compare_to_catalog(derived, catalog)
     residuals = _residuals(sides, catalog).values()
     failures = sum(any(not _evaluate(residual, parameter_assignment(spec)).is_zero()
                        for residual in residuals)

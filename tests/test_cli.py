@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qes import cli, families, linalg
+from qes import cli, families, linalg, structure
 from qes.cli import _build_parser, main
 
 
@@ -207,13 +207,13 @@ def test_a_passing_verify_proves_each_family_once_and_checks_no_sample(argv, cap
             raise AssertionError(f"{name} called on a passing verify")
         return call
 
-    for module, name in ((families, "verify_invariance"), (cli, "verify_invariance"),
+    for module, name in ((families, "verify_invariance"), (structure, "verify_invariance"),
                          (families, "_derivatives"), (families, "decompose"),
                          (linalg, "rref")):
         monkeypatch.setattr(module, name, refuse(name))
     proved = []
-    ladder_proof = cli.ladder_proof
-    monkeypatch.setattr(cli, "ladder_proof", lambda f: proved.append(f) or ladder_proof(f))
+    ladder_proof = structure.ladder_proof
+    monkeypatch.setattr(structure, "ladder_proof", lambda f: proved.append(f) or ladder_proof(f))
     code, payload = run_json(capsys, "verify", *argv)
     assert code == 0 and payload["status"] == "ok"
     assert proved == [1, 2, 3, 4, 5, 6]

@@ -49,7 +49,7 @@ from unittest import mock
 import pytest
 
 from _algebra import bent_action_formula, bent_family_operators
-from qes import cli, families
+from qes import cli, families, structure
 from qes.cli import _lambda_text, _z_text, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "rabi_reports.json"
@@ -92,7 +92,7 @@ def bent_ladder():
     broken = ["J+ plus", "J+ minus", "J- plus", "J- minus"]
     with mock.patch.object(families, "action_formula", bent_action_formula), \
             mock.patch.object(families, "family_operators", bent_family_operators), \
-            mock.patch.object(cli, "ladder_proof", lambda family: list(broken)):
+            mock.patch.object(structure, "ladder_proof", lambda family: list(broken)):
         yield
 
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from _algebra import independence_rank
-from qes import cli
+from qes import cli, structure
 from qes.families import FAMILIES, FamilySpec, proved_report, verify_invariance
 from qes.laurent import LaurentPoly
 from qes.sampling import sample_grid
@@ -138,7 +138,7 @@ def test_family_3_independence_and_contiguity_rest_on_the_ode(monkeypatch, capsy
 
 
 def test_a_failed_proof_fails_verify_where_every_sample_passes(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "ladder_proof", lambda family_id: ["forced"])
+    monkeypatch.setattr(structure, "ladder_proof", lambda family_id: ["forced"])
     code = cli.main(["verify", "--n", "8", "--samples", "64", "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1 and payload["status"] == "fail"

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 import sys
 from collections import Counter
@@ -15,13 +16,13 @@ from hypothesis import strategies as st
 from _algebra import (LambdaPolynomial, dense_tridiagonal, faddeev_leverrier, fock_chains,
                       fock_matrix, mat_vec, recovery_in_z, truncation_convergence)
 from qes import families, linalg, rabi
-from qes.cli import _RABI_N_CAP
+from qes.cli import _RABI_N_CAP, main
 from qes.diffop import (DiffOp, GaugeFactor, conjugate_by_gauge, pull_back_square,
                         substitute_square)
 from qes.laurent import LaurentPoly
 from qes.linalg import isolate_real_roots, poly_divmod, poly_mul
-from qes.rabi import (CLOSED_FORM_LAMBDA, CLOSED_FORM_RATIOS, COS_2T, ETA, REFERENCE_FREQUENCY_RATIOS,
-                      SIN_2T, TWO_G, XI, RabiConfig, RabiError,
+from qes.rabi import (COS_2T, ETA, REFERENCE_FREQUENCY_RATIOS, SIN_2T, SOLUTION_TYPES, TWO_G, XI,
+                      RabiConfig, RabiError,
                       _apply_recovery_operator,
                       _extension_nullspace, _fock_gap, _FockChain,
                       _gauged_recovery_operator, _quadratic_minimal,
@@ -550,7 +551,7 @@ def test_closed_form_lambda_is_a_member_when_its_quadratic_divides_the_charpoly(
     # factor must say True.
     result = solved(2, sol_type)
     assert not closed_form_report(result)["member_of_root_set"]
-    target = _quadratic_minimal(*CLOSED_FORM_LAMBDA[sol_type])
+    target = _quadratic_minimal(*SOLUTION_TYPES[sol_type].closed_form_lambda)
     holding = dataclasses.replace(result, lambda_charpoly=poly_mul(target, [F(-3), F(1)]))
     assert closed_form_report(holding)["member_of_root_set"] is True
 
@@ -562,7 +563,7 @@ def test_closed_form_ratio_matches_where_the_shared_polynomial_makes_it_hold(sol
     # minimal polynomial and the first null-vector entry by lambda itself,
     # the first target is that entry at both roots; the last entry is 1.
     result = solved(2, sol_type)
-    target = CLOSED_FORM_RATIOS[sol_type][0]
+    target = SOLUTION_TYPES[sol_type].closed_form_ratios[0]
     holding = dataclasses.replace(
         result, lambda_charpoly=_quadratic_minimal(*target),
         null_vector=[[F(0), F(1)]] + result.null_vector[1:])
@@ -719,3 +720,37 @@ def test_eigenfunction_coefficients_solve_the_recurrence_numerically():
         for i, row in enumerate(m0):
             acc = sum(a * b for a, b in zip(row, values)) + root.lambda_float * values[i]
             assert abs(acc) < 1e-8
+
+
+# -- one row per solution type ----------------------------------------------------------
+
+# The block fields the reference tabulation keys by (N, type).
+_KEYED_BY_TYPE = ("type", "listed_ratios", "containment", "fock_gap_at_listed", "status")
+
+
+def _cli_blocks(capsys, *argv):
+    main([*argv, "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    return payload["grid"] if "grid" in payload else [payload["report"]]
+
+
+def _untyped(block):
+    return {key: value for key, value in block.items() if key not in _KEYED_BY_TYPE}
+
+
+def test_a_copied_solution_type_row_runs_through_the_whole_stack(monkeypatch, capsys):
+    # Every reader takes a solution type from its row, so row I under a new
+    # key is type I under that key everywhere, N = 2's closed forms included.
+    monkeypatch.setitem(SOLUTION_TYPES, "I2", dataclasses.replace(SOLUTION_TYPES["I"]))
+    for n_max in ("2", "5"):
+        copy, = _cli_blocks(capsys, "rabi", "--n", n_max, "--type", "I2", "--eigenfunctions")
+        original, = _cli_blocks(capsys, "rabi", "--n", n_max, "--type", "I", "--eigenfunctions")
+        assert copy["type"] == "I2" and copy["listed_ratios"] == []
+        assert ("closed_form" in copy) == (n_max == "2") and copy["eigenfunctions"]
+        assert _untyped(copy) == _untyped(original)
+    by_type = {}
+    for block in _cli_blocks(capsys, "table1", "--cutoff", "100"):
+        by_type.setdefault(block["type"], []).append(block)
+    assert sorted(by_type) == ["I", "I2", "II"]
+    assert [len(blocks) for blocks in by_type.values()] == [5, 5, 5]
+    assert [_untyped(b) for b in by_type["I2"]] == [_untyped(b) for b in by_type["I"]]

@@ -114,7 +114,7 @@ def test_tabulated_coefficient_defects_are_reproducible(family_id, broken):
     assert report["relations"]["lower"]["ok"]
     assert not report["relations"]["raise"]["ok"]
     derived = derive_constants(symbolic_sides(family_id))
-    agreement = compare_to_catalog(derived, family_id)
+    agreement = compare_to_catalog(derived, closure_constants(family_id))
     assert [name for name, same in agreement.items() if not same] == [broken]
     fixed = verify_structure_relations(spec_from(family_id, 2, params), constants=derived)
     assert fixed["ok"]
@@ -123,7 +123,7 @@ def test_tabulated_coefficient_defects_are_reproducible(family_id, broken):
 def test_derived_constants_match_catalog_where_catalog_holds():
     for family_id in (1, 4, 5, 6):
         derived = derive_constants(symbolic_sides(family_id))
-        assert all(compare_to_catalog(derived, family_id).values())
+        assert all(compare_to_catalog(derived, closure_constants(family_id)).values())
 
 
 def test_direct_solve_agrees_with_interpolated_constants():
